@@ -81,6 +81,10 @@ class DimensionMismatch(FormcError):
     """Mesh and element dimensions disagree."""
 
 
+class NonFiniteValue(FormcError):
+    """A vertex coordinate or coefficient value is NaN or infinite."""
+
+
 class MaxIterations(FormcError):
     """Iterative solver failed to converge within the iteration budget."""
 

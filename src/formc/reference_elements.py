@@ -68,10 +68,6 @@ class ReferenceCell:
         return hash(("ReferenceCell", self.shape))
 
 
-def reference_cell(shape):
-    return ReferenceCell(shape)
-
-
 # --- quadrature -------------------------------------------------------------
 
 

@@ -100,19 +100,6 @@ class MonomialTerm:
         self.primary_dims = tuple(f.element.space_dim for f in self.arg_factors)
         self.secondary_dims = tuple(i.range for i in self.secondary)
 
-    @property
-    def index_table(self):
-        """Every index of the monomial with its final kind and range."""
-        table = [Index("primary", range=n) for n in self.primary_dims]
-        table += list(self.secondary) + list(self.aux_a0) + list(self.aux_g)
-        for f in self.factors:
-            if f.component is not None and f.component.kind == "fixed":
-                table.append(f.component)
-        for _, x in self.transforms:
-            if x.kind == "fixed":
-                table.append(x)
-        return table
-
     def quadrature_degree(self):
         """Exactness needed to integrate the reference integrand."""
         total = 0

@@ -218,6 +218,22 @@ def test_cli_assemble_paths_agree(tmp_path, formfile):
     assert np.abs(ma - mb).max() < 1e-10 * max(1.0, np.abs(mb).max())
 
 
+def test_cli_assemble_rejects_nan_mesh(tmp_path, formfile, capsys):
+    meshfile = tmp_path / "nan.mesh"
+    meshfile.write_text("mesh 2 3 1\n0 0\n1 0\n0 nan\n0 1 2\n")
+    out = tmp_path / "out.mtx"
+    assert cli(["assemble", str(formfile), str(meshfile), "-o", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_assemble_rejects_malformed_mesh(tmp_path, formfile, capsys):
+    meshfile = tmp_path / "bad.mesh"
+    meshfile.write_text("mesh 2 3 1\n0 0\n1 0\n0 1\n0 1.5 2\n")
+    assert cli(["assemble", str(formfile), str(meshfile)]) == 1
+    assert "cell vertex id" in capsys.readouterr().err
+
+
 def test_cli_assemble_seed_reproducible(tmp_path):
     src = tmp_path / "load.form"
     src.write_text(

@@ -10,6 +10,7 @@ from formc.errors import (
     DegenerateCell,
     DimensionMismatch,
     MaxIterations,
+    NonFiniteValue,
     NotSymmetric,
 )
 from formc.reference_elements import make_lagrange, make_vector_lagrange
@@ -122,6 +123,18 @@ def test_mesh_rejects_degenerate_and_malformed():
         Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1]])
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_mesh_rejects_non_finite_coordinates(bad):
+    with pytest.raises(NonFiniteValue, match="vertex 2"):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, bad]], [[0, 1, 2]])
+
+
+def test_mesh_reports_first_degenerate_cell():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(DegenerateCell, match="cell 2 "):
+        Mesh(vertices, [[0, 1, 2], [1, 3, 4], [0, 1, 3], [0, 3, 1]])
+
+
 def test_mesh_save_load_round_trip(tmp_path):
     mesh = perturb_mesh(unit_square_mesh(3), seed=7)
     path = tmp_path / "mesh.txt"
@@ -137,6 +150,30 @@ def test_load_mesh_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("mesh 2 3 1\n0.0 0.0\n1.0 0.0\n0.0\n0 1 2\n")
     with pytest.raises(DimensionMismatch):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    (
+        ("mesh 2.5 3 1\n0 0\n1 0\n0 1\n0 1 2\n", "header field"),
+        ("mesh 2 -3 1\n0 0 1\n", "negative header"),
+        ("mesh 2 3\n", "not a mesh file"),
+        ("mesh 2 3 1\n0 0\n1 0\n0 x\n0 1 2\n", "vertex coordinate"),
+        ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 1.5 2\n", "cell vertex id"),
+    ),
+)
+def test_load_mesh_rejects_bad_tokens(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DimensionMismatch, match=message):
+        load_mesh(path)
+
+
+def test_load_mesh_rejects_nan_coordinate(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("mesh 2 3 1\n0 0\n1 0\nnan 1\n0 1 2\n")
+    with pytest.raises(NonFiniteValue):
         load_mesh(path)
 
 
@@ -392,6 +429,15 @@ def test_assemble_validates_inputs():
     with pytest.raises(DimensionMismatch):
         assemble(form_of("load"), mesh, [dmap],
                  [(np.zeros(3), dmap)])  # wrong vector length
+    for bad in (np.nan, np.inf):
+        vec = np.zeros(dmap.global_dim)
+        vec[1] = bad
+        for path in (compile_form(form_of("load")), form_of("load")):
+            with pytest.raises(NonFiniteValue, match="coefficient 0"):
+                assemble(path, mesh, [dmap], [(vec, dmap)])
+    other = build_dofmap(unit_square_mesh(2), make_lagrange("triangle", 1))
+    with pytest.raises(DimensionMismatch, match="another mesh"):
+        assemble(form, mesh, [dmap, other])
     with pytest.raises(TypeError):
         assemble("a = v*u*dx", mesh, [dmap, dmap])
     tet_form = form_of("poisson", "tetrahedron", 1)
@@ -418,6 +464,14 @@ def test_sparse_builder_sums_duplicates_order_independently():
 
     with pytest.raises(DimensionMismatch):
         SparseBuilder((2, 2)).add([0], [1.0])
+
+
+def test_sparse_builder_vector_rejects_out_of_range_rows():
+    vec = SparseBuilder((3,))
+    vec.add([0, 3], [1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        vec.finalize()
+    assert SparseBuilder((3,)).finalize().dtype == float
 
 
 # --- solver and boundary conditions -----------------------------------------------
