@@ -3,10 +3,11 @@
 The benchmark compares two ways of evaluating element tensors over a batch
 of random affine cells: contracting precomputed reference tensors against
 per-cell geometry tensors, and direct quadrature with pretabulated basis
-values.  Timing covers per-element work only (geometry tensors, derivative
-transforms, contractions); map construction and reference-element
-tabulation are excluded.  Runs are single threaded for stable timing, and
-both paths consume identical seeded inputs.
+values through the runtime's batched oracle.  Both paths run over the same
+runtime.CHUNK-cell slices.  Timing covers per-element work only (geometry
+tensors, derivative transforms, contractions); map construction and
+reference-element tabulation are excluded.  Runs are single threaded for
+stable timing, and both paths consume identical seeded inputs.
 """
 
 import argparse
@@ -15,14 +16,13 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import comb
 
 import numpy as np
 
 from . import codegen, runtime
 from .errors import FormcError, ValueMismatch
-from .form_language import BasisFunction, expand_to_monomials, parse_form_file
+from .form_language import parse_form_file
 from .reference_elements import make_lagrange, make_quadrature
 from .tensor_representation import compile_form, contract_terms
 
@@ -138,115 +138,8 @@ def _random_cells(rng, n, d):
     return dets, np.linalg.inv(B)
 
 
-class _QuadratureEvaluator:
-    """Vectorized direct-quadrature path over batches of cells.
-
-    Pretabulates basis values and reference gradients per monomial; per
-    batch it transforms gradients with each cell's dX/dx, enumerates free
-    indices and contracts with the quadrature weights, costing on the
-    order of n^2 N per cell and entry block.
-    """
-
-    def __init__(self, form):
-        self.form = form
-        self.dim = form.cell.dim
-        self.primary_dims = tuple(el.space_dim for el in form.arguments)
-        self.plans = []
-        for monomial in expand_to_monomials(form):
-            p = sum(max(f.element.degree - len(f.derivatives), 0)
-                    for f in monomial.factors)
-            rule = make_quadrature(form.cell.shape, p)
-            tabs = []
-            for f in monomial.factors:
-                el = f.element
-                scalar = el if el.value_rank == 0 else make_lagrange(
-                    el.cell.shape, el.degree, el.continuity)
-                tab = scalar.tabulate(rule.points)
-                tabs.append((f, tab))
-            free = []
-            for f in monomial.factors:
-                if (f.component is not None and f.component.kind == "free"
-                        and f.component.id not in free):
-                    free.append(f.component.id)
-                for ix in f.derivatives:
-                    if ix.kind == "free" and ix.id not in free:
-                        free.append(ix.id)
-            self.plans.append((monomial, rule, tabs, free))
-
-    def evaluate(self, dets, gs, coeffs):
-        ncells = dets.shape[0]
-        d = self.dim
-        out = np.zeros((ncells,) + self.primary_dims)
-        scale = np.abs(dets)
-        for monomial, rule, tabs, free in self.plans:
-            acc = np.zeros((ncells,) + self.primary_dims)
-            for combo in iter_product(range(d), repeat=len(free)):
-                env = dict(zip(free, combo))
-                operands = []
-                slot_labels = []
-                label = 2
-                for f, tab in tabs:
-                    ns = f.element.scalar_dim
-                    if f.element.value_rank == 1:
-                        comp = (f.component.value
-                                if f.component.kind == "fixed"
-                                else env[f.component.id])
-                    else:
-                        comp = None
-                    if f.derivatives:
-                        (ix,) = f.derivatives
-                        b = ix.value if ix.kind == "fixed" else env[ix.id]
-                        arr = np.einsum("kap,ca->ckp", tab.gradients,
-                                        gs[:, :, b], optimize=False)
-                        cell_axis = True
-                    else:
-                        arr = tab.values
-                        cell_axis = False
-                    if isinstance(f, BasisFunction):
-                        # scatter the scalar profile into the component block
-                        if comp is None:
-                            block = arr
-                            nloc = ns
-                        else:
-                            nloc = f.element.space_dim
-                            shape = ((ncells, nloc, arr.shape[-1])
-                                     if cell_axis else (nloc, arr.shape[-1]))
-                            block = np.zeros(shape)
-                            sl = slice(comp * ns, (comp + 1) * ns)
-                            if cell_axis:
-                                block[:, sl, :] = arr
-                            else:
-                                block[sl, :] = arr
-                        if cell_axis:
-                            operands += [block, [0, label, 1]]
-                        else:
-                            operands += [block, [label, 1]]
-                        slot_labels.append((f.slot, label))
-                        label += 1
-                    else:
-                        w = coeffs[f.number]
-                        if comp is not None:
-                            w = w[:, comp * ns:(comp + 1) * ns]
-                        if cell_axis:
-                            vals = np.einsum("cn,cnp->cp", w, arr,
-                                             optimize=False)
-                        else:
-                            vals = np.einsum("cn,np->cp", w, arr,
-                                             optimize=False)
-                        operands += [vals, [0, 1]]
-                operands += [rule.weights, [1]]
-                if not any(0 in labels for labels in operands[1::2]):
-                    # no cell-varying factor: keep the per-cell point loop
-                    operands += [np.ones(ncells), [0]]
-                outsub = [0] + [lab for _, lab in sorted(slot_labels)]
-                acc += np.einsum(*operands, outsub, optimize=False)
-            out += monomial.scalar * acc * scale.reshape(
-                (ncells,) + (1,) * len(self.primary_dims))
-        return out
-
-
 def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
-                  repetitions=DEFAULT_REPETITIONS, seed=None, chunk=256):
+                  repetitions=DEFAULT_REPETITIONS, seed=None):
     """Time tensor contraction against direct quadrature.
 
     ``form_source`` is a form file path or its text; every form in the file
@@ -273,7 +166,6 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
         for form in forms:
             d = form.cell.dim
             cf = compile_form(form)
-            quad = _QuadratureEvaluator(form)
             dets, gs = _random_cells(rng, n_elements, d)
             coeffs = [rng.normal(size=(n_elements, el.space_dim))
                       for el in form.coefficients]
@@ -281,8 +173,8 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
             ncheck = min(20, n_elements)
             a = cf.element_tensors(dets[:ncheck], gs[:ncheck],
                                    [c[:ncheck] for c in coeffs])
-            b = quad.evaluate(dets[:ncheck], gs[:ncheck],
-                              [c[:ncheck] for c in coeffs])
+            b = runtime.quadrature_element_tensors(
+                form, dets[:ncheck], gs[:ncheck], [c[:ncheck] for c in coeffs])
             scale = max(np.abs(b).max(), 1e-30)
             worst = np.abs(a - b).max() / scale
             if worst > 1e-10:
@@ -290,6 +182,7 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
                     "benchmark paths disagree for form %r at q=%d "
                     "(relative error %.3e)" % (form.name, q, worst))
 
+            chunk = runtime.CHUNK
             starts = range(0, n_elements, chunk)
 
             def tensor_pass():
@@ -302,8 +195,8 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
             def quad_pass():
                 for s in starts:
                     e = min(s + chunk, n_elements)
-                    quad.evaluate(dets[s:e], gs[s:e],
-                                  [c[s:e] for c in coeffs])
+                    runtime.quadrature_element_tensors(
+                        form, dets[s:e], gs[s:e], [c[s:e] for c in coeffs])
 
             t_tensor = _time_min(tensor_pass, repetitions)
             t_quad = _time_min(quad_pass, repetitions)

@@ -3,8 +3,10 @@
 Three output formats share the same compiled data: straightline C99 with one
 statement per element-tensor entry, a raw text format listing the reference
 tensor values together with s-expressions for the geometry tensors, and
-LaTeX for inspection.  All emitters are deterministic: identical inputs give
-byte-identical text.
+LaTeX for inspection.  All emitters read each term's A0 nonzeros from its
+CSR matrix and are deterministic: identical inputs give byte-identical
+text.  ``read_raw`` turns a raw listing back into a CompiledForm, so a
+reread form emits, contracts and assembles like the compiled one.
 
 The generated C evaluates fastest when the map determinant is positive; the
 runtime mesh loader guarantees that orientation.  Loops are fully unrolled:
@@ -15,14 +17,15 @@ simplest and the fastest form.
 from math import prod
 
 import numpy as np
+import scipy.sparse
 
-from .errors import FormSyntaxError
+from .errors import FormcError, FormSyntaxError
 from .form_language import Index
+from .reference_elements import ReferenceCell
 from .tensor_representation import (
     CompiledForm,
     CompiledTerm,
     GeometryTensorExpr,
-    contract_terms,
 )
 
 __all__ = [
@@ -31,7 +34,6 @@ __all__ = [
     "read_raw",
     "emit_latex",
     "count_code_lines",
-    "RawCompiledForm",
 ]
 
 RAW_HEADER = "formc-raw 1"
@@ -41,13 +43,18 @@ def _fmt(x):
     return "%.15e" % x
 
 
-def _coeff_offsets(elements):
-    offsets = []
-    total = 0
-    for el in elements:
-        offsets.append(total)
-        total += el.space_dim
-    return offsets, total
+def _coeff_offsets(dims):
+    return [sum(dims[:k]) for k in range(len(dims))]
+
+
+def _nonzeros(ct):
+    """(multiindex, value) of a term's A0 nonzeros, in CSR order."""
+    m = ct.matrix
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    idx = np.unravel_index(rows, ct.primary_dims)
+    if ct.secondary_dims:
+        idx += np.unravel_index(m.indices, ct.secondary_dims)
+    return zip(zip(*(i.tolist() for i in idx)), m.data.tolist())
 
 
 def _g_name(k, alpha):
@@ -76,17 +83,6 @@ def _c_geometry_expr(geometry, alpha, offsets):
     return prefix + "map->det*(" + " + ".join(products) + ")"
 
 
-def _block_terms(cf):
-    """Per flat primary index: list of (value, G name) in emission order."""
-    blocks = [[] for _ in range(cf.block_size)]
-    for k, ct in enumerate(cf.terms):
-        r = len(ct.primary_dims)
-        for idx, v in ct.nonzeros:
-            flat = int(np.ravel_multi_index(idx[:r], ct.primary_dims)) if r else 0
-            blocks[flat].append((v, _g_name(k, idx[r:])))
-    return blocks
-
-
 def _join_terms(terms):
     if not terms:
         return "0.0"
@@ -109,8 +105,8 @@ def emit_c(cf, function_name="eval"):
     record carries det and the entries g{a}{b} = dX_a/dx_b of the inverse
     Jacobian, and det must be positive (cells positively oriented).
     """
-    d = cf.cell.dim
-    offsets, _ = _coeff_offsets(cf.coefficients)
+    d = cf.dim
+    offsets = _coeff_offsets(cf.coefficient_dims)
     lines = []
     lines.append("/* Element tensor evaluation for form '%s': rank %d, %s. */"
                  % (cf.name, cf.arity, cf.cell.shape))
@@ -124,20 +120,29 @@ def emit_c(cf, function_name="eval"):
     lines.append("")
     sig = "void %s(double block[], const affine_map_%dd *map" % (
         function_name, d)
-    if cf.coefficients:
+    if cf.coefficient_dims:
         sig += ", const double w[]"
     sig += ")"
     lines.append(sig)
     lines.append("{")
+    # per term: G names by flat secondary index, and the CSR arrays
+    csr = []
     for k, ct in enumerate(cf.terms):
+        names = []
         for alpha in ct.geometry.component_multiindices():
+            names.append(_g_name(k, alpha))
             lines.append("    const double %s = %s;" % (
-                _g_name(k, alpha),
-                _c_geometry_expr(ct.geometry, alpha, offsets),
-            ))
-    if any(ct.geometry.component_multiindices() for ct in cf.terms):
+                names[-1], _c_geometry_expr(ct.geometry, alpha, offsets)))
+        m = ct.matrix
+        csr.append((names, m.indptr.tolist(), m.indices.tolist(),
+                    m.data.tolist()))
+    if cf.terms:
         lines.append("")
-    for flat, terms in enumerate(_block_terms(cf)):
+    for flat in range(cf.block_size):
+        terms = []
+        for names, indptr, indices, data in csr:
+            lo, hi = indptr[flat], indptr[flat + 1]
+            terms.extend(zip(data[lo:hi], (names[c] for c in indices[lo:hi])))
         lines.append("    block[%d] = %s;" % (flat, _join_terms(terms)))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -188,19 +193,19 @@ def emit_raw(cf):
     the geometry tensor expressions, losslessly rereadable by read_raw."""
     lines = [RAW_HEADER]
     lines.append("form %s" % cf.name)
-    lines.append("cell %s %d" % (cf.cell.shape, cf.cell.dim))
+    lines.append("cell %s %d" % (cf.cell.shape, cf.dim))
     lines.append("arity %d" % cf.arity)
     lines.append("primary" + "".join(" %d" % n for n in cf.primary_dims))
     lines.append("coefficients" + "".join(
-        " %d" % el.space_dim for el in cf.coefficients))
+        " %d" % n for n in cf.coefficient_dims))
     lines.append("monomials %d" % len(cf.terms))
     for k, ct in enumerate(cf.terms):
         lines.append("monomial %d" % k)
         lines.append("secondary" + "".join(
             " %d" % n for n in ct.secondary_dims))
         lines.append("geometry %s" % _geometry_sexpr(ct.geometry))
-        lines.append("entries %d" % len(ct.nonzeros))
-        for idx, v in ct.nonzeros:
+        lines.append("entries %d" % ct.matrix.nnz)
+        for idx, v in _nonzeros(ct):
             lines.append("%s %s" % (" ".join(str(i) for i in idx), repr(v)))
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -221,18 +226,27 @@ def _parse_sexpr(tokens, pos=0):
     return out, pos + 1
 
 
-def _geometry_from_sexpr(node, secondary, dim):
+def _geometry_from_sexpr(node, secondary, dim, coefficient_dims):
+    """Geometry expression of a parsed s-expression.  Malformed input raises
+    ValueError, IndexError, KeyError or TypeError."""
     scalar = 1.0
     aux = {}
     transforms = []
     reads = []
 
-    def resolve(tok):
-        if tok.startswith("s"):
-            return secondary[int(tok[1:])]
-        if tok.startswith("b"):
-            return aux[tok]
-        return Index.fixed(int(tok))
+    def resolve(tok, extent, fixed_ok=True):
+        if tok[:1] == "s" and tok[1:].isdigit():
+            index = secondary[int(tok[1:])]
+        elif tok in aux:
+            index = aux[tok]
+        elif fixed_ok and 0 <= int(tok) < extent:
+            return Index.fixed(int(tok))
+        else:
+            raise ValueError("bad index %r" % tok)
+        if index.range != extent or not (fixed_ok or
+                                         index.kind == "secondary"):
+            raise ValueError("index %r does not fit its use" % tok)
+        return index
 
     def walk(n):
         nonlocal scalar
@@ -241,64 +255,47 @@ def _geometry_from_sexpr(node, secondary, dim):
             if head == "*":
                 for child in n[1:]:
                     walk(child)
-            elif head == "sum":
+            elif head == "sum" and n[1] not in aux:
                 aux[n[1]] = Index("auxiliary", range=dim)
                 for child in n[2:]:
                     walk(child)
-            elif head == "dXdx":
-                transforms.append((resolve(n[1]), resolve(n[2])))
-            elif head == "coeff":
-                reads.append((int(n[1]), secondary[int(n[2][1:])]))
+            elif head == "dXdx" and len(n) == 3:
+                transforms.append((resolve(n[1], dim, fixed_ok=False),
+                                   resolve(n[2], dim)))
+            elif head == "coeff" and len(n) == 3:
+                number = int(n[1])
+                if not 0 <= number < len(coefficient_dims):
+                    raise ValueError("no coefficient %d" % number)
+                reads.append((number, resolve(
+                    n[2], coefficient_dims[number], fixed_ok=False)))
             else:
-                raise FormSyntaxError("bad geometry operator %r" % (head,))
-        elif n == "det":
-            pass
-        else:
+                raise ValueError("bad geometry operator %r" % (head,))
+        elif n != "det":
             scalar *= float(n)
 
     walk(node)
+    if not np.isfinite(scalar):
+        raise ValueError("non-finite scalar")
     return GeometryTensorExpr(
         scalar, secondary, list(aux.values()), transforms, reads
     )
 
 
-class RawCompiledForm:
-    """Compiled form reconstructed from raw output.
-
-    Contracts through the same routine as CompiledForm, so rereading emitted
-    raw text reproduces element tensors bit for bit.
-    """
-
-    def __init__(self, name, cell_shape, dim, arity, primary_dims,
-                 coefficient_dims, terms):
-        self.name = name
-        self.cell_shape = cell_shape
-        self.dim = dim
-        self.arity = arity
-        self.primary_dims = tuple(primary_dims)
-        self.coefficient_dims = tuple(coefficient_dims)
-        self.terms = terms
-
-    @property
-    def block_size(self):
-        return prod(self.primary_dims)
-
-    def element_tensors(self, dets, gs, coeffs=()):
-        return contract_terms(
-            self.terms, self.primary_dims, self.dim, dets, gs, coeffs
-        )
-
-    def element_tensor(self, det, g, coeffs=()):
-        return self.element_tensors([det], [g], coeffs)[0]
+# Largest dense A0 a listing may declare per term (512 MB of doubles):
+# compile_form builds A0 densely, so no compiled form comes near it.
+_MAX_TERM_ENTRIES = 2 ** 26
 
 
 def read_raw(text):
-    """Parse emit_raw output back into a contractible form."""
-    lines = [ln for ln in text.splitlines()]
+    """Parse emit_raw output back into a CompiledForm.
+
+    A malformed listing raises FormSyntaxError with the line number.
+    Entries must be listed in row-major order, as emit_raw writes them.
+    """
+    lines = text.splitlines()
     if not lines or lines[0].strip() != RAW_HEADER:
         raise FormSyntaxError("not a raw form listing (missing %r header)"
-                              % RAW_HEADER)
-    fields = {}
+                              % RAW_HEADER, line=1)
     i = 1
 
     def take(keyword):
@@ -308,47 +305,91 @@ def read_raw(text):
                                   % keyword, line=i + 1)
         parts = lines[i].split()
         if not parts or parts[0] != keyword:
-            raise FormSyntaxError("expected %r at line %d" % (keyword, i + 1),
-                                  line=i + 1)
+            raise FormSyntaxError("expected %r" % keyword, line=i + 1)
         i += 1
         return parts[1:]
 
-    fields["form"] = take("form")
-    cell = take("cell")
-    shape, dim = cell[0], int(cell[1])
-    arity = int(take("arity")[0])
-    primary_dims = [int(t) for t in take("primary")]
-    coefficient_dims = [int(t) for t in take("coefficients")]
-    n_monomials = int(take("monomials")[0])
+    def numbers(keyword, count=None, least=0):
+        fields = take(keyword)
+        try:
+            out = [int(t) for t in fields]
+        except ValueError:
+            out = None
+        if (out is None or min(out, default=least) < least
+                or count not in (None, len(out))):
+            raise FormSyntaxError("%r needs %s integers >= %d" % (
+                keyword, count or "a list of", least), line=i)
+        return out
+
+    name = (take("form") or [""])[0]
+    fields = take("cell")
+    try:
+        cell = ReferenceCell(fields[0])
+    except (FormcError, IndexError):
+        cell = None
+    if cell is None or fields[1:] != [str(cell.dim)]:
+        raise FormSyntaxError("expected a cell shape and its dimension",
+                              line=i)
+    (arity,) = numbers("arity", 1, least=1)
+    primary_dims = numbers("primary", arity, least=1)
+    coefficient_dims = numbers("coefficients", least=1)
+    (n_monomials,) = numbers("monomials", 1)
 
     terms = []
     for k in range(n_monomials):
-        mk = int(take("monomial")[0])
-        if mk != k:
-            raise FormSyntaxError("monomial %d out of order" % mk, line=i)
-        secondary_dims = [int(t) for t in take("secondary")]
+        if numbers("monomial", 1) != [k]:
+            raise FormSyntaxError("monomial out of order", line=i)
+        secondary_dims = numbers("secondary", least=1)
+        dims = tuple(primary_dims + secondary_dims)
+        if prod(dims) > _MAX_TERM_ENTRIES:
+            raise FormSyntaxError("reference tensor too large", line=i)
         secondary = [Index("secondary", range=n) for n in secondary_dims]
-        geometry_line = take("geometry")
-        sexpr, _ = _parse_sexpr(_tokenize_sexpr(" ".join(geometry_line)))
-        geometry = _geometry_from_sexpr(sexpr, secondary, dim)
-        n_entries = int(take("entries")[0])
-        nonzeros = []
-        for _ in range(n_entries):
+        try:
+            tokens = _tokenize_sexpr(" ".join(take("geometry")))
+            node, end = _parse_sexpr(tokens)
+            if end != len(tokens):
+                raise ValueError("text after the geometry expression")
+            geometry = _geometry_from_sexpr(node, secondary, cell.dim,
+                                            coefficient_dims)
+        except (ValueError, IndexError, KeyError, TypeError, RecursionError):
+            raise FormSyntaxError("malformed geometry expression",
+                                  line=i) from None
+        (n_entries,) = numbers("entries", 1)
+        first = i + 1
+        idx = np.zeros((n_entries, len(dims)), dtype=int)
+        vals = np.zeros(n_entries)
+        for e in range(n_entries):
             if i >= len(lines):
                 raise FormSyntaxError("unexpected end of raw listing inside "
                                       "an entry table", line=i + 1)
             parts = lines[i].split()
             i += 1
             try:
-                idx = tuple(int(t) for t in parts[:-1])
-                nonzeros.append((idx, float(parts[-1])))
-            except (ValueError, IndexError):
+                if len(parts) != len(dims) + 1:
+                    raise ValueError
+                idx[e] = [int(t) for t in parts[:-1]]
+                vals[e] = float(parts[-1])
+            except (ValueError, OverflowError):
                 raise FormSyntaxError("malformed entry line", line=i) from None
-        terms.append(CompiledTerm(geometry, primary_dims, nonzeros))
+        bad = ~np.isfinite(vals) | (idx < 0).any(axis=1) | (idx >= dims).any(
+            axis=1)
+        if not bad.any():
+            flat = np.ravel_multi_index(idx.T, dims)
+            bad[1:] = flat[1:] <= flat[:-1]
+        if bad.any():
+            raise FormSyntaxError(
+                "entry out of range, out of row-major order or not finite",
+                line=first + int(np.argmax(bad)))
+        rows, cols = np.divmod(flat, prod(secondary_dims))
+        matrix = scipy.sparse.csr_matrix(
+            (vals, (rows, cols)),
+            shape=(prod(primary_dims), prod(secondary_dims)))
+        terms.append(CompiledTerm(geometry, primary_dims, matrix))
     take("end")
-    name = fields["form"][0] if fields["form"] else ""
-    return RawCompiledForm(name, shape, dim, arity, primary_dims,
-                           coefficient_dims, terms)
+    if any(ln.strip() for ln in lines[i:]):
+        raise FormSyntaxError("text after 'end'", line=i + 1)
+    return CompiledForm(name, cell, arity, primary_dims, coefficient_dims,
+                        terms)
 
 
 # --- LaTeX ----------------------------------------------------------------------
@@ -402,7 +443,7 @@ def emit_latex(cf):
         lines.append(r"\[ %s \]" % _latex_geometry(ct.geometry))
         lines.append("Nonzero reference tensor entries:")
         lines.append(r"\begin{eqnarray*}")
-        for idx, v in ct.nonzeros:
+        for idx, v in _nonzeros(ct):
             lines.append(r"A^0_{%s} &=& %s \\" % (
                 r"\,".join(str(i) for i in idx), _fmt(v)))
         lines.append(r"\end{eqnarray*}")

@@ -77,6 +77,10 @@ class DegenerateCell(FormcError):
     """Cell with zero Jacobian determinant."""
 
 
+class DuplicateCell(FormcError):
+    """Two mesh cells share the same vertex set."""
+
+
 class DimensionMismatch(FormcError):
     """Mesh and element dimensions disagree."""
 

@@ -15,6 +15,7 @@ conditioned up to the supported degree.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -415,5 +416,12 @@ def make_vector_lagrange(shape, degree, continuity="continuous"):
     return LagrangeElement(ReferenceCell(shape), degree, continuity, value_rank=1)
 
 
-def tabulate(element, points):
-    return element.tabulate(points)
+@lru_cache(maxsize=256)
+def quadrature_tabulation(element, degree):
+    """Scalar basis of ``element`` (per-component profile of a vector one)
+    at the points of make_quadrature(cell, degree); compiler and oracle
+    share this one cache."""
+    if element.value_rank:
+        element = make_lagrange(element.cell.shape, element.degree,
+                                element.continuity)
+    return element.tabulate(make_quadrature(element.cell.shape, degree).points)

@@ -7,11 +7,15 @@ quadrature, compare the two, and run small boundary value problems end to
 end.  Work around the kernel is done on whole-mesh arrays: the mesh checks
 every cell at once, the dof map numbers shared entities with one sort, and
 assembly scatters the stacked element tensors of all cells as a single
-triplet set that is summed once at finalize.
+triplet set that is summed once at finalize.  The quadrature oracle is
+batched too: it evaluates CHUNK cells per call, and a single cell is a
+batch of one.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
+from itertools import product as iter_product
 
 import numpy as np
 import scipy.io
@@ -20,12 +24,13 @@ import scipy.sparse
 from .errors import (
     DegenerateCell,
     DimensionMismatch,
+    DuplicateCell,
     MaxIterations,
     NonFiniteValue,
     NotSymmetric,
 )
 from .form_language import BasisFunction, Form, expand_to_monomials
-from .reference_elements import make_quadrature
+from .reference_elements import make_quadrature, quadrature_tabulation
 from .tensor_representation import CompiledForm
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "affine_map",
     "affine_maps",
     "build_dofmap",
+    "quadrature_element_tensors",
     "quadrature_element_tensor",
     "assemble",
     "cg_solve",
@@ -51,6 +57,8 @@ __all__ = [
 ]
 
 _SHAPES = {1: "interval", 2: "triangle", 3: "tetrahedron"}
+# cells per batched quadrature oracle call
+CHUNK = 256
 
 
 def _cell_matrices(coords):
@@ -66,17 +74,22 @@ def _norms(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def _unique_rows(rows, bound):
-    """Distinct rows in lexicographic order, the inverse map and the counts,
-    as np.unique(rows, axis=0) gives them, for ints in [0, bound).  Each row
-    is packed into one int64 key when that fits, which sorts far faster."""
+def _row_keys(rows, bound):
+    """One int64 key per row of ints in [0, bound), equal for equal rows and
+    ordered like the rows lexicographically.  Each row is packed into its
+    key when that fits, which sorts far faster than np.unique(axis=0)."""
     width = rows.shape[1]
     if bound ** width >= 2 ** 63:
-        return np.unique(rows, axis=0, return_inverse=True,
-                         return_counts=True)
-    keys = rows @ (bound ** np.arange(width - 1, -1, -1))
+        return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    return rows @ (bound ** np.arange(width - 1, -1, -1))
+
+
+def _unique_rows(rows, bound):
+    """Distinct rows in lexicographic order, the inverse map and the counts,
+    as np.unique(rows, axis=0) gives them, for ints in [0, bound)."""
     _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True)
+        _row_keys(rows, bound), return_index=True, return_inverse=True,
+        return_counts=True)
     return rows[first], inverse, counts
 
 
@@ -85,8 +98,8 @@ class Mesh:
 
     Cells are reoriented at construction: a cell with negative Jacobian
     determinant gets its last two vertices swapped, so every map built from
-    the mesh has positive determinant.  Degenerate cells and non-finite
-    coordinates are rejected.
+    the mesh has positive determinant.  Degenerate and repeated cells,
+    non-integer vertex ids and non-finite coordinates are rejected.
     """
 
     def __init__(self, vertices, cells):
@@ -100,13 +113,21 @@ class Mesh:
         self.dim = self.vertices.shape[1]
         if self.dim not in _SHAPES:
             raise DimensionMismatch("unsupported mesh dimension %d" % self.dim)
-        self.cells = np.array(cells, dtype=int)
-        if self.cells.ndim != 2 or self.cells.shape[1] != self.dim + 1:
+        ids = np.asarray(cells)
+        if ids.ndim != 2 or ids.shape[1] != self.dim + 1:
             raise DimensionMismatch(
                 "cells must have %d vertices each" % (self.dim + 1))
-        if self.cells.size and (self.cells.min() < 0 or
-                                self.cells.max() >= len(self.vertices)):
+        if ids.dtype.kind == "f":
+            integral = (np.isfinite(ids) & (ids == np.trunc(ids))).all(axis=1)
+            if not integral.all():
+                raise DimensionMismatch("cell %d has a non-integer vertex id"
+                                        % np.argmin(integral))
+        elif ids.dtype.kind not in "iu":
+            raise DimensionMismatch("cell vertex ids must be integers, got "
+                                    "%s values" % ids.dtype)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.vertices)):
             raise DimensionMismatch("cell vertex id out of range")
+        self.cells = ids.astype(int)
         self.cell_shape = _SHAPES[self.dim]
 
         Bs = _cell_matrices(self.vertices[self.cells])
@@ -118,6 +139,12 @@ class Mesh:
                                  % np.argmax(degenerate))
         flip = dets < 0
         self.cells[flip, -2:] = self.cells[flip][:, [-1, -2]]
+        keys = _row_keys(np.sort(self.cells, axis=1), len(self.vertices))
+        ordered = np.sort(keys)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.size:
+            raise DuplicateCell("cells %d and %d have the same vertices"
+                                % tuple(np.nonzero(keys == twice[0])[0][:2]))
 
     @property
     def num_vertices(self):
@@ -364,45 +391,18 @@ def build_dofmap(mesh, element):
 # --- quadrature oracle ------------------------------------------------------------
 
 
-_oracle_tabs = {}
-
-
-def _oracle_tab(element, rule):
-    key = (element._key(), rule.cell.shape, rule.exact_degree)
-    if key not in _oracle_tabs:
-        _oracle_tabs[key] = element.tabulate(rule.points)
-    return _oracle_tabs[key]
-
-
-def quadrature_element_tensor(form, amap, coefficients=(), reduced=False):
-    """Element tensor by direct quadrature, independent of the tensor
-    representation: per monomial, basis values and reference gradients are
-    pretabulated at quadrature points, derivatives become physical through
-    dX/dx, free indices are summed by explicit enumeration, and the rule is
-    exact for the reference integrand degree p = sum(q_factor - #derivs).
-
-    ``reduced`` switches to the underintegrating max(2q-2, 0) rule, for
-    quadrature-cost sensitivity studies only.
-    """
-    if not isinstance(form, Form):
-        raise TypeError("expected a Form")
-    from itertools import product as iter_product
-
-    d = form.cell.dim
-    g = amap.g
-    scale = abs(amap.det)
-    dims = tuple(el.space_dim for el in form.arguments)
-    A = np.zeros(dims)
-
+@lru_cache(maxsize=64)
+def _quadrature_plan(form):
+    """Per monomial of a form: the rule exact for its reference integrand
+    degree p = sum(q_factor - #derivs), each factor's scalar tabulation at
+    the rule's points, and the ids of its free indices."""
+    plans = []
     for monomial in expand_to_monomials(form):
-        if reduced:
-            qmax = max(f.element.degree for f in monomial.factors)
-            p = max(2 * qmax - 2, 0)
-        else:
-            p = sum(max(f.element.degree - len(f.derivatives), 0)
-                    for f in monomial.factors)
+        p = sum(max(f.element.degree - len(f.derivatives), 0)
+                for f in monomial.factors)
         rule = make_quadrature(form.cell.shape, p)
-
+        tabs = [(f, quadrature_tabulation(f.element, p))
+                for f in monomial.factors]
         free = []
         for f in monomial.factors:
             if (f.component is not None and f.component.kind == "free"
@@ -411,43 +411,96 @@ def quadrature_element_tensor(form, amap, coefficients=(), reduced=False):
             for ix in f.derivatives:
                 if ix.kind == "free" and ix.id not in free:
                     free.append(ix.id)
+        plans.append((monomial, rule, tabs, free))
+    return tuple(plans)
 
+
+def quadrature_element_tensors(form, dets, gs, coeffs=()):
+    """Element tensors by direct quadrature, independent of the tensor
+    representation, for a batch of affine maps.
+
+    ``dets`` has shape [ncells], ``gs`` is dX/dx with shape [ncells x d x d]
+    and ``coeffs`` holds one [ncells x n_e] array per coefficient.  Per
+    monomial, scalar basis values and reference gradients are pretabulated
+    at quadrature points and scattered into component blocks, derivatives
+    become physical through each cell's dX/dx, and free indices are summed
+    by explicit enumeration, at a cost of order n^2 N per cell and block.
+    Returns [ncells x n1 x ... x nr].
+    """
+    dets = np.atleast_1d(np.asarray(dets, dtype=float))
+    ncells = dets.shape[0]
+    d = form.cell.dim
+    gs = np.asarray(gs, dtype=float).reshape(ncells, d, d)
+    primary_dims = tuple(el.space_dim for el in form.arguments)
+    out = np.zeros((ncells,) + primary_dims)
+    scale = np.abs(dets)
+    for monomial, rule, tabs, free in _quadrature_plan(form):
+        acc = np.zeros((ncells,) + primary_dims)
         for combo in iter_product(range(d), repeat=len(free)):
             env = dict(zip(free, combo))
+
+            def value(ix):
+                return ix.value if ix.kind == "fixed" else env[ix.id]
+
             operands = []
             slot_labels = []
-            label = 1
-            for f in monomial.factors:
-                tab = _oracle_tab(f.element, rule)
-                if f.element.value_rank == 1:
-                    comp = (f.component.value if f.component.kind == "fixed"
-                            else env[f.component.id])
-                    vals = tab.values[:, comp, :]
-                    grads = tab.gradients[:, comp, :, :]
-                else:
-                    vals = tab.values
-                    grads = tab.gradients
+            for f, tab in tabs:
+                ns = f.element.scalar_dim
+                comp = value(f.component) if f.element.value_rank else None
                 if f.derivatives:
-                    (ix,) = f.derivatives
-                    b = ix.value if ix.kind == "fixed" else env[ix.id]
-                    arr = np.einsum("kap,a->kp", grads, g[:, b])
+                    # physical derivative: one more leading axis, the cell
+                    arr = np.einsum("kap,ca->ckp", tab.gradients,
+                                    gs[:, :, value(f.derivatives[0])],
+                                    optimize=False)
                 else:
-                    arr = vals
+                    arr = tab.values
+                cells = [0] if f.derivatives else []
                 if isinstance(f, BasisFunction):
-                    operands += [arr, [label, 0]]
+                    # scatter the scalar profile into the component block
+                    block = arr
+                    if comp is not None:
+                        block = np.zeros(arr.shape[:-2] + (
+                            f.element.space_dim, arr.shape[-1]))
+                        block[..., comp * ns:(comp + 1) * ns, :] = arr
+                    label = 2 + len(slot_labels)
+                    operands += [block, cells + [label, 1]]
                     slot_labels.append((f.slot, label))
-                    label += 1
                 else:
-                    w = np.asarray(coefficients[f.number], dtype=float)
-                    if w.shape != (f.element.space_dim,):
-                        raise DimensionMismatch(
-                            "coefficient %d has %d dofs, element needs %d"
-                            % (f.number, w.size, f.element.space_dim))
-                    operands += [w @ arr, [0]]
-            operands += [rule.weights, [0]]
-            out = [lab for _, lab in sorted(slot_labels)]
-            A += monomial.scalar * scale * np.einsum(*operands, out)
-    return A
+                    w = coeffs[f.number]
+                    if comp is not None:
+                        w = w[:, comp * ns:(comp + 1) * ns]
+                    vals = np.einsum("cn,cnp->cp" if f.derivatives else
+                                     "cn,np->cp", w, arr, optimize=False)
+                    operands += [vals, [0, 1]]
+            operands += [rule.weights, [1]]
+            if not any(0 in labels for labels in operands[1::2]):
+                # no cell-varying factor: keep the per-cell point loop
+                operands += [np.ones(ncells), [0]]
+            outsub = [0] + [lab for _, lab in sorted(slot_labels)]
+            acc += np.einsum(*operands, outsub, optimize=False)
+        out += monomial.scalar * acc * scale.reshape(
+            (ncells,) + (1,) * len(primary_dims))
+    return out
+
+
+def quadrature_element_tensor(form, amap, coefficients=()):
+    """Element tensor of one cell by direct quadrature: a batch of one for
+    quadrature_element_tensors.  ``coefficients`` holds each coefficient's
+    dofs on the cell."""
+    if not isinstance(form, Form):
+        raise TypeError("expected a Form")
+    if len(coefficients) != len(form.coefficients):
+        raise DimensionMismatch("form needs %d coefficients, got %d"
+                                % (len(form.coefficients), len(coefficients)))
+    coeffs = []
+    for number, (w, el) in enumerate(zip(coefficients, form.coefficients)):
+        w = np.asarray(w, dtype=float)
+        if w.shape != (el.space_dim,):
+            raise DimensionMismatch(
+                "coefficient %d has %d dofs, element needs %d"
+                % (number, w.size, el.space_dim))
+        coeffs.append(w[None])
+    return quadrature_element_tensors(form, [amap.det], [amap.g], coeffs)[0]
 
 
 # --- assembly --------------------------------------------------------------------
@@ -487,29 +540,44 @@ class SparseBuilder:
 def assemble(evaluator, mesh, dofmaps, coefficients=()):
     """Global matrix (arity 2) or vector (arity 1) over all cells.
 
-    ``evaluator`` is a CompiledForm (tensor contraction path) or a Form
-    (quadrature oracle path); ``coefficients`` pairs each slot's global
+    ``evaluator`` is a CompiledForm, compiled or reread from raw text
+    (tensor contraction path), or a Form (quadrature oracle path, batched
+    over CHUNK cells at a time); ``coefficients`` pairs each slot's global
     coefficient vector with its dof map: [(vector, dofmap), ...].
     """
-    compiled = isinstance(evaluator, CompiledForm)
-    form = evaluator.form if compiled else evaluator
-    if not isinstance(form, Form):
+    if isinstance(evaluator, CompiledForm):
+        cell, primary_dims = evaluator.cell, evaluator.primary_dims
+        coefficient_dims = evaluator.coefficient_dims
+    elif isinstance(evaluator, Form):
+        cell = evaluator.cell
+        primary_dims = [el.space_dim for el in evaluator.arguments]
+        coefficient_dims = [el.space_dim for el in evaluator.coefficients]
+    else:
         raise TypeError("evaluator must be a CompiledForm or a Form")
-    if form.cell.shape != mesh.cell_shape:
+    if cell.shape != mesh.cell_shape:
         raise DimensionMismatch("form cell %r does not match mesh %r"
-                                % (form.cell.shape, mesh.cell_shape))
-    if len(dofmaps) != form.arity:
+                                % (cell.shape, mesh.cell_shape))
+    if len(dofmaps) != len(primary_dims):
         raise DimensionMismatch("form needs %d dof maps, got %d"
-                                % (form.arity, len(dofmaps)))
-    if len(coefficients) != len(form.coefficients):
+                                % (len(primary_dims), len(dofmaps)))
+    if len(coefficients) != len(coefficient_dims):
         raise DimensionMismatch("form needs %d coefficients, got %d"
-                                % (len(form.coefficients), len(coefficients)))
+                                % (len(coefficient_dims), len(coefficients)))
     if any(len(dm.cell_dofs) != mesh.num_cells
            for dm in [*dofmaps, *(dm for _, dm in coefficients)]):
         raise DimensionMismatch("a dof map was built for another mesh")
+    widths = [dm.cell_dofs.shape[1] for dm in dofmaps]
+    if widths != list(primary_dims):
+        raise DimensionMismatch("argument dof maps have %s dofs per cell, "
+                                "form needs %s" % (widths, list(primary_dims)))
 
     locals_ = []
-    for num, (vec, dmap) in enumerate(coefficients):
+    for num, ((vec, dmap), n) in enumerate(zip(coefficients,
+                                               coefficient_dims)):
+        if dmap.cell_dofs.shape[1] != n:
+            raise DimensionMismatch(
+                "coefficient %d dof map has %d dofs per cell, form needs %d"
+                % (num, dmap.cell_dofs.shape[1], n))
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (dmap.global_dim,):
             raise DimensionMismatch(
@@ -520,14 +588,16 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
                                  "entries" % num)
         locals_.append(vec[dmap.cell_dofs])
 
-    if compiled:
-        dets, gs, _, _ = affine_maps(mesh)
+    dets, gs, _, _ = affine_maps(mesh)
+    if isinstance(evaluator, CompiledForm):
         blocks = evaluator.element_tensors(dets, gs, locals_)
     else:
-        blocks = np.array([
-            quadrature_element_tensor(form, affine_map(mesh, c),
-                                      [w[c] for w in locals_])
-            for c in range(mesh.num_cells)])
+        # at least one batch, so that a mesh without cells stacks too
+        blocks = np.concatenate([
+            quadrature_element_tensors(evaluator, dets[s:s + CHUNK],
+                                       gs[s:s + CHUNK],
+                                       [w[s:s + CHUNK] for w in locals_])
+            for s in range(0, max(mesh.num_cells, 1), CHUNK)])
 
     # one triplet per element-tensor entry, cell by cell in row-major order
     builder = SparseBuilder([dm.global_dim for dm in dofmaps])

@@ -36,7 +36,7 @@ from .errors import (
     IndexOccursThrice,
 )
 from .form_language import BasisFunction, Form, Index, Monomial, expand_to_monomials
-from .reference_elements import make_lagrange, make_quadrature
+from .reference_elements import make_quadrature, quadrature_tabulation
 
 __all__ = [
     "MonomialTerm",
@@ -248,29 +248,6 @@ class ReferenceTensor:
         )
 
 
-_scalar_twin_cache = {}
-_tab_cache = {}
-
-
-def _scalar_twin(element):
-    """Scalar element sharing cell, degree and continuity."""
-    if element.value_rank == 0:
-        return element
-    key = element._key()
-    if key not in _scalar_twin_cache:
-        _scalar_twin_cache[key] = make_lagrange(
-            element.cell.shape, element.degree, element.continuity
-        )
-    return _scalar_twin_cache[key]
-
-
-def _scalar_tab(element, rule):
-    key = (element._key(), rule.cell.shape, rule.exact_degree)
-    if key not in _tab_cache:
-        _tab_cache[key] = _scalar_twin(element).tabulate(rule.points)
-    return _tab_cache[key]
-
-
 def compute_reference_tensor(term, quadrature_degree=None):
     """Integrate the reference-side factor products of one monomial.
 
@@ -292,7 +269,7 @@ def compute_reference_tensor(term, quadrature_degree=None):
     basis_labels = {}
     deriv_labels = {}
     for k, f in enumerate(term.factors):
-        tab = _scalar_tab(f.element, rule)
+        tab = quadrature_tabulation(f.element, rule.exact_degree)
         basis_labels[k] = next_label
         next_label += 1
         if f.derivatives:
@@ -479,6 +456,12 @@ def derive_geometry_expr(term):
     )
 
 
+def _kept(entries, rel_tol):
+    """Mask of the entries with |value| > rel_tol * max|entries|."""
+    magnitude = np.abs(entries)
+    return magnitude > rel_tol * (magnitude.max() if entries.size else 0.0)
+
+
 def drop_zeros(tensor, rel_tol=DEFAULT_DROP_TOL):
     """Sparse view of a reference tensor.
 
@@ -488,56 +471,34 @@ def drop_zeros(tensor, rel_tol=DEFAULT_DROP_TOL):
     entries = tensor.entries if isinstance(tensor, ReferenceTensor) else (
         np.asarray(tensor)
     )
-    peak = np.abs(entries).max() if entries.size else 0.0
-    if peak == 0.0:
-        return []
-    cut = rel_tol * peak
-    out = []
-    for idx in np.ndindex(*entries.shape):
-        v = entries[idx]
-        if abs(v) > cut:
-            out.append((idx, float(v)))
-    return out
+    keep = np.nonzero(_kept(entries, rel_tol))
+    return list(zip(zip(*(k.tolist() for k in keep)),
+                    entries[keep].tolist()))
 
 
 # --- compiled forms -------------------------------------------------------------
 
 
 class CompiledTerm:
-    """Reference tensor nonzeros, geometry expression and contraction data."""
+    """One monomial: its A0 nonzeros as ``matrix`` (CSR, flat primary index
+    by flat secondary index) and the geometry expression they contract
+    with.  ``term`` and ``tensor`` are kept when compiled from a form."""
 
-    def __init__(self, geometry, primary_dims, nonzeros, term=None,
+    def __init__(self, geometry, primary_dims, matrix, term=None,
                  tensor=None):
         self.term = term
         self.tensor = tensor
         self.geometry = geometry
         self.primary_dims = tuple(primary_dims)
         self.secondary_dims = geometry.dims
-        self.nonzeros = list(nonzeros)
-
-        nprim = prod(self.primary_dims)
-        nsec = geometry.n_components
-        rows = []
-        cols = []
-        vals = []
-        pdims = self.primary_dims
-        sdims = self.secondary_dims
-        r = len(pdims)
-        for idx, v in self.nonzeros:
-            rows.append(int(np.ravel_multi_index(idx[:r], pdims)) if r else 0)
-            cols.append(int(np.ravel_multi_index(idx[r:], sdims)) if sdims else 0)
-            vals.append(v)
-        self.matrix = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(nprim, nsec)
-        )
+        self.matrix = matrix
 
 
 def contract_terms(terms, primary_dims, dim, dets, gs, coeffs=()):
     """Contract compiled terms for a batch of affine maps.
 
     Returns [ncells x n1 x ... x nr] with the primary multiindex laid out
-    row-major; the same routine backs compiled forms and reread raw output
-    so both produce identical floating point results.
+    row-major.
     """
     dets = np.atleast_1d(np.asarray(dets, dtype=float))
     gs = np.asarray(gs, dtype=float).reshape(dets.shape[0], dim, dim)
@@ -550,26 +511,26 @@ def contract_terms(terms, primary_dims, dim, dets, gs, coeffs=()):
 
 
 class CompiledForm:
-    """A form compiled to tensor representation.
+    """A form in tensor representation, compiled or reread from raw text.
 
     ``element_tensors(dets, gs, coeffs)`` contracts every monomial for a
     batch of affine maps and returns [ncells x n1 x ... x nr]; primary
-    multiindices are flattened row-major into the output block.
+    multiindices are flattened row-major into the output block.  ``form``,
+    ``arguments`` and ``coefficients`` are None for a reread listing.
     """
 
-    def __init__(self, form, terms, drop_tol=DEFAULT_DROP_TOL):
+    def __init__(self, name, cell, arity, primary_dims, coefficient_dims,
+                 terms, form=None):
+        self.name = name
+        self.cell = cell
+        self.dim = cell.dim
+        self.arity = arity
+        self.primary_dims = tuple(primary_dims)
+        self.coefficient_dims = tuple(coefficient_dims)
+        self.terms = list(terms)
         self.form = form
-        self.name = form.name
-        self.cell = form.cell
-        self.arity = form.arity
-        self.arguments = form.arguments
-        self.coefficients = form.coefficients
-        self.primary_dims = tuple(el.space_dim for el in form.arguments)
-        self.terms = [
-            CompiledTerm(geometry, self.primary_dims, drop_zeros(tensor, drop_tol),
-                         term=term, tensor=tensor)
-            for term, tensor, geometry in terms
-        ]
+        self.arguments = form.arguments if form else None
+        self.coefficients = form.coefficients if form else None
 
     @property
     def block_size(self):
@@ -577,7 +538,7 @@ class CompiledForm:
 
     def element_tensors(self, dets, gs, coeffs=()):
         return contract_terms(
-            self.terms, self.primary_dims, self.cell.dim, dets, gs, coeffs
+            self.terms, self.primary_dims, self.dim, dets, gs, coeffs
         )
 
     def element_tensor(self, det, g, coeffs=()):
@@ -589,10 +550,19 @@ def compile_form(form, drop_tol=DEFAULT_DROP_TOL):
     """Compile a language form into its tensor representation."""
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
-    triples = []
+    primary_dims = tuple(el.space_dim for el in form.arguments)
+    terms = []
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         tensor = compute_reference_tensor(term)
         geometry = derive_geometry_expr(term)
-        triples.append((term, tensor, geometry))
-    return CompiledForm(form, triples, drop_tol)
+        flat = tensor.entries.reshape(prod(primary_dims),
+                                      geometry.n_components)
+        rows, cols = np.nonzero(_kept(flat, drop_tol))
+        matrix = scipy.sparse.csr_matrix(
+            (flat[rows, cols], (rows, cols)), shape=flat.shape)
+        terms.append(CompiledTerm(geometry, primary_dims, matrix,
+                                  term=term, tensor=tensor))
+    return CompiledForm(
+        form.name, form.cell, form.arity, primary_dims,
+        [el.space_dim for el in form.coefficients], terms, form=form)

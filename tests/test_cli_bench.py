@@ -234,6 +234,42 @@ def test_cli_assemble_rejects_malformed_mesh(tmp_path, formfile, capsys):
     assert "cell vertex id" in capsys.readouterr().err
 
 
+def test_cli_assemble_rejects_duplicate_cells(tmp_path, formfile, capsys):
+    meshfile = tmp_path / "twice.mesh"
+    meshfile.write_text("mesh 2 4 3\n0 0\n1 0\n0 1\n1 1\n"
+                        "0 1 2\n1 3 2\n2 0 1\n")
+    out = tmp_path / "out.mtx"
+    assert cli(["assemble", str(formfile), str(meshfile), "-o", str(out)]) == 1
+    assert "cells 0 and 2 have the same vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_assemble_quadrature_path_p2_with_coefficient(tmp_path):
+    from formc.runtime import perturb_mesh, save_mesh, unit_square_mesh
+    import scipy.io
+
+    src = tmp_path / "weighted.form"
+    src.write_text(
+        'element = FiniteElement("Lagrange", "triangle", 2)\n'
+        "v = BasisFunction(element)\n"
+        "u = BasisFunction(element)\n"
+        "f = Function(element)\n"
+        "i = Index()\n"
+        "a = f*v.dx(i)*u.dx(i)*dx + v*u.dx(0)*dx\n"
+    )
+    meshfile = tmp_path / "mesh.txt"
+    save_mesh(perturb_mesh(unit_square_mesh(4), seed=3), meshfile)
+    outs = []
+    for path in ("tensor", "quadrature"):
+        out = tmp_path / (path + ".mtx")
+        assert cli(["assemble", str(src), str(meshfile), "--path", path,
+                    "--seed", "5", "-o", str(out)]) == 0
+        outs.append(scipy.io.mmread(out).toarray())
+    tensor, quad = outs
+    assert tensor.shape == (81, 81)
+    assert np.abs(tensor - quad).max() <= 1e-10 * np.abs(quad).max()
+
+
 def test_cli_assemble_seed_reproducible(tmp_path):
     src = tmp_path / "load.form"
     src.write_text(

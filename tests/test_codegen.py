@@ -6,6 +6,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_one, random_affine_map
 from formc.codegen import (
@@ -199,6 +201,23 @@ def test_raw_round_trip_bitwise(text, rng):
     assert np.array_equal(got, want)  # reproduction, not approximation
 
 
+@pytest.mark.parametrize(
+    "text", (MASS_P1, POISSON_P3, NAVIERSTOKES, ELASTICITY, MIXED)
+)
+def test_reread_form_emits_identical_text(text):
+    cf = compile_form(parse_one(text))
+    raw = emit_raw(cf)
+    again = read_raw(raw)
+    assert again.form is None and again.arguments is None
+    assert emit_raw(again) == raw
+    assert emit_c(again) == emit_c(cf)
+    assert emit_latex(again) == emit_latex(cf)
+    for mine, theirs in zip(again.terms, cf.terms):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mine.matrix, name),
+                                  getattr(theirs.matrix, name))
+
+
 def test_raw_round_trip_empty_form(rng):
     form = parse_one(
         'element = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -221,6 +240,75 @@ def test_raw_reader_rejects_malformed_input():
         read_raw("\n".join(good.splitlines()[:-2]))  # truncated
     with pytest.raises(FormSyntaxError):
         read_raw(good.replace("arity 2", "cells 2"))
+
+
+@pytest.mark.parametrize("number,replacement,where", (
+    (12, "0 9 0.5", 12),  # index out of range
+    (12, "0 0.5", 12),  # too few indices
+    (7, "monomials x", 7),
+    (10, "geometry (* 1.0 det", 10),  # unclosed
+    (10, "geometry (* 1.0 det (dXdx s0 0))", 10),  # no secondary index
+    (12, "0 0 nan", 12),
+    (3, "cell hexagon 2", 3),
+    (3, "cell triangle 3", 3),
+    (5, "primary 3", 5),
+    (13, "0 0 0.5", 13),  # repeats the entry before it
+    (21, "end\nmore", 22),
+))
+def test_raw_reader_names_the_line_of_each_fault(number, replacement, where):
+    lines = emit_raw(compile_form(parse_one(MASS_P1))).splitlines()
+    lines[number - 1] = replacement
+    with pytest.raises(FormSyntaxError) as err:
+        read_raw("\n".join(lines) + "\n")
+    assert err.value.line == where
+
+
+LISTINGS = [emit_raw(compile_form(parse_one(t)))
+            for t in (MASS_P1, NAVIERSTOKES, MIXED)]
+TOKENS = ("", "x", "-1", "0", "1", "2", "7", "99", "1e400", "nan", "(", ")",
+          "s0", "s9", "b0", "b3", "det", "sum", "dXdx", "coeff", "*",
+          "end", "entries", "hexagon", "0.5")
+
+
+@st.composite
+def broken_listings(draw):
+    lines = draw(st.sampled_from(LISTINGS)).splitlines()
+    keywords = [k for k, ln in enumerate(lines) if not ln[:1].isdigit()]
+    k = draw(st.sampled_from(keywords) | st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(("truncate", "drop", "line") +
+                                  ("token",) * 5))
+    if action == "truncate":
+        return "\n".join(lines)[:draw(st.integers(0, 600))]
+    if action == "drop":
+        del lines[k]
+    elif action == "token":
+        parts = lines[k].split(" ")
+        j = draw(st.integers(0, len(parts)))
+        parts[j:j + draw(st.integers(0, 1))] = [draw(st.sampled_from(TOKENS))]
+        lines[k] = " ".join(parts)
+    else:
+        lines[k] = draw(st.text(max_size=20))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=broken_listings())
+def test_raw_reader_fuzzed_listings(text):
+    try:
+        cf = read_raw(text)
+    except FormSyntaxError as err:
+        assert err.line is not None
+        return
+    # an accepted listing emits and contracts without error
+    emit_c(cf)
+    emit_latex(cf)
+    rng = np.random.default_rng(0)
+    amap = random_affine_map(rng, cf.dim)
+    coeffs = [rng.uniform(-1, 1, (1, n)) for n in cf.coefficient_dims]
+    out = cf.element_tensors([amap.det], [amap.g], coeffs)
+    assert out.shape == (1,) + cf.primary_dims
+    assert np.isfinite(out).all()
 
 
 def test_raw_emit_deterministic():

@@ -12,7 +12,6 @@ from formc.reference_elements import (
     make_lagrange,
     make_quadrature,
     make_vector_lagrange,
-    tabulate,
 )
 
 SHAPES = ("interval", "triangle", "tetrahedron")
@@ -146,7 +145,7 @@ def test_nodal_property():
     for shape in SHAPES:
         for q in range(1, 9):
             e = make_lagrange(shape, q)
-            vals = tabulate(e, e.nodes).values
+            vals = e.tabulate(e.nodes).values
             assert np.allclose(vals, np.eye(e.space_dim), atol=1e-10), (shape, q)
 
 
@@ -155,13 +154,13 @@ def test_partition_of_unity(rng):
         d = DIM[shape]
         pts = interior_points(rng, d)
         for q in range(1, 9):
-            vals = tabulate(make_lagrange(shape, q), pts).values
+            vals = make_lagrange(shape, q).tabulate(pts).values
             assert np.allclose(vals.sum(axis=0), 1.0, atol=1e-12), (shape, q)
 
 
 def test_p1_triangle_values_and_gradients():
     e = make_lagrange("triangle", 1)
-    tab = tabulate(e, [[1 / 3, 1 / 3], [0.2, 0.1]])
+    tab = e.tabulate([[1 / 3, 1 / 3], [0.2, 0.1]])
     assert np.allclose(tab.values[:, 0], [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
     assert np.allclose(tab.values[:, 1], [0.7, 0.2, 0.1], atol=1e-14)
     expected = [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
@@ -177,12 +176,12 @@ def test_gradients_match_finite_differences(rng):
         pts = 0.9 * interior_points(rng, d, n=8) + 0.1 / (d + 1)
         for q in (1, 2, 3, 4, 8):
             e = make_lagrange(shape, q)
-            grads = tabulate(e, pts).gradients
+            grads = e.tabulate(pts).gradients
             for a in range(d):
                 shift = np.zeros(d)
                 shift[a] = h
                 fd = (
-                    tabulate(e, pts + shift).values - tabulate(e, pts - shift).values
+                    e.tabulate(pts + shift).values - e.tabulate(pts - shift).values
                 ) / (2 * h)
                 assert np.allclose(grads[:, a, :], fd, atol=1e-6), (shape, q, a)
 
@@ -203,7 +202,7 @@ def test_interpolation_reproduces_polynomials(rng):
                 )
 
             dof_values = g(e.nodes)
-            vals = tabulate(e, pts).values
+            vals = e.tabulate(pts).values
             assert np.allclose(dof_values @ vals, g(pts), atol=1e-9), (shape, q)
 
 
@@ -211,7 +210,7 @@ def test_degree_zero_discontinuous():
     for shape in SHAPES:
         e = make_lagrange(shape, 0, "discontinuous")
         assert e.space_dim == 1
-        tab = tabulate(e, [ReferenceCell(shape).vertices.mean(axis=0)])
+        tab = e.tabulate([ReferenceCell(shape).vertices.mean(axis=0)])
         assert np.allclose(tab.values, 1.0)
         assert np.allclose(tab.gradients, 0.0)
 
@@ -220,15 +219,15 @@ def test_discontinuous_positive_degree():
     e = make_lagrange("triangle", 2, "discontinuous")
     assert e.space_dim == 6
     assert e.continuity == "discontinuous"
-    vals = tabulate(e, e.nodes).values
+    vals = e.tabulate(e.nodes).values
     assert np.allclose(vals, np.eye(6), atol=1e-10)
 
 
 def test_tabulate_deterministic(rng):
     e = make_lagrange("tetrahedron", 4)
     pts = interior_points(rng, 3)
-    a = tabulate(e, pts)
-    b = tabulate(e, pts)
+    a = e.tabulate(pts)
+    b = e.tabulate(pts)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.gradients, b.gradients)
 
@@ -292,10 +291,10 @@ def test_unsupported_degrees():
 def test_point_outside_cell():
     e = make_lagrange("triangle", 1)
     with pytest.raises(PointOutsideCell):
-        tabulate(e, [[0.6, 0.61]])
+        e.tabulate([[0.6, 0.61]])
     with pytest.raises(PointOutsideCell):
-        tabulate(e, [[-0.01, 0.5]])
+        e.tabulate([[-0.01, 0.5]])
     with pytest.raises(PointOutsideCell):
-        tabulate(make_lagrange("interval", 1), [[1.01]])
+        make_lagrange("interval", 1).tabulate([[1.01]])
     # boundary points are inside the closed cell
-    tabulate(e, [[0.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    e.tabulate([[0.0, 0.0], [0.5, 0.5], [0.0, 1.0]])

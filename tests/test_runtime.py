@@ -6,9 +6,11 @@ import scipy.io
 import scipy.sparse
 
 from conftest import parse_one, random_affine_map
+from formc.codegen import emit_raw, read_raw
 from formc.errors import (
     DegenerateCell,
     DimensionMismatch,
+    DuplicateCell,
     MaxIterations,
     NonFiniteValue,
     NotSymmetric,
@@ -28,6 +30,7 @@ from formc.runtime import (
     load_mesh,
     perturb_mesh,
     quadrature_element_tensor,
+    quadrature_element_tensors,
     save_mesh,
     SparseBuilder,
     unit_cube_mesh,
@@ -133,6 +136,29 @@ def test_mesh_reports_first_degenerate_cell():
     vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0]]
     with pytest.raises(DegenerateCell, match="cell 2 "):
         Mesh(vertices, [[0, 1, 2], [1, 3, 4], [0, 1, 3], [0, 3, 1]])
+
+
+def test_mesh_rejects_duplicate_cells():
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DuplicateCell, match="cells 0 and 1 "):
+        Mesh(tri, [[0, 1, 2], [0, 2, 1]])
+    mesh = unit_cube_mesh(2)
+    cells = np.vstack([mesh.cells, mesh.cells[5][::-1]])
+    with pytest.raises(DuplicateCell, match="cells 5 and %d " % mesh.num_cells):
+        Mesh(mesh.vertices, cells)
+
+
+def test_mesh_rejects_non_integer_cell_ids():
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    for bad in (1.7, np.nan, np.inf):
+        with pytest.raises(DimensionMismatch, match="cell 1 has a non-integer"):
+            Mesh(tri, [[0, 1, 2], [1, bad, 2]])
+    with pytest.raises(DimensionMismatch, match="must be integers"):
+        Mesh(tri, [["0", "1", "2"]])
+    # integral floats are ids all the same
+    mesh = Mesh(tri, [[0.0, 1.0, 2.0], [1.0, 3.0, 2.0]])
+    assert mesh.cells.dtype == int
+    assert mesh.cells.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
 def test_mesh_save_load_round_trip(tmp_path):
@@ -343,13 +369,19 @@ def test_quadrature_coefficient_handling(rng):
         quadrature_element_tensor(form, amap, [w[:5]])
 
 
-def test_reduced_integration_differs_for_high_degree():
-    form = form_of("mass", degree=2)
-    amap = affine_map(REFERENCE_TRIANGLE, 0)
-    full = quadrature_element_tensor(form, amap)
-    reduced = quadrature_element_tensor(form, amap, reduced=True)
-    assert full.shape == reduced.shape
-    assert np.abs(full - reduced).max() > 1e-6
+def test_quadrature_batch_matches_single_cells(rng):
+    form = form_of("navierstokes", "tetrahedron", 2)
+    maps = [random_affine_map(rng, 3) for _ in range(5)]
+    w = rng.uniform(-1, 1, (5, form.coefficients[0].space_dim))
+    batch = quadrature_element_tensors(
+        form, [m.det for m in maps], [m.g for m in maps], [w])
+    for k, amap in enumerate(maps):
+        one = quadrature_element_tensor(form, amap, [w[k]])
+        assert np.allclose(batch[k], one, rtol=0, atol=1e-13)
+    with pytest.raises(DimensionMismatch, match="needs 1 coefficients"):
+        quadrature_element_tensor(form, maps[0])
+    with pytest.raises(TypeError):
+        quadrature_element_tensor(compile_form(form), maps[0], [w[0]])
 
 
 # --- assembly ---------------------------------------------------------------------
@@ -443,6 +475,36 @@ def test_assemble_validates_inputs():
     tet_form = form_of("poisson", "tetrahedron", 1)
     with pytest.raises(DimensionMismatch):
         assemble(tet_form, mesh, [dmap, dmap])
+
+
+@pytest.mark.parametrize("compiled", (True, False))
+def test_assemble_checks_dofmap_widths(compiled, rng):
+    mesh = unit_square_mesh(2)
+    form = form_of("load", degree=2)
+    dmap = build_dofmap(mesh, make_lagrange("triangle", 2))
+    path = compile_form(form) if compiled else form
+    for degree in (1, 3):
+        cmap = build_dofmap(mesh, make_lagrange("triangle", degree))
+        vec = rng.uniform(-1, 1, cmap.global_dim)
+        with pytest.raises(DimensionMismatch, match="coefficient 0 dof map"):
+            assemble(path, mesh, [dmap], [(vec, cmap)])
+    p1 = build_dofmap(mesh, make_lagrange("triangle", 1))
+    with pytest.raises(DimensionMismatch, match="argument dof maps"):
+        assemble(path, mesh, [p1], [(np.zeros(dmap.global_dim), dmap)])
+
+
+@pytest.mark.parametrize("kind,degree", (("navierstokes", 2), ("poisson", 3)))
+def test_assemble_reread_form_is_bitwise_equal(kind, degree, rng):
+    mesh = perturb_mesh(unit_square_mesh(3), seed=2)
+    form = form_of(kind, "triangle", degree)
+    cf = compile_form(form)
+    dmap = build_dofmap(mesh, form.arguments[0])
+    coefficients = [(rng.uniform(-1, 1, dmap.global_dim), dmap)
+                    for _ in form.coefficients]
+    want = assemble(cf, mesh, [dmap, dmap], coefficients)
+    got = assemble(read_raw(emit_raw(cf)), mesh, [dmap, dmap], coefficients)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_sparse_builder_sums_duplicates_order_independently():
