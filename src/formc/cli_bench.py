@@ -153,6 +153,9 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
         raise ValueError("benchmark needs at least one repetition")
     if n_elements < 1:
         raise ValueError("benchmark needs at least one element")
+    q_values = list(q_values)
+    if not q_values:
+        raise ValueError("benchmark needs at least one degree")
     if os.path.exists(form_source):
         with open(form_source) as fh:
             text = fh.read()
@@ -238,17 +241,15 @@ def _cmd_compile(args):
     with open(args.form_file) as fh:
         text = fh.read()
     forms = parse_form_file(text)
+    emit = {"c": codegen.emit_c, "raw": codegen.emit_raw,
+            "latex": codegen.emit_latex}[args.format]
     ext = {"c": ".c", "raw": ".raw", "latex": ".tex"}[args.format]
     stem = os.path.splitext(os.path.basename(args.form_file))[0]
+    # every form compiles before any file is written, so a form that fails
+    # leaves no output behind
+    outputs = [emit(compile_form(form)) for form in forms]
     written = []
-    for form in forms:
-        cf = compile_form(form)
-        if args.format == "c":
-            out = codegen.emit_c(cf)
-        elif args.format == "raw":
-            out = codegen.emit_raw(cf)
-        else:
-            out = codegen.emit_latex(cf)
+    for form, out in zip(forms, outputs):
         if args.output and len(forms) == 1:
             path = args.output
         elif args.output:

@@ -3,10 +3,19 @@
 Three output formats share the same compiled data: straightline C99 with one
 statement per element-tensor entry, a raw text format listing the reference
 tensor values together with s-expressions for the geometry tensors, and
-LaTeX for inspection.  All emitters read each term's A0 nonzeros from its
-CSR matrix and are deterministic: identical inputs give byte-identical
-text.  ``read_raw`` turns a raw listing back into a CompiledForm, so a
-reread form emits, contracts and assembles like the compiled one.
+LaTeX for inspection.  ``read_raw`` turns a raw listing back into a
+CompiledForm, so a reread form emits, contracts and assembles like the
+compiled one.
+
+The emitters work on each term's A0 nonzeros as whole CSR arrays.  An A0
+has few distinct values (P3 Navier-Stokes on a tetrahedron: 167,238
+nonzeros, 6,485 distinct magnitudes), so a shared value table formats each
+distinct value once, told apart by its bits, and maps the strings back to
+the nonzeros; multi-index labels are formatted once per CSR row and once
+per secondary column.  The text is the same, byte for byte, as formatting
+every nonzero on its own in CSR order (``tests/test_codegen_reference.py``
+keeps that per-nonzero form as the reference), and identical inputs give
+identical text.
 
 The generated C evaluates fastest when the map determinant is positive; the
 runtime mesh loader guarantees that orientation.  Loops are fully unrolled:
@@ -47,14 +56,40 @@ def _coeff_offsets(dims):
     return [sum(dims[:k]) for k in range(len(dims))]
 
 
-def _nonzeros(ct):
-    """(multiindex, value) of a term's A0 nonzeros, in CSR order."""
+def _per_distinct(keys, texts):
+    """One string per key, made once per distinct key.
+
+    ``texts`` maps the sorted distinct keys to their strings; the strings
+    are then mapped back to every key, in the keys' order.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(texts(distinct), dtype=object)[inverse].tolist()
+
+
+def _formatted(values, fmt):
+    """fmt(v) for each value.  Values are told apart by their bits, so 0.0
+    and -0.0 keep their own text."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    return _per_distinct(bits, lambda distinct: [
+        fmt(v) for v in distinct.view(np.float64).tolist()])
+
+
+def _labels(flat, dims, sep):
+    """sep-joined multi-index of each flat row-major position in dims."""
+    return _per_distinct(flat, lambda distinct: [
+        sep.join(map(str, idx)) for idx in
+        zip(*(i.tolist() for i in np.unravel_index(distinct, dims)))])
+
+
+def _entry_labels(ct, sep):
+    """sep-joined multi-index of each A0 nonzero of a term, in CSR order."""
     m = ct.matrix
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    idx = np.unravel_index(rows, ct.primary_dims)
-    if ct.secondary_dims:
-        idx += np.unravel_index(m.indices, ct.secondary_dims)
-    return zip(zip(*(i.tolist() for i in idx)), m.data.tolist())
+    labels = _labels(rows, ct.primary_dims, sep)
+    if not ct.secondary_dims:
+        return labels
+    return list(map(sep.join, zip(
+        labels, _labels(m.indices, ct.secondary_dims, sep))))
 
 
 def _g_name(k, alpha):
@@ -83,17 +118,30 @@ def _c_geometry_expr(geometry, alpha, offsets):
     return prefix + "map->det*(" + " + ".join(products) + ")"
 
 
-def _join_terms(terms):
-    if not terms:
+def _c_coefficient(v):
+    return (" - " if v < 0 else " + ") + _fmt(abs(v)) + "*"
+
+
+def _leading(text):
+    """A block entry's joined pieces with the leading " + " or " - " of
+    its first piece written as "" or "-"; "0.0" for an entry with none."""
+    if not text:
         return "0.0"
-    parts = []
-    for j, (v, name) in enumerate(terms):
-        mag = "%s*%s" % (_fmt(abs(v)), name)
-        if j == 0:
-            parts.append(("-" if v < 0 else "") + mag)
-        else:
-            parts.append((" - " if v < 0 else " + ") + mag)
-    return "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _block_sums(cf, names):
+    """Right-hand side of every block entry: the nonzeros of its A0 row in
+    term order, each as a signed coefficient times its G name."""
+    terms = []
+    for ct, term_names in zip(cf.terms, names):
+        m = ct.matrix
+        pieces = [None] * (2 * m.nnz)
+        pieces[::2] = _formatted(m.data, _c_coefficient)
+        pieces[1::2] = map(term_names.__getitem__, m.indices.tolist())
+        terms.append((pieces, (2 * m.indptr).tolist()))
+    return [_leading("".join(["".join(p[ip[r]:ip[r + 1]]) for p, ip in terms]))
+            for r in range(cf.block_size)]
 
 
 def emit_c(cf, function_name="eval"):
@@ -125,25 +173,17 @@ def emit_c(cf, function_name="eval"):
     sig += ")"
     lines.append(sig)
     lines.append("{")
-    # per term: G names by flat secondary index, and the CSR arrays
-    csr = []
+    names = []  # per term: G names by flat secondary index
     for k, ct in enumerate(cf.terms):
-        names = []
+        names.append([])
         for alpha in ct.geometry.component_multiindices():
-            names.append(_g_name(k, alpha))
+            names[-1].append(_g_name(k, alpha))
             lines.append("    const double %s = %s;" % (
-                names[-1], _c_geometry_expr(ct.geometry, alpha, offsets)))
-        m = ct.matrix
-        csr.append((names, m.indptr.tolist(), m.indices.tolist(),
-                    m.data.tolist()))
+                names[-1][-1], _c_geometry_expr(ct.geometry, alpha, offsets)))
     if cf.terms:
         lines.append("")
-    for flat in range(cf.block_size):
-        terms = []
-        for names, indptr, indices, data in csr:
-            lo, hi = indptr[flat], indptr[flat + 1]
-            terms.extend(zip(data[lo:hi], (names[c] for c in indices[lo:hi])))
-        lines.append("    block[%d] = %s;" % (flat, _join_terms(terms)))
+    for flat, rhs in enumerate(_block_sums(cf, names)):
+        lines.append("    block[%d] = %s;" % (flat, rhs))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -205,8 +245,8 @@ def emit_raw(cf):
             " %d" % n for n in ct.secondary_dims))
         lines.append("geometry %s" % _geometry_sexpr(ct.geometry))
         lines.append("entries %d" % ct.matrix.nnz)
-        for idx, v in _nonzeros(ct):
-            lines.append("%s %s" % (" ".join(str(i) for i in idx), repr(v)))
+        lines.extend(map(" ".join, zip(_entry_labels(ct, " "),
+                                       _formatted(ct.matrix.data, repr))))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -443,9 +483,8 @@ def emit_latex(cf):
         lines.append(r"\[ %s \]" % _latex_geometry(ct.geometry))
         lines.append("Nonzero reference tensor entries:")
         lines.append(r"\begin{eqnarray*}")
-        for idx, v in _nonzeros(ct):
-            lines.append(r"A^0_{%s} &=& %s \\" % (
-                r"\,".join(str(i) for i in idx), _fmt(v)))
+        lines.extend(map(r"A^0_{%s} &=& %s \\".__mod__, zip(
+            _entry_labels(ct, r"\,"), _formatted(ct.matrix.data, _fmt))))
         lines.append(r"\end{eqnarray*}")
     lines.append(r"\end{document}")
     return "\n".join(lines) + "\n"

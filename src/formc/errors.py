@@ -70,6 +70,10 @@ class IndexOccursThrice(FormcError):
     """A free index appears three or more times in a monomial."""
 
 
+class UnsupportedDerivative(FormcError, NotImplementedError):
+    """A factor carries more than one derivative."""
+
+
 # --- runtime ---------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ import re
 
 from .errors import (
     ArityError,
+    FormcError,
     FormSyntaxError,
     IncompatibleCells,
     MissingMeasure,
@@ -646,6 +647,21 @@ class _Parser:
         tok = tok or self.peek()
         raise FormSyntaxError(message, tok.line, tok.col)
 
+    def build(self, tok, make):
+        """make(), with a failure located at tok.
+
+        A bad operand is a FormSyntaxError; an error of the form algebra or
+        of the element constructors keeps its type and gains tok's line and
+        column.
+        """
+        try:
+            return make()
+        except (ValueError, TypeError, AttributeError) as exc:
+            self.fail(str(exc), tok)
+        except FormcError as exc:
+            raise type(exc)("%s (line %d, column %d)"
+                            % (exc, tok.line, tok.col)) from None
+
     # statements
 
     def parse_file(self):
@@ -695,12 +711,7 @@ class _Parser:
             maker = make_lagrange if head.text == "FiniteElement" else (
                 make_vector_lagrange
             )
-            try:
-                return maker(shape, degree, continuity)
-            except Exception as exc:
-                if isinstance(exc, FormSyntaxError):
-                    raise
-                raise type(exc)(str(exc)) from None
+            return self.build(head, lambda: maker(shape, degree, continuity))
         if head.text == "Index":
             self.expect("op", ")")
             return Index()
@@ -733,17 +744,21 @@ class _Parser:
         )
 
     def parse_form_expr(self):
+        start = self.peek()
         total = None
         sign = 1.0
         if self.peek().text == "-":
             self.advance()
             sign = -1.0
         while True:
+            tok = self.peek()
             term = self.parse_measured_term()
             term = term if sign > 0 else (-term)
-            total = term if total is None else (total + term)
+            total = term if total is None else self.build(
+                tok, lambda: total + term)
             if self.at_statement_boundary():
-                return Form(total.integrand if isinstance(total, Form) else total)
+                return self.build(start, lambda: Form(
+                    total.integrand if isinstance(total, Form) else total))
             tok = self.advance()
             if tok.text == "+":
                 sign = 1.0
@@ -813,10 +828,12 @@ class _Parser:
             self.advance()
             sign = -1.0
         while True:
+            tok = self.peek()
             factors, _ = self.parse_factor_chain(allow_dx=False)
             term = self.combine(factors, self.peek())
             term = term if sign > 0 else (-term)
-            total = term if total is None else (total + term)
+            total = term if total is None else self.build(
+                tok, lambda: total + term)
             tok = self.peek()
             if tok.text == "+":
                 self.advance()
@@ -834,7 +851,7 @@ class _Parser:
                 self.advance()
                 index = self.parse_index_ref()
                 self.expect("op", "]")
-                value = self.apply(lambda v: v[index], value, tok)
+                value = self.build(tok, lambda: value[index])
             elif tok.text == ".":
                 self.advance()
                 attr = self.expect("ident")
@@ -843,7 +860,7 @@ class _Parser:
                 self.expect("op", "(")
                 index = self.parse_index_ref()
                 self.expect("op", ")")
-                value = self.apply(lambda v: v.dx(index), value, tok)
+                value = self.build(tok, lambda: value.dx(index))
             else:
                 return value
 
@@ -863,12 +880,6 @@ class _Parser:
             return value
         self.fail("expected an index", tok)
 
-    def apply(self, fn, value, tok):
-        try:
-            return fn(value)
-        except (ValueError, TypeError, AttributeError) as exc:
-            self.fail(str(exc), tok)
-
     def combine(self, factors, tok):
         if not factors:
             self.fail("empty term", tok)
@@ -880,10 +891,7 @@ class _Parser:
             elif value is None:
                 value = f
             else:
-                try:
-                    value = value * f
-                except (TypeError, ValueError) as exc:
-                    self.fail(str(exc), tok)
+                value = self.build(tok, lambda: value * f)
         if value is None:
             self.fail("term contains no basis function or coefficient", tok)
         return value._scaled(scalar) if scalar != 1.0 else value

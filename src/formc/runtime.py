@@ -28,6 +28,7 @@ from .errors import (
     MaxIterations,
     NonFiniteValue,
     NotSymmetric,
+    UnsupportedDerivative,
 )
 from .form_language import BasisFunction, Form, expand_to_monomials
 from .reference_elements import make_quadrature, quadrature_tabulation
@@ -217,42 +218,33 @@ def load_mesh(path):
 def unit_square_mesh(n):
     """Uniform (n+1)^2 lattice on [0,1]^2, two triangles per square."""
     xs = np.linspace(0.0, 1.0, n + 1)
-    vid = lambda i, j: i * (n + 1) + j
-    vertices = [(xs[i], xs[j]) for i in range(n + 1) for j in range(n + 1)]
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    return Mesh(vertices, cells)
+    vertices = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+    # square (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1)
+    # and d = (i, j+1)
+    r = np.arange(n)
+    a = (r[:, None] * (n + 1) + r[None, :]).ravel()
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return Mesh(vertices.reshape(-1, 2), cells)
 
 
 def unit_cube_mesh(n):
     """Uniform lattice on [0,1]^3, six tetrahedra per cube."""
     xs = np.linspace(0.0, 1.0, n + 1)
     m = n + 1
-    vid = lambda i, j, k: (i * m + j) * m + k
-    vertices = [(xs[i], xs[j], xs[k])
-                for i in range(m) for j in range(m) for k in range(m)]
-    cells = []
+    vertices = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
     # six tetrahedra along the vertex-ordered paths from corner to corner
     paths = [
         ((1, 0, 0), (1, 1, 0)), ((1, 0, 0), (1, 0, 1)),
         ((0, 1, 0), (1, 1, 0)), ((0, 1, 0), (0, 1, 1)),
         ((0, 0, 1), (1, 0, 1)), ((0, 0, 1), (0, 1, 1)),
     ]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v0 = vid(i, j, k)
-                v7 = vid(i + 1, j + 1, k + 1)
-                for (a, b) in paths:
-                    va = vid(i + a[0], j + a[1], k + a[2])
-                    vb = vid(i + b[0], j + b[1], k + b[2])
-                    cells.append((v0, va, vb, v7))
-    return Mesh(vertices, cells)
+    vid = lambda i, j, k: (i * m + j) * m + k
+    corners = np.array([(0, vid(*a), vid(*b), vid(1, 1, 1)) for a, b in paths])
+    r = np.arange(n)
+    v0 = vid(r[:, None, None], r[None, :, None], r[None, None, :]).ravel()
+    cells = (v0[:, None, None] + corners[None]).reshape(-1, 4)
+    return Mesh(vertices.reshape(-1, 3), cells)
 
 
 def perturb_mesh(mesh, amount=0.2, seed=0):
@@ -398,6 +390,9 @@ def _quadrature_plan(form):
     the rule's points, and the ids of its free indices."""
     plans = []
     for monomial in expand_to_monomials(form):
+        if any(len(f.derivatives) > 1 for f in monomial.factors):
+            raise UnsupportedDerivative(
+                "at most one derivative per factor is supported")
         p = sum(max(f.element.degree - len(f.derivatives), 0)
                 for f in monomial.factors)
         rule = make_quadrature(form.cell.shape, p)

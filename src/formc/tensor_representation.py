@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     IndexOccursOnce,
     IndexOccursThrice,
+    UnsupportedDerivative,
 )
 from .form_language import BasisFunction, Form, Index, Monomial, expand_to_monomials
 from .reference_elements import make_quadrature, quadrature_tabulation
@@ -135,7 +136,7 @@ def classify_indices(monomial):
         if f.element.value_rank == 0 and f.component is not None:
             raise DimensionMismatch("component access on a scalar factor")
         if len(f.derivatives) > 1:
-            raise NotImplementedError(
+            raise UnsupportedDerivative(
                 "at most one derivative per factor is supported"
             )
         sites = []

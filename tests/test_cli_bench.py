@@ -140,6 +140,20 @@ def test_run_benchmark_validates_inputs():
         run_benchmark(MASS, [1], n_elements=0)
 
 
+def test_empty_degree_range_is_an_error(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        run_benchmark(MASS, [])
+    with pytest.raises(ValueError):
+        run_benchmark(MASS, range(3, 1))
+    src = tmp_path / "mass.form"
+    src.write_text(MASS)
+    out = tmp_path / "bench.tsv"
+    assert cli(["bench", str(src), "--qmin", "3", "--qmax", "1",
+                "-o", str(out)]) == 1
+    assert "formc: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_results_tsv_format():
     results = [
         BenchResult("a", 1, 2, 10.0, 50.0, 5.0, 10000, 10),
@@ -193,6 +207,45 @@ def test_cli_compile_multiple_forms(tmp_path):
     assert cli(["compile", str(src), "-o", str(tmp_path / "out.c")]) == 0
     assert (tmp_path / "out_a.c").exists()
     assert (tmp_path / "out_L.c").exists()
+
+
+SECOND_DERIVATIVES = (
+    'element = FiniteElement("Lagrange", "triangle", 2)\n'
+    "v = BasisFunction(element)\n"
+    "u = BasisFunction(element)\n"
+    "i = Index()\n"
+    "j = Index()\n"
+    "a = v*u*dx\n"
+    "b = v.dx(i).dx(j)*u.dx(i).dx(j)*dx\n"
+)
+
+
+def test_cli_compile_second_derivatives_fails_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    src = tmp_path / "d2.form"
+    src.write_text(SECOND_DERIVATIVES)
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["-o", str(tmp_path / "out.c")]):
+        assert cli(["compile", str(src)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("formc: error:") and "derivative" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d2.form"]
+
+
+def test_cli_assemble_second_derivatives_fails_on_both_paths(
+        tmp_path, capsys):
+    from formc.runtime import save_mesh, unit_square_mesh
+
+    src = tmp_path / "d2.form"
+    src.write_text(SECOND_DERIVATIVES)
+    meshfile = tmp_path / "mesh.txt"
+    save_mesh(unit_square_mesh(2), meshfile)
+    out = tmp_path / "b.mtx"
+    for path in ("tensor", "quadrature"):
+        assert cli(["assemble", str(src), str(meshfile), "--form", "b",
+                    "--path", path, "-o", str(out)]) == 1
+        assert "derivative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_tabulate(capsys):

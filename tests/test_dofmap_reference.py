@@ -1,11 +1,12 @@
 """Pins the dof numbering and assembled outputs to a per-cell reference.
 
-The references below number dofs, scatter element tensors, perturb meshes
-and sum L2 errors one cell or vertex at a time, the way the runtime did
-before it moved to whole-mesh array code.  The array code must reproduce
-them bit for bit: same cell dofs, same global dimension, same CSR arrays,
-the same load vectors and the same perturbed coordinates for a seed.  Only
-the L2 error sums in another order, so it is held to 1e-13 relative.
+The references below build lattice meshes, number dofs, scatter element
+tensors, perturb meshes and sum L2 errors one cell or vertex at a time, the
+way the runtime did before it moved to whole-mesh array code.  The array
+code must reproduce them bit for bit: same vertices and cells in the same
+order, same cell dofs, same global dimension, same CSR arrays, the same
+load vectors and the same perturbed coordinates for a seed.  Only the L2
+error sums in another order, so it is held to 1e-13 relative.
 """
 
 import numpy as np
@@ -31,6 +32,59 @@ from formc.runtime import (
     unit_square_mesh,
 )
 from formc.tensor_representation import compile_form
+
+
+def reference_unit_square_mesh(n):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vid = lambda i, j: i * (n + 1) + j
+    vertices = [(xs[i], xs[j]) for i in range(n + 1) for j in range(n + 1)]
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            cells.append((a, b, c))
+            cells.append((a, c, d))
+    return Mesh(vertices, cells)
+
+
+def reference_unit_cube_mesh(n):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    m = n + 1
+    vid = lambda i, j, k: (i * m + j) * m + k
+    vertices = [(xs[i], xs[j], xs[k])
+                for i in range(m) for j in range(m) for k in range(m)]
+    cells = []
+    paths = [
+        ((1, 0, 0), (1, 1, 0)), ((1, 0, 0), (1, 0, 1)),
+        ((0, 1, 0), (1, 1, 0)), ((0, 1, 0), (0, 1, 1)),
+        ((0, 0, 1), (1, 0, 1)), ((0, 0, 1), (0, 1, 1)),
+    ]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v0 = vid(i, j, k)
+                v7 = vid(i + 1, j + 1, k + 1)
+                for (a, b) in paths:
+                    va = vid(i + a[0], j + a[1], k + a[2])
+                    vb = vid(i + b[0], j + b[1], k + b[2])
+                    cells.append((v0, va, vb, v7))
+    return Mesh(vertices, cells)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+@pytest.mark.parametrize("build,reference", (
+    (unit_square_mesh, reference_unit_square_mesh),
+    (unit_cube_mesh, reference_unit_cube_mesh),
+))
+def test_lattice_meshes_match_loop_reference(build, reference, n):
+    got, want = build(n), reference(n)
+    for name in ("vertices", "cells"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    assert np.array_equal(got.vertices.view(np.int64),
+                          want.vertices.view(np.int64))
 
 
 def reference_dofmap(mesh, element):

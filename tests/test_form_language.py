@@ -1,14 +1,21 @@
 """Form algebra, the form file parser, and the canonical printer."""
 
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_one
 from formc.errors import (
     ArityError,
+    FormcError,
     FormSyntaxError,
     IncompatibleCells,
     MissingMeasure,
     UndefinedName,
+    UnsupportedDegree,
+    UnsupportedShape,
 )
 from formc.form_language import (
     BasisFunction,
@@ -337,6 +344,37 @@ def test_parse_unary_minus():
     assert m.scalar == -1.0
 
 
+LINES = (
+    'element = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = BasisFunction(element)\n"
+    "u = BasisFunction(element)\n"
+)
+
+
+@pytest.mark.parametrize("tail,error,line", (
+    ('e = FiniteElement("Lagrange", "hexagon", 1)\n', UnsupportedShape, 4),
+    ('e = VectorElement("Lagrange", "triangle", 99)\n', UnsupportedDegree, 4),
+    ('e = FiniteElement("Lagrange", "triangle", 0)\n', UnsupportedDegree, 4),
+    ('e = FiniteElement("Lagrange", "interval", 1)\n'
+     "w = Function(e)\n"
+     "a = v*u*w*dx\n", IncompatibleCells, 6),
+    ('e = FiniteElement("Lagrange", "interval", 1)\n'
+     "w = BasisFunction(e)\n"
+     "\n"
+     "a = v*u*dx +\n"
+     "    w*dx\n", IncompatibleCells, 8),
+    ('e = FiniteElement("Lagrange", "interval", 1)\n'
+     "w = Function(e)\n"
+     "a = v*(u + w)*dx\n", IncompatibleCells, 6),
+    ("f = Function(element)\n\na = f*dx\n", ArityError, 6),
+    ("\na = v*u*dx + v*dx\n", ArityError, 5),
+))
+def test_parser_errors_name_their_line(tail, error, line):
+    with pytest.raises(error) as err:
+        parse_form_file(LINES + tail)
+    assert "(line %d, column " % line in str(err.value)
+
+
 # --- canonical printer ------------------------------------------------------------
 
 
@@ -388,3 +426,59 @@ def test_structurally_equal_discriminates():
     )
     # equality is up to renaming of free indices
     assert structurally_equal(i_form, j_form)
+
+
+# --- fuzzed form files ------------------------------------------------------------
+
+FUZZ_TOKENS = (
+    "", "(", ")", "*", "+", "-", ".", "[", "]", "=", ",", "#", "@", "\n",
+    "dx", "v", "u", "w", "f", "i", "j", "k", "element", "Index", "dx(i)",
+    "BasisFunction", "Function", "FiniteElement", "VectorElement",
+    '"Lagrange"', '"Discontinuous Lagrange"', '"Hermite"', '"triangle"',
+    '"tetrahedron"', '"interval"', '"hexagon"', '"', "0", "1", "2", "3",
+    "9", "99", "1.5", "1e400", "0.25",
+)
+FUZZ_LINES = (
+    'e = FiniteElement("Lagrange", "interval", 1)',
+    'e = VectorElement("Discontinuous Lagrange", "triangle", 0)',
+    "g = BasisFunction(e)", "g = Function(e)", "k = Index()",
+    "b = v*g*dx", "b = g*dx", "b = v*u*dx + g*v*u*dx", "b = (v + g)*u*dx",
+)
+
+
+@st.composite
+def mutated_form_files(draw):
+    text = shipped_text(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(
+            ("truncate", "drop", "insert") + ("token",) * 4))
+        lines = text.splitlines()
+        k = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if action == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+            continue
+        if action == "drop" and lines:
+            del lines[k]
+        elif action == "insert":
+            lines.insert(k, draw(st.sampled_from(FUZZ_LINES) |
+                                 st.text(max_size=20)))
+        elif lines:
+            parts = re.split(r"(\W)", lines[k])
+            j = draw(st.integers(0, len(parts)))
+            parts[j:j + draw(st.integers(0, 1))] = [
+                draw(st.sampled_from(FUZZ_TOKENS))]
+            lines[k] = "".join(parts)
+        text = "\n".join(lines) + "\n"
+    return text
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=mutated_form_files())
+def test_parser_fuzzed_form_files(text):
+    try:
+        parse_form_file(text)
+    except FormcError as err:
+        found = re.search(r"\(line (\d+)(, column \d+)?\)", str(err))
+        assert found, "%s without a line: %s" % (type(err).__name__, err)
+        assert 1 <= int(found.group(1)) <= text.count("\n") + 1
