@@ -24,7 +24,7 @@ from . import codegen, runtime
 from .errors import FormcError, ValueMismatch
 from .form_language import parse_form_file
 from .reference_elements import make_lagrange, make_quadrature
-from .tensor_representation import compile_form, contract_terms
+from .tensor_representation import compile_form
 
 __all__ = [
     "ComplexityParams",
@@ -191,9 +191,8 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
             def tensor_pass():
                 for s in starts:
                     e = min(s + chunk, n_elements)
-                    contract_terms(cf.terms, cf.primary_dims, d,
-                                   dets[s:e], gs[s:e],
-                                   [c[s:e] for c in coeffs])
+                    cf.element_tensors(dets[s:e], gs[s:e],
+                                       [c[s:e] for c in coeffs])
 
             def quad_pass():
                 for s in starts:

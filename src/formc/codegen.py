@@ -5,7 +5,10 @@ statement per element-tensor entry, a raw text format listing the reference
 tensor values together with s-expressions for the geometry tensors, and
 LaTeX for inspection.  ``read_raw`` turns a raw listing back into a
 CompiledForm, so a reread form emits, contracts and assembles like the
-compiled one.
+compiled one.  A raw ``monomial k`` block is one term of the compiled form:
+one geometry expression, shared by every monomial whose expression is equal
+to it, with their A0 blocks summed.  A listing with one block per monomial
+reads just as well.
 
 The emitters work on each term's A0 nonzeros as whole CSR arrays.  An A0
 has few distinct values (P3 Navier-Stokes on a tetrahedron: 167,238

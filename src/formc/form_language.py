@@ -82,11 +82,6 @@ class Index:
     def fixed(cls, value):
         return cls(kind="fixed", value=value)
 
-    def classified(self, kind, range_):
-        """Fresh copy of a free index with its decided kind and range."""
-        out = Index(kind=kind, range=range_)
-        return out
-
     def key(self):
         return ("fixed", self.value) if self.kind == "fixed" else ("id", self.id)
 

@@ -90,13 +90,14 @@ class QuadratureRule:
         return self.points.shape[0]
 
 
+@lru_cache(maxsize=64)
 def make_quadrature(shape, degree):
     """Gauss-Jacobi rule on the unit simplex, exact through ``degree``.
 
     Uses m = degree//2 + 1 points per direction.  Direction i of the
     collapsed cube carries the Jacobi weight (1-u)^(d-1-i) that the Duffy
     transform produces, so every direction is integrated by a rule matched
-    to its weight function.
+    to its weight function.  Rules are cached; their arrays are read-only.
     """
     cell = ReferenceCell(shape)
     if degree < 0:

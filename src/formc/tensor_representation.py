@@ -11,7 +11,8 @@ precomputed once by quadrature, and a geometry tensor expression
     G[alpha] = c * det * (products of dX/dx entries and coefficient dofs)
 
 evaluated per element, so that the element tensor is the contraction
-A[i] = sum_alpha A0[i, alpha] * G[alpha].
+A[i] = sum_alpha A0[i, alpha] * G[alpha].  Monomials with equal geometry
+tensor expressions share one G, and their A0 are summed.
 
 Index bookkeeping follows four kinds.  Primary indices are the element
 tensor axes, one per argument.  Each spatial derivative introduces a fresh
@@ -24,6 +25,7 @@ auxiliary sum inside G, and once on each side makes it secondary.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from math import prod
 
@@ -48,12 +50,12 @@ __all__ = [
     "classify_indices",
     "compute_reference_tensor",
     "derive_geometry_expr",
-    "drop_zeros",
     "contract_terms",
     "compile_form",
 ]
 
-DEFAULT_DROP_TOL = 1e-14
+# A0 entries with |value| <= DROP_TOL * max|A0| are quadrature noise.
+DROP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -229,19 +231,18 @@ def classify_indices(monomial):
 
 
 class ReferenceTensor:
-    """Dense reference tensor of one monomial.
+    """Dense, read-only reference tensor of one monomial.
 
     Axes: the primary indices in slot order, then the secondary indices in
     the monomial's secondary order.  Flattening is row-major throughout.
     """
 
-    def __init__(self, term, entries, quadrature_degree):
-        self.term = term
+    def __init__(self, entries, primary_rank):
+        entries.flags.writeable = False
         self.entries = entries
         self.rank = entries.ndim
-        self.primary_rank = term.rank
+        self.primary_rank = primary_rank
         self.dims = entries.shape
-        self.quadrature_degree = quadrature_degree
 
     def __repr__(self):
         return "ReferenceTensor(dims=%r, primary=%d)" % (
@@ -309,40 +310,28 @@ def compute_reference_tensor(term, quadrature_degree=None):
         if c is not None and c.kind != "fixed" and c.id not in component_ids:
             component_ids.append(c.id)
 
-    d = term.cell.dim
+    def block(f, assignment):
+        """Basis rows of factor f in its selected component."""
+        if f.element.value_rank == 0:
+            return slice(None)
+        c = f.component
+        c = c.value if c.kind == "fixed" else assignment[c.id]
+        return slice(c * f.scalar_dim, (c + 1) * f.scalar_dim)
 
-    def component_value(index, assignment):
-        if index.kind == "fixed":
-            return index.value
-        return assignment[index.id]
-
-    for combo in iter_product(range(d), repeat=len(component_ids)):
+    for combo in iter_product(range(term.cell.dim), repeat=len(component_ids)):
         assignment = dict(zip(component_ids, combo))
-        selector = []
-        for f in term.arg_factors:
-            if f.element.value_rank == 0:
-                selector.append(slice(None))
-            else:
-                c = component_value(f.component, assignment)
-                ns = f.scalar_dim
-                selector.append(slice(c * ns, (c + 1) * ns))
+        selector = [block(f, assignment) for f in term.arg_factors]
         for s in term.secondary:
             if s.id in deriv_labels:
                 selector.append(slice(None))
             elif s.id in coeff_factor_of:
-                f = term.factors[coeff_factor_of[s.id]]
-                if f.element.value_rank == 0:
-                    selector.append(slice(None))
-                else:
-                    c = component_value(f.component, assignment)
-                    ns = f.scalar_dim
-                    selector.append(slice(c * ns, (c + 1) * ns))
+                selector.append(
+                    block(term.factors[coeff_factor_of[s.id]], assignment))
             else:
                 selector.append(assignment[s.id])
         entries[tuple(selector)] += scalar_block
 
-    entries.flags.writeable = False
-    return ReferenceTensor(term, entries, rule.exact_degree)
+    return ReferenceTensor(entries, term.rank)
 
 
 # --- geometry tensor -----------------------------------------------------------
@@ -411,6 +400,33 @@ class GeometryTensorExpr:
             out.append(atoms)
         return out
 
+    @cached_property
+    def expansion(self):
+        """terms_for of every component as index arrays.
+
+        ``rows`` and ``cols`` [S x N x T] hold the dXdx entry read by each
+        transform and ``dofs`` [S x N x C] the dof read by each coefficient
+        read, for S auxiliary assignments and N components in row-major
+        order.
+        """
+        products = [p for alpha in self.component_multiindices()
+                    for p in self.terms_for(alpha)]
+        shape = (self.n_components, len(products) // self.n_components)
+        g = np.array([[a[1:] for a in p if a[0] == "g"] for p in products],
+                     dtype=int)
+        w = np.array([[a[2] for a in p if a[0] == "w"] for p in products],
+                     dtype=int)
+        g = g.reshape(shape + (len(self.transforms), 2)).transpose(1, 0, 2, 3)
+        w = w.reshape(shape + (len(self.coeff_reads),)).transpose(1, 0, 2)
+        return g[..., 0], g[..., 1], w
+
+    @cached_property
+    def key(self):
+        """Equal keys mean equal expressions, component by component."""
+        return (self.scalar, self.dims, tuple(c for c, _ in self.coeff_reads),
+                self.expansion[0].shape) + tuple(
+                    a.tobytes() for a in self.expansion)
+
     def evaluate(self, dets, gs, coeffs=()):
         """Geometry tensor components for a batch of affine maps.
 
@@ -423,27 +439,14 @@ class GeometryTensorExpr:
         dets = np.atleast_1d(np.asarray(dets, dtype=float))
         gs = np.asarray(gs, dtype=float)
         ncells = dets.shape[0]
-        alphas = np.array(self.component_multiindices(), dtype=int).reshape(
-            self.n_components, self.rank
-        )
-
+        rows, cols, dofs = self.expansion
         out = np.zeros((ncells, self.n_components))
-        aux_ranges = [range(i.range) for i in self.aux_g]
-        for sigma in iter_product(*aux_ranges):
-            bound = {i.id: v for i, v in zip(self.aux_g, sigma)}
+        for s in range(rows.shape[0]):
             piece = np.ones((ncells, self.n_components))
-            for ref, x in self.transforms:
-                a = alphas[:, self._pos[ref.id]]
-                if x.kind == "fixed":
-                    b = np.full(self.n_components, x.value)
-                elif x.kind == "secondary":
-                    b = alphas[:, self._pos[x.id]]
-                else:
-                    b = np.full(self.n_components, bound[x.id])
-                piece = piece * gs[:, a, b]
-            for coeff, expansion in self.coeff_reads:
-                dof = alphas[:, self._pos[expansion.id]]
-                piece = piece * coeffs[coeff][:, dof]
+            for t in range(rows.shape[2]):
+                piece = piece * gs[:, rows[s, :, t], cols[s, :, t]]
+            for k, (coeff, _) in enumerate(self.coeff_reads):
+                piece = piece * coeffs[coeff][:, dofs[s, :, k]]
             out += piece
         out *= self.scalar * np.abs(dets)[:, None]
         return out
@@ -457,42 +460,31 @@ def derive_geometry_expr(term):
     )
 
 
-def _kept(entries, rel_tol):
+def _kept(entries, rel_tol=DROP_TOL):
     """Mask of the entries with |value| > rel_tol * max|entries|."""
     magnitude = np.abs(entries)
     return magnitude > rel_tol * (magnitude.max() if entries.size else 0.0)
-
-
-def drop_zeros(tensor, rel_tol=DEFAULT_DROP_TOL):
-    """Sparse view of a reference tensor.
-
-    Returns [(multiindex, value)] keeping entries with
-    |value| > rel_tol * max|entries|, in row-major order.
-    """
-    entries = tensor.entries if isinstance(tensor, ReferenceTensor) else (
-        np.asarray(tensor)
-    )
-    keep = np.nonzero(_kept(entries, rel_tol))
-    return list(zip(zip(*(k.tolist() for k in keep)),
-                    entries[keep].tolist()))
 
 
 # --- compiled forms -------------------------------------------------------------
 
 
 class CompiledTerm:
-    """One monomial: its A0 nonzeros as ``matrix`` (CSR, flat primary index
-    by flat secondary index) and the geometry expression they contract
-    with.  ``term`` and ``tensor`` are kept when compiled from a form."""
+    """One geometry expression and the A0 nonzeros it contracts with, as
+    ``matrix`` (CSR, flat primary index by flat secondary index)."""
 
-    def __init__(self, geometry, primary_dims, matrix, term=None,
-                 tensor=None):
-        self.term = term
-        self.tensor = tensor
+    def __init__(self, geometry, primary_dims, matrix):
         self.geometry = geometry
         self.primary_dims = tuple(primary_dims)
         self.secondary_dims = geometry.dims
         self.matrix = matrix
+
+    @property
+    def tensor(self):
+        """Dense A0, rebuilt from the nonzeros."""
+        return ReferenceTensor(
+            self.matrix.toarray().reshape(self.primary_dims + self.secondary_dims),
+            len(self.primary_dims))
 
 
 def contract_terms(terms, primary_dims, dim, dets, gs, coeffs=()):
@@ -514,7 +506,7 @@ def contract_terms(terms, primary_dims, dim, dets, gs, coeffs=()):
 class CompiledForm:
     """A form in tensor representation, compiled or reread from raw text.
 
-    ``element_tensors(dets, gs, coeffs)`` contracts every monomial for a
+    ``element_tensors(dets, gs, coeffs)`` contracts every term for a
     batch of affine maps and returns [ncells x n1 x ... x nr]; primary
     multiindices are flattened row-major into the output block.  ``form``,
     ``arguments`` and ``coefficients`` are None for a reread listing.
@@ -547,23 +539,30 @@ class CompiledForm:
         return self.element_tensors([det], [g], coeffs)[0]
 
 
-def compile_form(form, drop_tol=DEFAULT_DROP_TOL):
-    """Compile a language form into its tensor representation."""
+def compile_form(form):
+    """Compile a language form into its tensor representation.
+
+    Monomials whose geometry expressions have equal keys share one term:
+    their dense A0 blocks are summed, in first-occurrence order, before
+    entries at or below DROP_TOL of the largest are dropped.
+    """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
     primary_dims = tuple(el.space_dim for el in form.arguments)
-    terms = []
+    groups = {}  # geometry key -> [geometry, summed A0 entries]
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
-        tensor = compute_reference_tensor(term)
         geometry = derive_geometry_expr(term)
-        flat = tensor.entries.reshape(prod(primary_dims),
-                                      geometry.n_components)
-        rows, cols = np.nonzero(_kept(flat, drop_tol))
+        entries = compute_reference_tensor(term).entries
+        group = groups.setdefault(geometry.key, [geometry, 0.0])
+        group[1] = group[1] + entries
+    terms = []
+    for geometry, entries in groups.values():
+        flat = entries.reshape(prod(primary_dims), geometry.n_components)
+        rows, cols = np.nonzero(_kept(flat))
         matrix = scipy.sparse.csr_matrix(
             (flat[rows, cols], (rows, cols)), shape=flat.shape)
-        terms.append(CompiledTerm(geometry, primary_dims, matrix,
-                                  term=term, tensor=tensor))
+        terms.append(CompiledTerm(geometry, primary_dims, matrix))
     return CompiledForm(
         form.name, form.cell, form.arity, primary_dims,
         [el.space_dim for el in form.coefficients], terms, form=form)

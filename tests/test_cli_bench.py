@@ -382,11 +382,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child process gets src/ on its path, as pytest's own pythonpath
+    # setting does not reach it
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "formc.cli_bench", "estimate", "--q", "1",
          "--d", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ratio" in proc.stdout

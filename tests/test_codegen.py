@@ -344,7 +344,8 @@ def test_latex_coefficient_symbol():
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("text", (MASS_P1, POISSON_P3, NAVIERSTOKES, MIXED))
+@pytest.mark.parametrize("text", (MASS_P1, POISSON_P3, NAVIERSTOKES, MIXED,
+                                  ELASTICITY))
 def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
     form = parse_one(text)
     cf = compile_form(form)

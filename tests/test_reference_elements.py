@@ -116,6 +116,18 @@ def test_quadrature_deterministic():
     assert np.array_equal(a.weights, b.weights)
 
 
+def test_quadrature_rules_are_cached_and_read_only():
+    rule = make_quadrature("triangle", 4)
+    assert make_quadrature("triangle", 4) is rule
+    assert not rule.points.flags.writeable
+    assert not rule.weights.flags.writeable
+    with pytest.raises(ValueError):
+        rule.weights[0] = 1.0
+    for _ in range(2):  # a failed call is not cached
+        with pytest.raises(UnsupportedDegree):
+            make_quadrature("triangle", -1)
+
+
 # --- scalar Lagrange elements ---------------------------------------------------
 
 

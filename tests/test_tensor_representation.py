@@ -1,9 +1,16 @@
 """Index classification, reference tensors, and geometry tensor expressions."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from conftest import parse_one, random_affine_map
+from formc.cli_bench import form_text_with
+from formc.codegen import emit_raw, read_raw
 from formc.errors import DimensionMismatch, IndexOccursOnce, IndexOccursThrice
 from formc.form_language import (
     BasisFunction,
@@ -12,16 +19,21 @@ from formc.form_language import (
     parse_form_file,
 )
 from formc.reference_elements import make_lagrange
-from formc.runtime import quadrature_element_tensor
+from formc.runtime import quadrature_element_tensor, quadrature_element_tensors
 from formc.tensor_representation import (
     CompiledForm,
+    CompiledTerm,
     GeometryTensorExpr,
+    _kept,
     classify_indices,
     compile_form,
     compute_reference_tensor,
     derive_geometry_expr,
-    drop_zeros,
 )
+
+
+FORMS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src", "formc", "forms")
 
 
 def form_text(kind, shape="triangle", degree=1):
@@ -208,7 +220,8 @@ def test_p1_poisson_reference_tensor():
     expected = 0.5 * np.einsum("ia,jb->ijab", grads, grads)
     assert a0.entries.shape == (3, 3, 2, 2)
     assert np.allclose(a0.entries, expected, atol=1e-14)
-    assert len(drop_zeros(a0)) == 16
+    cf = compile_form(parse_one(form_text("poisson", degree=1)))
+    assert cf.terms[0].matrix.nnz == 16
 
 
 def test_p3_poisson_triangle_values():
@@ -315,24 +328,27 @@ def test_mass_geometry_is_det_only(rng):
     )
 
 
-# --- drop_zeros --------------------------------------------------------------------
+# --- threshold --------------------------------------------------------------------
 
 
-def test_drop_zeros_ordering_and_tolerance():
+def kept(tensor, **kwargs):
+    """[(multiindex, value)] of the entries _kept keeps, in row-major order."""
+    mask = _kept(tensor, **kwargs)
+    return list(zip(map(tuple, np.argwhere(mask).tolist()), tensor[mask].tolist()))
+
+
+def test_threshold_ordering_and_tolerance():
     tensor = np.array([[1.0, 0.0], [1e-20, -2.0]])
-    kept = drop_zeros(tensor)
-    assert kept == [((0, 0), 1.0), ((1, 1), -2.0)]
+    assert kept(tensor) == [((0, 0), 1.0), ((1, 1), -2.0)]
     # exact zeros stay dropped even with zero tolerance
-    kept = drop_zeros(tensor, rel_tol=0.0)
-    assert ((0, 1), 0.0) not in kept
-    assert ((1, 0), 1e-20) in kept
-    assert drop_zeros(np.zeros((2, 2))) == []
+    assert ((0, 1), 0.0) not in kept(tensor, rel_tol=0.0)
+    assert ((1, 0), 1e-20) in kept(tensor, rel_tol=0.0)
+    assert kept(np.zeros((2, 2))) == []
 
 
 def test_p3_poisson_nonzero_count():
-    (term,) = terms_of("poisson", "triangle", 3)
-    a0 = compute_reference_tensor(term)
-    assert len(drop_zeros(a0)) == 252
+    cf = compile_form(parse_one(form_text("poisson", "triangle", 3)))
+    assert cf.terms[0].matrix.nnz == 252
 
 
 # --- compiled forms ---------------------------------------------------------------
@@ -398,12 +414,14 @@ def test_zero_form_compiles_to_no_terms(rng):
 
 
 def test_drop_tolerance_does_not_change_values(rng):
+    # the thresholded CSR contracts like the dense, unthresholded A0
     form = parse_one(form_text("poisson", "triangle", 3))
-    default = compile_form(form)
-    exact = compile_form(form, drop_tol=0.0)
+    (term,) = [classify_indices(m) for m in expand_to_monomials(form)]
     amap = random_affine_map(rng, 2)
-    a = default.element_tensor(amap.det, amap.g)
-    b = exact.element_tensor(amap.det, amap.g)
+    a = compile_form(form).element_tensor(amap.det, amap.g)
+    g = derive_geometry_expr(term).evaluate([amap.det], [amap.g])[0]
+    b = np.einsum("ijk,k->ij",
+                  compute_reference_tensor(term).entries.reshape(10, 10, 4), g)
     assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())
 
 
@@ -419,3 +437,92 @@ def test_negative_orientation_uses_absolute_determinant(rng):
     plus = cf.element_tensor(amap.det, amap.g)
     minus = cf.element_tensor(-amap.det, amap.g)
     assert np.allclose(plus, minus, atol=1e-15)
+
+
+# --- merged geometries --------------------------------------------------------------
+
+
+def elasticity(shape, q):
+    with open(os.path.join(FORMS_DIR, "elasticity.form")) as fh:
+        return parse_one(form_text_with(fh.read(), q, shape))
+
+
+def random_cells(rng, form, n=4):
+    d = form.cell.dim
+    maps = [random_affine_map(rng, d) for _ in range(n)]
+    coeffs = [rng.uniform(-1, 1, (n, el.space_dim)) for el in form.coefficients]
+    return [m.det for m in maps], [m.g for m in maps], coeffs
+
+
+def test_elasticity_merges_to_two_terms():
+    for shape, components in (("triangle", 20), ("tetrahedron", 90)):
+        for q in (1, 2, 3):
+            cf = compile_form(elasticity(shape, q))
+            assert len(cf.terms) == 2, (shape, q)
+            assert sum(ct.geometry.n_components for ct in cf.terms) == components
+
+
+def test_per_monomial_listing_rereads_like_merged_compile(rng):
+    # one raw block per monomial, the layout listings had before merging
+    form = elasticity("tetrahedron", 2)
+    terms = []
+    for monomial in expand_to_monomials(form):
+        term = classify_indices(monomial)
+        geometry = derive_geometry_expr(term)
+        flat = compute_reference_tensor(term).entries.reshape(
+            -1, geometry.n_components)
+        terms.append(CompiledTerm(geometry, (30, 30), csr_matrix(
+            np.where(_kept(flat), flat, 0.0))))
+    per_monomial = CompiledForm("a", form.cell, 2, (30, 30), (), terms)
+    reread = read_raw(emit_raw(per_monomial))
+    assert len(reread.terms) == 4
+    dets, gs, _ = random_cells(rng, form)
+    want = compile_form(form).element_tensors(dets, gs)
+    got = reread.element_tensors(dets, gs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Vector-valued monomials with the geometry class each one belongs to.  A
+# collects an index renaming (v[i].dx(j)*u[i].dx(j) and its i <-> j swap)
+# and two monomials with equal geometry that are not renamings of each other
+# (v[0].dx(i)*u[0].dx(i) and v[1].dx(i)*u[1].dx(i)); B and C have equal
+# geometry but unequal scalars; D reads a coefficient.
+MERGE_POOL = (
+    ("v[0].dx(i)*u[0].dx(i)", "A"),
+    ("v[1].dx(i)*u[1].dx(i)", "A"),
+    ("v[i].dx(j)*u[i].dx(j)", "A"),
+    ("v[j].dx(i)*u[j].dx(i)", "A"),
+    ("0.5*v[i].dx(j)*u[j].dx(i)", "B"),
+    ("v[j].dx(i)*u[i].dx(j)", "C"),
+    ("w[i]*v[j]*u[j].dx(i)", "D"),
+    ("w[j]*v[i]*u[i].dx(j)", "D"),
+    ("v[i]*u[i]", "E"),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(picks=st.lists(st.sampled_from(MERGE_POOL), min_size=1, max_size=4,
+                      unique=True),
+       shape=st.sampled_from(("triangle", "tetrahedron")),
+       q=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_equal_geometries_merge(picks, shape, q, seed):
+    form = parse_one(
+        'element = VectorElement("Lagrange", "%s", %d)\n' % (shape, q)
+        + "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+        "w = Function(element)\ni = Index()\nj = Index()\n"
+        "a = (%s)*dx\n" % " + ".join(text for text, _ in picks))
+    cf = compile_form(form)
+    keys = {derive_geometry_expr(classify_indices(m)).key
+            for m in expand_to_monomials(form)}
+    assert len(cf.terms) == len(keys) == len({c for _, c in picks})
+
+    dets, gs, coeffs = random_cells(np.random.default_rng(seed), form)
+    got = cf.element_tensors(dets, gs, coeffs)
+    want = quadrature_element_tensors(form, dets, gs, coeffs)
+    assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-12)
+
+    text = emit_raw(cf)
+    reread = read_raw(text)
+    assert emit_raw(reread) == text
+    assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
