@@ -64,8 +64,10 @@ class ComplexityParams:
     vector: bool = False
 
     def __post_init__(self):
-        if min(self.q, self.n_f, self.n_D, self.r) < 0:
+        if min(self.q, self.n_f, self.n_D) < 0:
             raise ValueError("complexity parameters must be nonnegative")
+        if self.r < 1:
+            raise ValueError("arity must be at least 1")
         if self.d not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
 
@@ -78,16 +80,16 @@ class ComplexityParams:
 def flop_estimates(params):
     """Model operation counts per element tensor.
 
-    Tensor path: T_T = n^2 * n^{n_f} * d^{n_D}.  Quadrature path:
-    T_Q = n^2 * N * (n_f + n_D*d + 1) with N the point count of the rule
-    that is exact for the reference integrand degree (2 + n_f)*q - n_D.
+    Tensor path: T_T = n^r * n^{n_f} * d^{n_D}.  Quadrature path:
+    T_Q = n^r * N * (n_f + n_D*d + 1) with N the point count of the rule
+    that is exact for the reference integrand degree (r + n_f)*q - n_D.
     Returns (T_T, T_Q, T_Q / T_T).
     """
-    n, d = params.n, params.d
-    T_T = n * n * n ** params.n_f * d ** params.n_D
-    p = max((2 + params.n_f) * params.q - params.n_D, 0)
+    n, d, r = params.n, params.d, params.r
+    T_T = n ** r * n ** params.n_f * d ** params.n_D
+    p = max((r + params.n_f) * params.q - params.n_D, 0)
     N = make_quadrature(_SHAPE_OF_DIM[d], p).num_points
-    T_Q = n * n * N * (params.n_f + params.n_D * d + 1)
+    T_Q = n ** r * N * (params.n_f + params.n_D * d + 1)
     return T_T, T_Q, T_Q / T_T
 
 
@@ -159,13 +161,16 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
     if os.path.exists(form_source):
         with open(form_source) as fh:
             text = fh.read()
+        source = form_source
     else:
-        text = form_source
+        text, source = form_source, "the form text"
 
     rng = np.random.default_rng(_seed_from_env(seed))
     results = []
     for q in q_values:
         forms = parse_form_file(form_text_with(text, degree=q))
+        if not forms:
+            raise ValueError("%s defines no form" % source)
         for form in forms:
             d = form.cell.dim
             cf = compile_form(form)
@@ -236,10 +241,17 @@ def results_tsv(results):
 # --- command line -----------------------------------------------------------------
 
 
+def _read_forms(path):
+    """The forms of a form file; a file that defines none is an error."""
+    with open(path) as fh:
+        forms = parse_form_file(fh.read())
+    if not forms:
+        raise FormcError("%s defines no form" % path)
+    return forms
+
+
 def _cmd_compile(args):
-    with open(args.form_file) as fh:
-        text = fh.read()
-    forms = parse_form_file(text)
+    forms = _read_forms(args.form_file)
     emit = {"c": codegen.emit_c, "raw": codegen.emit_raw,
             "latex": codegen.emit_latex}[args.format]
     ext = {"c": ".c", "raw": ".raw", "latex": ".tex"}[args.format]
@@ -284,8 +296,7 @@ def _cmd_tabulate(args):
 
 
 def _cmd_assemble(args):
-    with open(args.form_file) as fh:
-        forms = parse_form_file(fh.read())
+    forms = _read_forms(args.form_file)
     if args.form:
         matches = [f for f in forms if f.name == args.form]
         if not matches:

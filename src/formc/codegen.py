@@ -32,7 +32,6 @@ import numpy as np
 import scipy.sparse
 
 from .errors import FormcError, FormSyntaxError
-from .form_language import Index
 from .reference_elements import ReferenceCell
 from .tensor_representation import (
     CompiledForm,
@@ -99,15 +98,15 @@ def _g_name(k, alpha):
     return "G%d" % k + "".join("_%d" % a for a in alpha)
 
 
-def _c_atom(atom, offsets):
-    if atom[0] == "g":
-        return "map->g%d%d" % (atom[1], atom[2])
-    return "w[%d]" % (offsets[atom[1]] + atom[2])
-
-
 def _c_geometry_expr(geometry, alpha, offsets):
-    terms = geometry.terms_for(alpha)
-    products = ["*".join(_c_atom(a, offsets) for a in t) for t in terms]
+    n = 0  # flat row-major position of alpha
+    for i, size in zip(alpha, geometry.dims):
+        n = n * size + i
+    rows, cols, dofs = (a[:, n].tolist() for a in geometry.expansion)
+    reads = [offsets[c] for c, _ in geometry.coeff_reads]
+    products = ["*".join(["map->g%d%d" % g for g in zip(r, c)]
+                         + ["w[%d]" % (o + v) for o, v in zip(reads, w)])
+                for r, c, w in zip(rows, cols, dofs)]
     if geometry.scalar == 1.0:
         prefix = ""
     elif geometry.scalar == -1.0:
@@ -200,30 +199,18 @@ def count_code_lines(cf):
 # --- raw format ----------------------------------------------------------------
 
 
-def _sym(index, secondary_pos, aux_pos):
-    if index.kind == "fixed":
-        return str(index.value)
-    if index.id in secondary_pos:
-        return "s%d" % secondary_pos[index.id]
-    return "b%d" % aux_pos[index.id]
+def _sym(slot):
+    return str(slot[1]) if slot[0] == "f" else "%s%d" % slot
 
 
 def _geometry_sexpr(geometry):
-    secondary_pos = {s.id: k for k, s in enumerate(geometry.secondary)}
-    aux_pos = {a.id: k for k, a in enumerate(geometry.aux_g)}
-    atoms = []
-    for ref, x in geometry.transforms:
-        atoms.append("(dXdx %s %s)" % (
-            _sym(ref, secondary_pos, aux_pos),
-            _sym(x, secondary_pos, aux_pos),
-        ))
-    for coeff, expansion in geometry.coeff_reads:
-        atoms.append("(coeff %d %s)" % (
-            coeff, _sym(expansion, secondary_pos, aux_pos)))
+    atoms = ["(dXdx s%d %s)" % (ref, _sym(x))
+             for ref, x in geometry.transforms]
+    atoms += ["(coeff %d s%d)" % read for read in geometry.coeff_reads]
     parts = [repr(float(geometry.scalar)), "det"]
-    if geometry.aux_g:
+    if geometry.aux_dims:
         inner = "(* %s)" % " ".join(atoms) if len(atoms) != 1 else atoms[0]
-        for k in range(len(geometry.aux_g) - 1, -1, -1):
+        for k in range(len(geometry.aux_dims) - 1, -1, -1):
             inner = "(sum b%d %s)" % (k, inner)
         parts.append(inner)
     else:
@@ -269,27 +256,28 @@ def _parse_sexpr(tokens, pos=0):
     return out, pos + 1
 
 
-def _geometry_from_sexpr(node, secondary, dim, coefficient_dims):
+def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
     """Geometry expression of a parsed s-expression.  Malformed input raises
     ValueError, IndexError, KeyError or TypeError."""
     scalar = 1.0
-    aux = {}
+    aux = {}  # sum variable -> auxiliary slot
     transforms = []
     reads = []
 
     def resolve(tok, extent, fixed_ok=True):
+        """Slot of an index token that must run over extent values; only a
+        secondary slot fits where fixed_ok is false."""
         if tok[:1] == "s" and tok[1:].isdigit():
-            index = secondary[int(tok[1:])]
-        elif tok in aux:
-            index = aux[tok]
+            slot, size = ("s", int(tok[1:])), secondary_dims[int(tok[1:])]
+        elif tok in aux and fixed_ok:
+            slot, size = ("b", aux[tok]), dim
         elif fixed_ok and 0 <= int(tok) < extent:
-            return Index.fixed(int(tok))
+            return ("f", int(tok))
         else:
             raise ValueError("bad index %r" % tok)
-        if index.range != extent or not (fixed_ok or
-                                         index.kind == "secondary"):
+        if size != extent:
             raise ValueError("index %r does not fit its use" % tok)
-        return index
+        return slot
 
     def walk(n):
         nonlocal scalar
@@ -299,18 +287,18 @@ def _geometry_from_sexpr(node, secondary, dim, coefficient_dims):
                 for child in n[1:]:
                     walk(child)
             elif head == "sum" and n[1] not in aux:
-                aux[n[1]] = Index("auxiliary", range=dim)
+                aux[n[1]] = len(aux)
                 for child in n[2:]:
                     walk(child)
             elif head == "dXdx" and len(n) == 3:
-                transforms.append((resolve(n[1], dim, fixed_ok=False),
+                transforms.append((resolve(n[1], dim, fixed_ok=False)[1],
                                    resolve(n[2], dim)))
             elif head == "coeff" and len(n) == 3:
                 number = int(n[1])
                 if not 0 <= number < len(coefficient_dims):
                     raise ValueError("no coefficient %d" % number)
                 reads.append((number, resolve(
-                    n[2], coefficient_dims[number], fixed_ok=False)))
+                    n[2], coefficient_dims[number], fixed_ok=False)[1]))
             else:
                 raise ValueError("bad geometry operator %r" % (head,))
         elif n != "det":
@@ -320,7 +308,7 @@ def _geometry_from_sexpr(node, secondary, dim, coefficient_dims):
     if not np.isfinite(scalar):
         raise ValueError("non-finite scalar")
     return GeometryTensorExpr(
-        scalar, secondary, list(aux.values()), transforms, reads
+        scalar, secondary_dims, [dim] * len(aux), transforms, reads
     )
 
 
@@ -386,13 +374,12 @@ def read_raw(text):
         dims = tuple(primary_dims + secondary_dims)
         if prod(dims) > _MAX_TERM_ENTRIES:
             raise FormSyntaxError("reference tensor too large", line=i)
-        secondary = [Index("secondary", range=n) for n in secondary_dims]
         try:
             tokens = _tokenize_sexpr(" ".join(take("geometry")))
             node, end = _parse_sexpr(tokens)
             if end != len(tokens):
                 raise ValueError("text after the geometry expression")
-            geometry = _geometry_from_sexpr(node, secondary, cell.dim,
+            geometry = _geometry_from_sexpr(node, secondary_dims, cell.dim,
                                             coefficient_dims)
         except (ValueError, IndexError, KeyError, TypeError, RecursionError):
             raise FormSyntaxError("malformed geometry expression",
@@ -438,17 +425,12 @@ def read_raw(text):
 # --- LaTeX ----------------------------------------------------------------------
 
 
-def _latex_sym(index, secondary_pos, aux_pos):
-    if index.kind == "fixed":
-        return str(index.value)
-    if index.id in secondary_pos:
-        return r"\alpha_{%d}" % (secondary_pos[index.id] + 1)
-    return r"\beta_{%d}" % (aux_pos[index.id] + 1)
+def _latex_sym(slot):
+    return str(slot[1]) if slot[0] == "f" else r"\%s_{%d}" % (
+        "alpha" if slot[0] == "s" else "beta", slot[1] + 1)
 
 
 def _latex_geometry(geometry):
-    secondary_pos = {s.id: k for k, s in enumerate(geometry.secondary)}
-    aux_pos = {a.id: k for k, a in enumerate(geometry.aux_g)}
     lhs = "G_K"
     if geometry.rank:
         lhs = "G_K^{%s}" % " ".join(
@@ -457,18 +439,14 @@ def _latex_geometry(geometry):
     if geometry.scalar != 1.0:
         parts.append(_fmt(geometry.scalar) + r" \,")
     parts.append(r"\det F_K'")
-    if geometry.aux_g:
+    if geometry.aux_dims:
         parts.append(r"\sum_{%s}" % ", ".join(
-            r"\beta_{%d}" % (j + 1) for j in range(len(geometry.aux_g))))
+            r"\beta_{%d}" % (j + 1) for j in range(len(geometry.aux_dims))))
     for ref, x in geometry.transforms:
-        parts.append(
-            r"\frac{\partial X_{%s}}{\partial x_{%s}}" % (
-                _latex_sym(ref, secondary_pos, aux_pos),
-                _latex_sym(x, secondary_pos, aux_pos),
-            ))
-    for coeff, expansion in geometry.coeff_reads:
-        parts.append(r"w^{(%d)}_{%s}" % (
-            coeff, _latex_sym(expansion, secondary_pos, aux_pos)))
+        parts.append(r"\frac{\partial X_{%s}}{\partial x_{%s}}" % (
+            _latex_sym(("s", ref)), _latex_sym(x)))
+    for coeff, k in geometry.coeff_reads:
+        parts.append(r"w^{(%d)}_{%s}" % (coeff, _latex_sym(("s", k))))
     return "%s = %s" % (lhs, " ".join(parts))
 
 
@@ -477,7 +455,8 @@ def emit_latex(cf):
     lines = [
         r"\documentclass{article}",
         r"\begin{document}",
-        r"\section*{Tensor representation of form %s}" % cf.name,
+        r"\section*{Tensor representation of form %s}" % cf.name.replace(
+            "_", r"\_"),
         "The element tensor is the sum over monomials of the contraction",
         "of each reference tensor $A^0$ with its geometry tensor $G_K$.",
     ]

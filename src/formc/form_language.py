@@ -402,13 +402,6 @@ class Monomial:
         self.factors = tuple(factors)
 
     @property
-    def arg_factors(self):
-        return tuple(sorted(
-            (f for f in self.factors if isinstance(f, BasisFunction)),
-            key=lambda f: f.slot,
-        ))
-
-    @property
     def coeff_factors(self):
         return tuple(f for f in self.factors if isinstance(f, Function))
 

@@ -340,33 +340,31 @@ def compute_reference_tensor(term, quadrature_degree=None):
 class GeometryTensorExpr:
     """Closed-form per-element expression for the geometry tensor.
 
-    For a fixed value of the secondary multiindex the component is
+    For a fixed secondary multiindex alpha the component is
 
-        c * det * sum over auxiliary assignments of
-                  prod dXdx[ref, x] * prod w[coeff][dof]
+        scalar * det * sum over auxiliary assignments beta of
+                       prod dXdx[alpha[ref], x] * prod w[coeff][alpha[k]]
 
-    with the auxiliary sums expanded explicitly.  ``rank`` equals the
-    number of free secondary slots: one per coefficient read plus one per
-    free transform slot.
+    over the transforms (ref, x) and coefficient reads (coeff, k).  ref and
+    k are secondary slots; x is ("s", k) for alpha[k], ("b", k) for beta[k]
+    or ("f", v) for the fixed direction v.  Secondary slot k runs over
+    dims[k] and auxiliary slot k over aux_dims[k].  ``rank`` equals the
+    number of secondary slots: one per coefficient read plus one per free
+    transform slot.
     """
 
-    def __init__(self, scalar, secondary, aux_g, transforms, coeff_reads):
+    def __init__(self, scalar, dims, aux_dims, transforms, coeff_reads):
         self.scalar = scalar
-        self.secondary = tuple(secondary)
-        self.dims = tuple(i.range for i in self.secondary)
+        self.dims = tuple(dims)
         self.rank = len(self.dims)
-        self.aux_g = tuple(aux_g)
+        self.aux_dims = tuple(aux_dims)
         self.transforms = tuple(transforms)
         self.coeff_reads = tuple(coeff_reads)
 
         self.n_coefficient_slots = len(self.coeff_reads)
-        self.n_transform_slots = 0
-        pos = {s.id: k for k, s in enumerate(self.secondary)}
-        self._pos = pos
-        for ref, x in self.transforms:
-            self.n_transform_slots += 1  # the reference direction
-            if x.kind == "secondary":
-                self.n_transform_slots += 1
+        # the reference direction, plus the x direction when it is free
+        self.n_transform_slots = sum(
+            1 + (x[0] == "s") for _, x in self.transforms)
 
     @property
     def n_components(self):
@@ -375,50 +373,28 @@ class GeometryTensorExpr:
     def component_multiindices(self):
         return list(iter_product(*[range(n) for n in self.dims]))
 
-    def terms_for(self, alpha):
-        """Expanded sum of products for one component.
-
-        Each term is a list of atoms ("g", a, b) and ("w", coeff, dof);
-        the common factor c * det is not included.
-        """
-        out = []
-        aux_ranges = [range(i.range) for i in self.aux_g]
-        for sigma in iter_product(*aux_ranges):
-            bound = {i.id: v for i, v in zip(self.aux_g, sigma)}
-            atoms = []
-            for ref, x in self.transforms:
-                a = alpha[self._pos[ref.id]]
-                if x.kind == "fixed":
-                    b = x.value
-                elif x.kind == "secondary":
-                    b = alpha[self._pos[x.id]]
-                else:
-                    b = bound[x.id]
-                atoms.append(("g", a, b))
-            for coeff, expansion in self.coeff_reads:
-                atoms.append(("w", coeff, alpha[self._pos[expansion.id]]))
-            out.append(atoms)
-        return out
-
     @cached_property
     def expansion(self):
-        """terms_for of every component as index arrays.
+        """The expanded sum of products of every component as index arrays.
 
         ``rows`` and ``cols`` [S x N x T] hold the dXdx entry read by each
         transform and ``dofs`` [S x N x C] the dof read by each coefficient
-        read, for S auxiliary assignments and N components in row-major
-        order.
+        read, for S auxiliary assignments and N components, both in
+        row-major order.
         """
-        products = [p for alpha in self.component_multiindices()
-                    for p in self.terms_for(alpha)]
-        shape = (self.n_components, len(products) // self.n_components)
-        g = np.array([[a[1:] for a in p if a[0] == "g"] for p in products],
-                     dtype=int)
-        w = np.array([[a[2] for a in p if a[0] == "w"] for p in products],
-                     dtype=int)
-        g = g.reshape(shape + (len(self.transforms), 2)).transpose(1, 0, 2, 3)
-        w = w.reshape(shape + (len(self.coeff_reads),)).transpose(1, 0, 2)
-        return g[..., 0], g[..., 1], w
+        alpha = _multiindices(self.dims)  # one [N] array per secondary slot
+        beta = [b[:, None] for b in _multiindices(self.aux_dims)]  # [S x 1]
+        shape = (prod(self.aux_dims), self.n_components)
+        rows = np.empty(shape + (len(self.transforms),), dtype=int)
+        cols = np.empty_like(rows)
+        dofs = np.empty(shape + (len(self.coeff_reads),), dtype=int)
+        for t, (ref, (kind, k)) in enumerate(self.transforms):
+            rows[..., t] = alpha[ref]
+            cols[..., t] = (alpha[k] if kind == "s" else
+                             beta[k] if kind == "b" else k)
+        for c, (_, k) in enumerate(self.coeff_reads):
+            dofs[..., c] = alpha[k]
+        return rows, cols, dofs
 
     @cached_property
     def key(self):
@@ -452,11 +428,21 @@ class GeometryTensorExpr:
         return out
 
 
+def _multiindices(dims):
+    """Row-major multiindices of dims, as one index array per axis."""
+    return np.unravel_index(np.arange(prod(dims)), dims) if dims else ()
+
+
 def derive_geometry_expr(term):
-    """Geometry tensor expression paired with the monomial's A0."""
+    """Geometry tensor expression paired with the monomial's A0; classified
+    indices become slots by their position in term.secondary or term.aux_g."""
+    slots = {i.id: ("s", k) for k, i in enumerate(term.secondary)}
+    slots.update((i.id, ("b", k)) for k, i in enumerate(term.aux_g))
     return GeometryTensorExpr(
-        term.scalar, term.secondary, term.aux_g,
-        term.transforms, term.coeff_reads,
+        term.scalar, term.secondary_dims, [i.range for i in term.aux_g],
+        [(slots[ref.id][1], ("f", x.value) if x.kind == "fixed"
+          else slots[x.id]) for ref, x in term.transforms],
+        [(c, slots[e.id][1]) for c, e in term.coeff_reads],
     )
 
 

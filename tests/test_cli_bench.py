@@ -52,6 +52,8 @@ def test_params_validation():
         ComplexityParams(q=1, d=4)
     with pytest.raises(ValueError):
         ComplexityParams(q=1, d=2, n_f=-2)
+    with pytest.raises(ValueError):
+        ComplexityParams(q=1, d=2, r=0)
     p = ComplexityParams(q=2, d=2)
     assert p.n == 6
     assert ComplexityParams(q=2, d=2, vector=True).n == 12
@@ -64,6 +66,9 @@ def test_mass_model_values():
     assert ratio == pytest.approx(9.0)
     T_T, T_Q, ratio = flop_estimates(ComplexityParams(q=4, d=2))
     assert ratio == pytest.approx(25.0)
+    # arity 1: n^1 on both paths and a degree 2 rule with N=4
+    T_T, T_Q, ratio = flop_estimates(ComplexityParams(q=2, d=2, r=1))
+    assert (T_T, T_Q) == (6, 24)
     # quadrature cost grows with the rule while the tensor side is fixed,
     # so the advantage widens with q
     q2 = flop_estimates(ComplexityParams(q=2, d=2))[2]
@@ -248,6 +253,27 @@ def test_cli_assemble_second_derivatives_fails_on_both_paths(
         assert not out.exists()
 
 
+def test_form_file_without_forms_is_an_error(tmp_path, capsys, monkeypatch):
+    from formc.runtime import save_mesh, unit_square_mesh
+
+    src = tmp_path / "none.form"
+    src.write_text(MASS.split("a = ")[0])  # declarations only
+    meshfile = tmp_path / "mesh.txt"
+    save_mesh(unit_square_mesh(2), meshfile)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="none.form defines no form"):
+        run_benchmark(str(src), [1])
+    for argv in (["compile", str(src)],
+                 ["compile", str(src), "-o", "out.c"],
+                 ["assemble", str(src), str(meshfile), "-o", "out.mtx"],
+                 ["bench", str(src), "-o", "out.tsv"]):
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("formc: error:") and str(src) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "mesh.txt", "none.form"]
+
+
 def test_cli_tabulate(capsys):
     assert cli(["tabulate", "triangle", "1", "--at", "0.25,0.25"]) == 0
     out = capsys.readouterr().out
@@ -366,6 +392,10 @@ def test_cli_estimate(capsys):
     out = capsys.readouterr().out
     assert "n=6" in out and "T_T=36" in out and "T_Q=324" in out
     assert "ratio=9.0000" in out
+    assert cli(["estimate", "--q", "2", "--d", "2", "--r", "1"]) == 0
+    assert "n=6 T_T=6 T_Q=24 ratio=4.0000" in capsys.readouterr().out
+    assert cli(["estimate", "--q", "2", "--d", "2", "--r", "0"]) == 1
+    assert "arity" in capsys.readouterr().err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

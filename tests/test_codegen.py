@@ -263,6 +263,36 @@ def test_raw_reader_names_the_line_of_each_fault(number, replacement, where):
     assert err.value.line == where
 
 
+def test_raw_reader_renames_sum_variables():
+    raw = emit_raw(compile_form(parse_one(POISSON_P1)))
+    renamed = raw.replace("(sum b0 (* (dXdx s0 b0) (dXdx s1 b0)))",
+                          "(sum q (* (dXdx s0 q) (dXdx s1 q)))")
+    assert renamed != raw
+    assert emit_raw(read_raw(renamed)) == raw
+
+
+@pytest.mark.parametrize("changes", (
+    # a summed index as the reference direction
+    {10: "geometry (* 1.0 det (sum b0 (* (dXdx b0 s0) (dXdx s1 b0))))"},
+    # a fixed direction outside the triangle
+    {10: "geometry (* 1.0 det (dXdx s0 2) (dXdx s1 0))"},
+    # a summed index as a coefficient dof
+    {6: "coefficients 2",
+     10: "geometry (* 1.0 det (sum b0 (* (dXdx s0 b0) (dXdx s1 b0) "
+         "(coeff 0 b0))))"},
+    # a coefficient-dof slot of extent 3 as a space direction
+    {6: "coefficients 3", 9: "secondary 2 3",
+     10: "geometry (* 1.0 det (dXdx s0 s1) (coeff 0 s1))"},
+))
+def test_raw_reader_rejects_misused_slots(changes):
+    lines = emit_raw(compile_form(parse_one(POISSON_P1))).splitlines()
+    for number, text in changes.items():
+        lines[number - 1] = text
+    with pytest.raises(FormSyntaxError) as err:
+        read_raw("\n".join(lines) + "\n")
+    assert err.value.line == 10
+
+
 LISTINGS = [emit_raw(compile_form(parse_one(t)))
             for t in (MASS_P1, NAVIERSTOKES, MIXED)]
 TOKENS = ("", "x", "-1", "0", "1", "2", "7", "99", "1e400", "nan", "(", ")",
@@ -326,6 +356,13 @@ def test_latex_structure():
     assert tex.rstrip().endswith("\\end{document}")
     assert "\\[ G_K = \\det F_K' \\]" in tex
     assert "\\begin{eqnarray*}" in tex and "\\end{eqnarray*}" in tex
+
+
+def test_latex_escapes_underscores_in_the_form_name():
+    cf = compile_form(parse_one(MASS_P1.replace("a = ", "a_stab = ")))
+    assert cf.name == "a_stab"
+    assert ("\\section*{Tensor representation of form a\\_stab}"
+            in emit_latex(cf).splitlines())
 
 
 def test_latex_poisson_rows_and_symbols():

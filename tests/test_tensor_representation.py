@@ -1,6 +1,7 @@
 """Index classification, reference tensors, and geometry tensor expressions."""
 
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ def form_text(kind, shape="triangle", degree=1):
             "u = BasisFunction(element)\n"
             "i = Index()\n"
             "a = v.dx(i)*u.dx(i)*dx\n"
+        ),
+        "fixed_direction": (
+            'element = FiniteElement("Lagrange", "{s}", {q})\n'
+            "v = BasisFunction(element)\n"
+            "u = BasisFunction(element)\n"
+            "a = v.dx(0)*u*dx\n"
         ),
         "navierstokes": (
             'element = VectorElement("Lagrange", "{s}", {q})\n'
@@ -289,11 +296,16 @@ def test_rank_bookkeeping():
 
 
 def test_geometry_expr_atoms_match_evaluate(rng):
+    # reference: the slot tuples read out one product at a time, summed over
+    # the auxiliary assignments
     for kind, shape, q in (
         ("poisson", "triangle", 1),
         ("navierstokes", "tetrahedron", 1),
         ("elasticity", "triangle", 1),
         ("mass_w", "triangle", 2),
+        ("mass", "tetrahedron", 1),  # rank 0
+        ("fixed_direction", "triangle", 1),
+        ("elasticity", "tetrahedron", 1),  # an auxiliary sum of 3
     ):
         for term in terms_of(kind, shape, q):
             geo = derive_geometry_expr(term)
@@ -306,13 +318,14 @@ def test_geometry_expr_atoms_match_evaluate(rng):
             got = geo.evaluate([amap.det], [amap.g], coeffs)[0]
             for k, alpha in enumerate(geo.component_multiindices()):
                 manual = 0.0
-                for atoms in geo.terms_for(alpha):
+                for beta in product(*[range(n) for n in geo.aux_dims]):
                     piece = 1.0
-                    for atom in atoms:
-                        if atom[0] == "g":
-                            piece *= amap.g[atom[1], atom[2]]
-                        else:
-                            piece *= coeffs[atom[1]][0, atom[2]]
+                    for ref, (x_kind, x) in geo.transforms:
+                        if x_kind != "f":
+                            x = {"s": alpha, "b": beta}[x_kind][x]
+                        piece *= amap.g[alpha[ref], x]
+                    for c, slot in geo.coeff_reads:
+                        piece *= coeffs[c][0, alpha[slot]]
                     manual += piece
                 manual *= geo.scalar * abs(amap.det)
                 assert got[k] == pytest.approx(manual, rel=1e-13, abs=1e-15)
