@@ -261,6 +261,7 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
     ValueError, IndexError, KeyError or TypeError."""
     scalar = 1.0
     aux = {}  # sum variable -> auxiliary slot
+    read = set()  # auxiliary slots some transform reads
     transforms = []
     reads = []
 
@@ -271,6 +272,7 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
             slot, size = ("s", int(tok[1:])), secondary_dims[int(tok[1:])]
         elif tok in aux and fixed_ok:
             slot, size = ("b", aux[tok]), dim
+            read.add(aux[tok])
         elif fixed_ok and 0 <= int(tok) < extent:
             return ("f", int(tok))
         else:
@@ -307,6 +309,8 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
     walk(node)
     if not np.isfinite(scalar):
         raise ValueError("non-finite scalar")
+    if len(read) != len(aux):
+        raise ValueError("a sum variable that nothing reads")
     return GeometryTensorExpr(
         scalar, secondary_dims, [dim] * len(aux), transforms, reads
     )
@@ -315,6 +319,43 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
 # Largest dense A0 a listing may declare per term (512 MB of doubles):
 # compile_form builds A0 densely, so no compiled form comes near it.
 _MAX_TERM_ENTRIES = 2 ** 26
+
+
+def _entry_table(lines, start, n_entries, rank):
+    """Indices [n_entries x rank] and values of the entry lines from
+    lines[start]: rank integers and a float each.
+
+    The block is parsed in one call.  If that fails, the lines are read
+    one at a time, which names the first malformed line or accepts what
+    Python's int and float accept.
+    """
+    block = lines[start:start + n_entries]
+    # a blank first line is malformed, and loadtxt warns on a blank block
+    if len(block) == n_entries and block and block[0].strip():
+        try:
+            table = np.loadtxt(
+                block, dtype=[("idx", np.int64, (rank,)), ("val", float)],
+                comments=None, ndmin=1)
+        except ValueError:
+            table = None
+        if table is not None and len(table) == n_entries:
+            return table["idx"], table["val"]
+    idx = np.zeros((len(block), rank), dtype=np.int64)
+    vals = np.zeros(len(block))
+    for e, line in enumerate(block):
+        parts = line.split()
+        try:
+            if len(parts) != rank + 1:
+                raise ValueError
+            idx[e] = [int(t) for t in parts[:-1]]
+            vals[e] = float(parts[-1])
+        except (ValueError, OverflowError):
+            raise FormSyntaxError("malformed entry line",
+                                  line=start + e + 1) from None
+    if len(block) < n_entries:
+        raise FormSyntaxError("unexpected end of raw listing inside an entry "
+                              "table", line=start + len(block) + 1)
+    return idx, vals
 
 
 def read_raw(text):
@@ -386,21 +427,8 @@ def read_raw(text):
                                   line=i) from None
         (n_entries,) = numbers("entries", 1)
         first = i + 1
-        idx = np.zeros((n_entries, len(dims)), dtype=int)
-        vals = np.zeros(n_entries)
-        for e in range(n_entries):
-            if i >= len(lines):
-                raise FormSyntaxError("unexpected end of raw listing inside "
-                                      "an entry table", line=i + 1)
-            parts = lines[i].split()
-            i += 1
-            try:
-                if len(parts) != len(dims) + 1:
-                    raise ValueError
-                idx[e] = [int(t) for t in parts[:-1]]
-                vals[e] = float(parts[-1])
-            except (ValueError, OverflowError):
-                raise FormSyntaxError("malformed entry line", line=i) from None
+        idx, vals = _entry_table(lines, i, n_entries, len(dims))
+        i += n_entries
         bad = ~np.isfinite(vals) | (idx < 0).any(axis=1) | (idx >= dims).any(
             axis=1)
         if not bad.any():

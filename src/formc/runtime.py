@@ -69,6 +69,21 @@ def _cell_matrices(coords):
     return np.swapaxes(coords[..., 1:, :] - coords[..., :1, :], -1, -2)
 
 
+def _det_adj(Bs):
+    """Determinants and adjugates of a stack of d x d matrices, d = 1, 2, 3,
+    in closed form: B @ adj = det I, and B^-1 = adj / det."""
+    d = Bs.shape[-1]
+    if d == 1:
+        return Bs[:, 0, 0].copy(), np.ones_like(Bs)
+    if d == 2:
+        (a, b), (c, e) = Bs[:, 0].T, Bs[:, 1].T
+        return a * e - b * c, np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    # row i of the adjugate is column i+1 of B cross column i+2
+    cols = np.swapaxes(Bs, 1, 2)
+    adj = np.cross(cols[:, [1, 2, 0]], cols[:, [2, 0, 1]])
+    return np.vecdot(cols[:, 0], adj[:, 0]), adj
+
+
 def _norms(x):
     """Row norms, bitwise equal to np.linalg.norm of each row (both use the
     same dot product)."""
@@ -101,6 +116,12 @@ class Mesh:
     determinant gets its last two vertices swapped, so every map built from
     the mesh has positive determinant.  Degenerate and repeated cells,
     non-integer vertex ids and non-finite coordinates are rejected.
+
+    The cell geometry is computed once here, in closed form, and kept:
+    ``dets`` [ncells] holds det B > 0 and ``gs`` [ncells x d x d] holds
+    dX/dx = B^-1 of the map x = x0 + B X of each (reoriented) cell.
+    ``vertices``, ``cells``, ``dets`` and ``gs`` are read-only arrays, so
+    the cache cannot go stale.
     """
 
     def __init__(self, vertices, cells):
@@ -132,20 +153,28 @@ class Mesh:
         self.cell_shape = _SHAPES[self.dim]
 
         Bs = _cell_matrices(self.vertices[self.cells])
-        dets = np.linalg.det(Bs)
+        dets, adj = _det_adj(Bs)
         scale = np.maximum(np.abs(Bs).max(axis=(1, 2)), 1e-30)
+        del Bs
         degenerate = np.abs(dets) <= 1e-14 * scale ** self.dim
         if degenerate.any():
             raise DegenerateCell("cell %d is degenerate"
                                  % np.argmax(degenerate))
         flip = dets < 0
-        self.cells[flip, -2:] = self.cells[flip][:, [-1, -2]]
+        if flip.any():
+            self.cells[flip, -2:] = self.cells[flip][:, [-1, -2]]
+            dets[flip], adj[flip] = _det_adj(
+                _cell_matrices(self.vertices[self.cells[flip]]))
         keys = _row_keys(np.sort(self.cells, axis=1), len(self.vertices))
         ordered = np.sort(keys)
         twice = ordered[1:][ordered[1:] == ordered[:-1]]
         if twice.size:
             raise DuplicateCell("cells %d and %d have the same vertices"
                                 % tuple(np.nonzero(keys == twice[0])[0][:2]))
+        adj /= dets[:, None, None]
+        self.dets, self.gs = dets, adj
+        for array in (self.vertices, self.cells, self.dets, self.gs):
+            array.flags.writeable = False
 
     @property
     def num_vertices(self):
@@ -189,29 +218,44 @@ def save_mesh(mesh, path):
 def _mesh_numbers(tokens, kind, what):
     try:
         return np.array(tokens, dtype=kind)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DimensionMismatch("bad %s in mesh file: %s" % (what, exc)) from None
 
 
 def load_mesh(path):
+    """Read a mesh file as save_mesh writes it.
+
+    The file is a sequence of whitespace-separated tokens: the header
+    'mesh <d> <#vertices> <#cells>', then the vertex coordinates and the
+    cell vertex ids, each block in row-major order.  Line breaks carry no
+    meaning.  Only the vertex tokens are split one by one; the cell block
+    is converted in a single call.
+    """
     with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 4 or tokens[0] != "mesh":
+        head = fh.read().split(None, 4)
+    if len(head) < 4 or head[0] != "mesh":
         raise DimensionMismatch("not a mesh file (missing "
                                 "'mesh <d> <#vertices> <#cells>' header)")
-    header = _mesh_numbers(tokens[1:4], int, "header field")
+    header = _mesh_numbers(head[1:4], int, "header field")
     if (header < 0).any():
         raise DimensionMismatch("negative header field in mesh file")
     d, nv, nc = (int(x) for x in header)
-    pos = 4
+    body = head[4] if len(head) > 4 else ""
+    # a file has fewer tokens than characters, which bounds the split
+    fields = body.split(None, min(nv * d, len(body)))
+    rest = fields.pop() if len(fields) > nv * d else ""
+    try:
+        cells = np.fromstring(rest, np.int64, sep=" ")
+    except ValueError:
+        cells = None  # converted token by token below, for the message
     need = nv * d + nc * (d + 1)
-    if len(tokens) - pos != need:
+    count = len(fields) + (len(rest.split()) if cells is None else cells.size)
+    if count != need:
         raise DimensionMismatch("mesh file has %d data fields, expected %d"
-                                % (len(tokens) - pos, need))
-    vertices = _mesh_numbers(tokens[pos:pos + nv * d], float,
-                             "vertex coordinate").reshape(nv, d)
-    pos += nv * d
-    cells = _mesh_numbers(tokens[pos:], int, "cell vertex id")
+                                % (count, need))
+    vertices = _mesh_numbers(fields, float, "vertex coordinate").reshape(nv, d)
+    if cells is None:
+        cells = _mesh_numbers(rest.split(), int, "cell vertex id")
     return Mesh(vertices, cells.reshape(nc, d + 1))
 
 
@@ -289,22 +333,20 @@ class AffineMap:
 
 
 def affine_map(mesh, cell_id):
+    """The map of one cell, with det and g read from the mesh's cache."""
     coords = mesh.cell_coordinates(cell_id)
-    B = _cell_matrices(coords)
-    det = float(np.linalg.det(B))
-    scale = max(np.abs(B).max(), 1e-30)
-    if abs(det) <= 1e-14 * scale ** mesh.dim:
-        raise DegenerateCell("cell %d is degenerate" % cell_id)
-    return AffineMap(B, np.linalg.inv(B), det, coords[0].copy())
+    return AffineMap(_cell_matrices(coords), mesh.gs[cell_id],
+                     float(mesh.dets[cell_id]), coords[0])
 
 
 def affine_maps(mesh):
-    """Vectorized maps for every cell: (dets, gs, Bs, x0s)."""
-    coords = mesh.vertices[mesh.cells]
-    Bs = _cell_matrices(coords)
-    dets = np.linalg.det(Bs)
-    gs = np.linalg.inv(Bs)
-    return dets, gs, Bs, coords[:, 0]
+    """Maps of every cell: (dets, gs, Bs, x0s).
+
+    ``dets`` and ``gs`` are the mesh's cached, read-only geometry; ``Bs``
+    and the first vertices ``x0s`` are built on each call, as new arrays.
+    """
+    return (mesh.dets, mesh.gs, _cell_matrices(mesh.vertices[mesh.cells]),
+            mesh.vertices[mesh.cells[:, 0]])
 
 
 # --- dof maps --------------------------------------------------------------------
@@ -583,7 +625,7 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
                                  "entries" % num)
         locals_.append(vec[dmap.cell_dofs])
 
-    dets, gs, _, _ = affine_maps(mesh)
+    dets, gs = mesh.dets, mesh.gs
     if isinstance(evaluator, CompiledForm):
         blocks = evaluator.element_tensors(dets, gs, locals_)
     else:

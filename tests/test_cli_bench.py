@@ -313,6 +313,21 @@ def test_cli_assemble_rejects_malformed_mesh(tmp_path, formfile, capsys):
     assert "cell vertex id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,field", (
+    ("mesh 2 3 99999999999999999999\n0 0\n1 0\n0 1\n0 1 2\n",
+     "header field"),
+    ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 99999999999999999999 2\n",
+     "cell vertex id"),
+))
+def test_cli_assemble_rejects_mesh_integers_beyond_int64(
+        tmp_path, formfile, capsys, text, field):
+    meshfile = tmp_path / "huge.mesh"
+    meshfile.write_text(text)
+    assert cli(["assemble", str(formfile), str(meshfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("formc: error:") and field in err
+
+
 def test_cli_assemble_rejects_duplicate_cells(tmp_path, formfile, capsys):
     meshfile = tmp_path / "twice.mesh"
     meshfile.write_text("mesh 2 4 3\n0 0\n1 0\n0 1\n1 1\n"

@@ -280,6 +280,9 @@ def test_raw_reader_renames_sum_variables():
     {6: "coefficients 2",
      10: "geometry (* 1.0 det (sum b0 (* (dXdx s0 b0) (dXdx s1 b0) "
          "(coeff 0 b0))))"},
+    # a sum variable that nothing reads
+    {10: "geometry (* 1.0 det (sum b0 (* (dXdx s0 0) (dXdx s1 1))))"},
+    {10: "geometry (* 1.0 det (sum b0 det) (dXdx s0 0) (dXdx s1 1))"},
     # a coefficient-dof slot of extent 3 as a space direction
     {6: "coefficients 3", 9: "secondary 2 3",
      10: "geometry (* 1.0 det (dXdx s0 s1) (coeff 0 s1))"},

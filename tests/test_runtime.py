@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import formc.runtime
 from conftest import parse_one, random_affine_map
 from formc.codegen import emit_raw, read_raw
 from formc.errors import (
@@ -187,6 +190,15 @@ def test_load_mesh_rejects_malformed(tmp_path):
         ("mesh 2 3\n", "not a mesh file"),
         ("mesh 2 3 1\n0 0\n1 0\n0 x\n0 1 2\n", "vertex coordinate"),
         ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 1.5 2\n", "cell vertex id"),
+        ("mesh 2 3 99999999999999999999\n", "header field"),
+        ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 99999999999999999999 2\n",
+         "cell vertex id"),
+        ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 -99999999999999999999 2\n",
+         "cell vertex id"),
+        # a short file is reported by its count before any bad token
+        ("mesh 2 3 1\n0 0\n1 0\n0\n0 1.5 2\n", "8 data fields, expected 9"),
+        ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 1 2 3\n", "10 data fields"),
+        ("mesh 2 4611686018427387904 0\n", "expected 9223372036854775808"),
     ),
 )
 def test_load_mesh_rejects_bad_tokens(tmp_path, text, message):
@@ -194,6 +206,22 @@ def test_load_mesh_rejects_bad_tokens(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DimensionMismatch, match=message):
         load_mesh(path)
+
+
+def test_load_mesh_ignores_line_breaks(tmp_path):
+    mesh = perturb_mesh(unit_cube_mesh(2), seed=4)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    tokens = path.read_text().split()
+    for sep in (" ", "\n", " \t\n  "):
+        path.write_text(sep + sep.join(tokens) + sep)
+        again = load_mesh(path)
+        assert np.array_equal(again.vertices, mesh.vertices)
+        assert np.array_equal(again.cells, mesh.cells)
+    path.write_text("mesh 2 3 0\n0 0\n1 0\n0 1\n")
+    assert load_mesh(path).cells.shape == (0, 3)
+    path.write_text("mesh 3 0 0")
+    assert load_mesh(path).vertices.shape == (0, 3)
 
 
 def test_load_mesh_rejects_nan_coordinate(tmp_path):
@@ -245,6 +273,88 @@ def test_affine_maps_batch_matches_loop():
         assert np.allclose(Bs[c], amap.B, atol=1e-14)
         assert np.allclose(x0s[c], amap.x0, atol=1e-14)
         assert np.allclose(amap.B @ amap.g, np.eye(2), atol=1e-13)
+
+
+@st.composite
+def cell_sets(draw):
+    """Meshes of up to four cells that share no vertices, each with edges
+    B = I + U/(4d), |U_ij| <= 1, so cond(B) < 2, scaled and shifted, and
+    listed in a drawn vertex order, so that some cells arrive flipped."""
+    d = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    vertices, cells = [], []
+    for c in range(draw(st.integers(0, 4))):
+        edges = np.eye(d) + np.array(draw(st.lists(
+            unit, min_size=d * d, max_size=d * d))).reshape(d, d) / (4 * d)
+        scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+        shift = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+        vertices += list(shift + scale * np.vstack([np.zeros(d), edges]))
+        cells.append(c * (d + 1) + np.array(draw(st.permutations(
+            range(d + 1)))))
+    return (np.reshape(vertices, (-1, d)),
+            np.reshape(cells, (-1, d + 1)).astype(int))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell_sets())
+def test_cached_geometry_matches_lapack(vertices_cells):
+    """The closed-form dets and gs against LAPACK on the reoriented cells."""
+    vertices, cells = vertices_cells
+    mesh = Mesh(vertices, cells)
+    d = mesh.dim
+    Bs = np.swapaxes(vertices[mesh.cells[:, 1:]] - vertices[mesh.cells[:, :1]],
+                     1, 2)
+    dets, gs = np.linalg.det(Bs), np.linalg.inv(Bs)
+    assert (mesh.dets > 0).all()
+    assert np.all(np.abs(mesh.dets - dets) <= 1e-13 * np.abs(dets))
+    size = np.abs(gs).max(axis=(1, 2), initial=0.0)[:, None, None]
+    assert np.all(np.abs(mesh.gs - gs) <= 1e-13 * size)
+    assert np.allclose(Bs @ mesh.gs, np.eye(d), rtol=0.0, atol=1e-13)
+    # flipped cells have their last two vertices swapped, and only those
+    given_dets = np.linalg.det(np.swapaxes(
+        vertices[cells[:, 1:]] - vertices[cells[:, :1]], 1, 2))
+    flipped = cells.copy()
+    flipped[given_dets < 0, -2:] = flipped[given_dets < 0][:, [-1, -2]]
+    assert np.array_equal(mesh.cells, flipped)
+
+
+def test_mesh_arrays_are_read_only():
+    mesh = unit_cube_mesh(1)
+    for array in (mesh.vertices, mesh.cells, mesh.dets, mesh.gs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    dets, gs, Bs, x0s = affine_maps(mesh)
+    assert dets is mesh.dets and gs is mesh.gs
+    Bs[0] = 0.0  # built on demand
+    x0s[0] = 9.0
+    assert affine_maps(mesh)[2][0].any() and (mesh.vertices != 9.0).all()
+
+
+def test_assemble_reuses_the_mesh_geometry(monkeypatch):
+    a = compile_form(form_of("poisson"))
+    L = compile_form(form_of("load"))
+    counts = {"det_adj": 0}
+    closed_form = formc.runtime._det_adj
+
+    def counted(Bs):
+        counts["det_adj"] += 1
+        return closed_form(Bs)
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(formc.runtime, "_det_adj", counted)
+    monkeypatch.setattr(np.linalg, "det", lapack)
+    monkeypatch.setattr(np.linalg, "inv", lapack)
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                [[0, 1, 2], [0, 3, 2]])  # the second cell is flipped
+    assert counts["det_adj"] == 2  # all cells, then the flipped one
+    dofmap = build_dofmap(mesh, a.arguments[0])
+    A = assemble(a, mesh, [dofmap, dofmap])
+    b = assemble(L, mesh, [dofmap], [(np.ones(4), dofmap)])
+    assert counts["det_adj"] == 2
+    assert A.sum() == pytest.approx(0.0, abs=1e-14)
+    assert b.sum() == pytest.approx(1.0)
 
 
 # --- dof maps --------------------------------------------------------------------
