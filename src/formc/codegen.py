@@ -1,24 +1,28 @@
 """Code generation from compiled forms.
 
-Three output formats share the same compiled data: straightline C99 with one
-statement per element-tensor entry, a raw text format listing the reference
-tensor values together with s-expressions for the geometry tensors, and
-LaTeX for inspection.  ``read_raw`` turns a raw listing back into a
-CompiledForm, so a reread form emits, contracts and assembles like the
-compiled one.  A raw ``monomial k`` block is one term of the compiled form:
-one geometry expression, shared by every monomial whose expression is equal
-to it, with their A0 blocks summed.  A listing with one block per monomial
-reads just as well.
+Three output formats share the same compiled data: straightline C99, a raw
+text format listing the reference tensor values together with
+s-expressions for the geometry tensors, and LaTeX for inspection.
+``read_raw`` turns a raw listing back into a CompiledForm, so a reread form
+emits, contracts and assembles like the compiled one.  A raw ``monomial k``
+block is one term of the compiled form: one geometry expression, shared by
+every monomial whose expression is equal to it, with their A0 blocks
+summed.  A listing with one block per monomial reads just as well.
+
+The C declares the G components that some A0 nonzero reads.  A block entry
+whose A0 row repeats an earlier row, or its negation, up to quadrature
+noise, copies that entry ("block[r] = -block[j];"); every other entry is
+the sum of its row's nonzeros with the row's own constants.
 
 The emitters work on each term's A0 nonzeros as whole CSR arrays.  An A0
 has few distinct values (P3 Navier-Stokes on a tetrahedron: 167,238
 nonzeros, 6,485 distinct magnitudes), so a shared value table formats each
 distinct value once, told apart by its bits, and maps the strings back to
 the nonzeros; multi-index labels are formatted once per CSR row and once
-per secondary column.  The text is the same, byte for byte, as formatting
-every nonzero on its own in CSR order (``tests/test_codegen_reference.py``
-keeps that per-nonzero form as the reference), and identical inputs give
-identical text.
+per secondary column.  The text is the same, byte for byte, as a reference
+that formats every nonzero on its own in CSR order and finds repeated rows
+with a dict of per-row tuples (``tests/test_codegen_reference.py``), and
+identical inputs give identical text.
 
 The generated C evaluates fastest when the map determinant is positive; the
 runtime mesh loader guarantees that orientation.  Loops are fully unrolled:
@@ -98,26 +102,28 @@ def _g_name(k, alpha):
     return "G%d" % k + "".join("_%d" % a for a in alpha)
 
 
-def _c_geometry_expr(geometry, alpha, offsets):
-    n = 0  # flat row-major position of alpha
-    for i, size in zip(alpha, geometry.dims):
-        n = n * size + i
-    rows, cols, dofs = (a[:, n].tolist() for a in geometry.expansion)
+def _c_geometry_exprs(geometry, components, offsets):
+    """C expression of each of the given flat G components."""
     reads = [offsets[c] for c, _ in geometry.coeff_reads]
-    products = ["*".join(["map->g%d%d" % g for g in zip(r, c)]
-                         + ["w[%d]" % (o + v) for o, v in zip(reads, w)])
-                for r, c, w in zip(rows, cols, dofs)]
     if geometry.scalar == 1.0:
         prefix = ""
     elif geometry.scalar == -1.0:
         prefix = "-"
     else:
         prefix = _fmt(geometry.scalar) + "*"
-    if len(products) == 1 and not products[0]:
-        return prefix + "map->det"
-    if len(products) == 1:
-        return prefix + "map->det*" + products[0]
-    return prefix + "map->det*(" + " + ".join(products) + ")"
+    out = []
+    for rows, cols, dofs in zip(*(a[:, components].swapaxes(0, 1).tolist()
+                                  for a in geometry.expansion)):
+        products = ["*".join(["map->g%d%d" % g for g in zip(r, c)]
+                             + ["w[%d]" % (o + v) for o, v in zip(reads, w)])
+                    for r, c, w in zip(rows, cols, dofs)]
+        if len(products) == 1 and not products[0]:
+            out.append(prefix + "map->det")
+        elif len(products) == 1:
+            out.append(prefix + "map->det*" + products[0])
+        else:
+            out.append(prefix + "map->det*(" + " + ".join(products) + ")")
+    return out
 
 
 def _c_coefficient(v):
@@ -132,18 +138,82 @@ def _leading(text):
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _block_sums(cf, names):
-    """Right-hand side of every block entry: the nonzeros of its A0 row in
-    term order, each as a signed coefficient times its G name."""
-    terms = []
-    for ct, term_names in zip(cf.terms, names):
+# Two A0 values compare equal, for finding repeated rows, when a chain of
+# gaps of at most this many ulps of their term's largest |A0| joins them.
+ROW_ULPS = 16
+
+
+def _block_rhs(cf, names):
+    """Right-hand side of every block entry.
+
+    A nonempty row that has the same nonzero columns as an earlier row, in
+    every term and in CSR order, with equal or all negated values, copies
+    the first such row: "block[j]" or "-block[j]".  Values compare through
+    per-term clusters of their magnitudes, so quadrature noise does not
+    hide a repeat.  Every other row is the sum of its A0 nonzeros in term
+    order, each as a signed coefficient times its G name, with the row's
+    own constants; only the values of these rows are formatted.
+    """
+    n_rows = cf.block_size
+    if not cf.terms:
+        return ["0.0"] * n_rows
+    terms, keys, negated = [], [], []
+    for ct in cf.terms:
         m = ct.matrix
-        pieces = [None] * (2 * m.nnz)
-        pieces[::2] = _formatted(m.data, _c_coefficient)
-        pieces[1::2] = map(term_names.__getitem__, m.indices.tolist())
-        terms.append((pieces, (2 * m.indptr).tolist()))
-    return [_leading("".join(["".join(p[ip[r]:ip[r + 1]]) for p, ip in terms]))
-            for r in range(cf.block_size)]
+        # distinct values told apart by their bits, as _formatted does
+        values, inverse = np.unique(np.ascontiguousarray(
+            m.data, dtype=np.float64).view(np.int64), return_inverse=True)
+        values = values.view(np.float64)
+        magnitude = np.abs(values)
+        order = magnitude.argsort()
+        ascending = magnitude[order]
+        step = np.ones(values.size, dtype=np.int64)  # 1 where a cluster starts
+        np.greater(ascending[1:] - ascending[:-1],
+                   ROW_ULPS * np.spacing(ascending[-1:]), out=step[1:])
+        cluster = np.empty_like(step)
+        cluster[order] = step.cumsum()
+        # 16 bytes per nonzero, its column and signed cluster, and the same
+        # with the sign flipped
+        code = np.empty((m.nnz, 2), dtype=np.int64)
+        code[:, 0] = m.indices
+        code[:, 1] = np.where(values < 0, -cluster, cluster)[inverse]
+        bounds = (16 * m.indptr).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        data = code.tobytes()
+        keys.append([data[a:b] for a, b in spans])
+        code[:, 1] *= -1
+        data = code.tobytes()
+        negated.append([data[a:b] for a, b in spans])
+        terms.append((m, values, inverse))
+    seen = {}  # key of each nonempty row whose sum is written -> its row
+    copies = []  # per row: the copy, or None where the sum is written
+    for r, (key, neg) in enumerate(zip(zip(*keys), zip(*negated))):
+        if key in seen:
+            copies.append("block[%d]" % seen[key])
+        elif neg in seen:
+            copies.append("-block[%d]" % seen[neg])
+        else:
+            copies.append(None)
+            if any(key):
+                seen[key] = r
+    written = np.array([copy is None for copy in copies])
+    sums = []
+    for (m, values, inverse), term_names in zip(terms, names):
+        counts = m.indptr[1:] - m.indptr[:-1]
+        kept = written.repeat(counts)
+        used = inverse[kept]
+        needed = np.zeros(values.size, dtype=bool)
+        needed[used] = True
+        text = np.empty(values.size, dtype=object)
+        text[needed] = [_c_coefficient(v) for v in values[needed].tolist()]
+        pieces = [None] * (2 * used.size)
+        pieces[::2] = text[used].tolist()
+        pieces[1::2] = map(term_names.__getitem__, m.indices[kept].tolist())
+        sums.append((pieces, [0] + (2 * counts[written]).cumsum().tolist()))
+    texts = iter([_leading("".join(["".join(p[ip[r]:ip[r + 1]])
+                                    for p, ip in sums]))
+                  for r in range(len(sums[0][1]) - 1)])
+    return [next(texts) if copy is None else copy for copy in copies]
 
 
 def emit_c(cf, function_name="eval"):
@@ -177,22 +247,25 @@ def emit_c(cf, function_name="eval"):
     lines.append("{")
     names = []  # per term: G names by flat secondary index
     for k, ct in enumerate(cf.terms):
-        names.append([])
-        for alpha in ct.geometry.component_multiindices():
-            names[-1].append(_g_name(k, alpha))
-            lines.append("    const double %s = %s;" % (
-                names[-1][-1], _c_geometry_expr(ct.geometry, alpha, offsets)))
+        names.append([_g_name(k, alpha)
+                      for alpha in ct.geometry.component_multiindices()])
+        used = np.flatnonzero(np.bincount(ct.matrix.indices,
+                                          minlength=len(names[-1])))
+        lines.extend(map("    const double %s = %s;".__mod__, zip(
+            [names[-1][n] for n in used.tolist()],
+            _c_geometry_exprs(ct.geometry, used, offsets))))
     if cf.terms:
         lines.append("")
-    for flat, rhs in enumerate(_block_sums(cf, names)):
-        lines.append("    block[%d] = %s;" % (flat, rhs))
+    lines.extend(map("    block[%d] = %s;".__mod__,
+                     enumerate(_block_rhs(cf, names))))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def count_code_lines(cf):
-    """Number of statement lines in the generated C."""
-    geometry = sum(ct.geometry.n_components for ct in cf.terms)
+    """Number of statement lines in the generated C: the G components some
+    A0 nonzero reads, and one line per block entry."""
+    geometry = sum(np.unique(ct.matrix.indices).size for ct in cf.terms)
     return geometry + cf.block_size
 
 

@@ -25,7 +25,7 @@ auxiliary sum inside G, and once on each side makes it secondary.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import prod
 
@@ -250,6 +250,16 @@ class ReferenceTensor:
         )
 
 
+@lru_cache(maxsize=256)
+def _contraction_path(inputs, out_labels):
+    """The path einsum(optimize=True) takes for operands of these shapes and
+    labels; it depends on nothing else, so it is searched for once."""
+    operands = []
+    for shape, labels in inputs:
+        operands += [np.broadcast_to(0.0, shape), list(labels)]
+    return np.einsum_path(*operands, list(out_labels), optimize=True)[0]
+
+
 def compute_reference_tensor(term, quadrature_degree=None):
     """Integrate the reference-side factor products of one monomial.
 
@@ -299,7 +309,10 @@ def compute_reference_tensor(term, quadrature_degree=None):
         elif s.id in coeff_factor_of:
             out_labels.append(basis_labels[coeff_factor_of[s.id]])
         # user secondary indices are component valued and handled blockwise
-    scalar_block = np.einsum(*operands, out_labels, optimize=True)
+    scalar_block = np.einsum(*operands, out_labels, optimize=_contraction_path(
+        tuple((a.shape, tuple(labels)) for a, labels in zip(operands[::2],
+                                                            operands[1::2])),
+        tuple(out_labels)))
 
     dims = term.primary_dims + term.secondary_dims
     entries = np.zeros(dims)
@@ -332,6 +345,29 @@ def compute_reference_tensor(term, quadrature_degree=None):
         entries[tuple(selector)] += scalar_block
 
     return ReferenceTensor(entries, term.rank)
+
+
+def _reference_key(term):
+    """Equal keys mean bitwise-equal compute_reference_tensor entries.
+
+    Each factor contributes its element, kind and slot, its component and
+    derivative as a fixed value or as the position of a secondary ("s") or
+    auxiliary ("a") index, and for a coefficient the position of its
+    expansion index.  Index renamings between monomials thus share a key.
+    """
+    pos = {i.id: ("s", k) for k, i in enumerate(term.secondary)}
+    pos.update((i.id, ("a", k)) for k, i in enumerate(term.aux_a0))
+
+    def where(i):
+        return ("f", i.value) if i.kind == "fixed" else pos[i.id]
+
+    expansion = iter([pos[e.id] for _, e in term.coeff_reads])
+    return term.cell.shape, term.secondary_dims, tuple(
+        (f.element, f.kind, f.slot,
+         None if f.component is None else where(f.component),
+         tuple(map(where, f.derivatives)),
+         next(expansion) if f.kind == "coefficient" else None)
+        for f in term.factors)
 
 
 # --- geometry tensor -----------------------------------------------------------
@@ -397,6 +433,27 @@ class GeometryTensorExpr:
         return rows, cols, dofs
 
     @cached_property
+    def representatives(self):
+        """For each component, the first component in row-major order that
+        is the same sum of products up to the order of the factors and of
+        the products (G_ab = G_ba for Poisson), as an [N] index array."""
+        rows, cols, dofs = self.expansion
+        n_sums, n = rows.shape[:2]
+        # a code per factor, sorted within each product: dXdx entries first,
+        # then coefficient dofs keyed by their coefficient number.  Every
+        # index is below the largest extent: a transform's reference slot
+        # runs over the cell dimension.
+        width = max(self.dims, default=1)
+        numbers = np.array([c for c, _ in self.coeff_reads], dtype=int)
+        products = np.concatenate([np.sort(rows * width + cols, axis=2),
+                                   np.sort(numbers * width + dofs, axis=2)],
+                                  axis=2)
+        if n_sums > 1:  # a code per product, sorted within each sum
+            ids = _first_equal_rows(products.reshape(n_sums * n, -1))
+            products = np.sort(ids.reshape(n_sums, n), axis=0)[..., None]
+        return _first_equal_rows(products.transpose(1, 0, 2).reshape(n, -1))
+
+    @cached_property
     def key(self):
         """Equal keys mean equal expressions, component by component."""
         return (self.scalar, self.dims, tuple(c for c, _ in self.coeff_reads),
@@ -426,6 +483,13 @@ class GeometryTensorExpr:
             out += piece
         out *= self.scalar * np.abs(dets)[:, None]
         return out
+
+
+def _first_equal_rows(table):
+    """Index of the first row equal to each row of a 2-D integer table."""
+    first = {}
+    return np.array([first.setdefault(tuple(row), r)
+                     for r, row in enumerate(table.tolist())], dtype=int)
 
 
 def _multiindices(dims):
@@ -529,25 +593,39 @@ def compile_form(form):
     """Compile a language form into its tensor representation.
 
     Monomials whose geometry expressions have equal keys share one term:
-    their dense A0 blocks are summed, in first-occurrence order, before
-    entries at or below DROP_TOL of the largest are dropped.
+    their dense A0 blocks are summed, in first-occurrence order.  Monomials
+    with equal reference keys share one integration.  The A0 column of
+    each G component that equals an earlier one (``representatives``) is
+    then added to that component's column and zeroed, and entries at or
+    below DROP_TOL of the largest are dropped.
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
     primary_dims = tuple(el.space_dim for el in form.arguments)
     groups = {}  # geometry key -> [geometry, summed A0 entries]
+    integrated = {}  # reference key -> A0 entries
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
-        entries = compute_reference_tensor(term).entries
+        key = _reference_key(term)
+        if key not in integrated:
+            integrated[key] = compute_reference_tensor(term).entries
         group = groups.setdefault(geometry.key, [geometry, 0.0])
-        group[1] = group[1] + entries
+        group[1] = group[1] + integrated[key]
     terms = []
     for geometry, entries in groups.values():
         flat = entries.reshape(prod(primary_dims), geometry.n_components)
-        rows, cols = np.nonzero(_kept(flat))
+        rep = geometry.representatives
+        for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
+            flat[:, rep[n]] += flat[:, n]
+            flat[:, n] = 0.0
+        kept = _kept(flat)
+        indptr = np.zeros(flat.shape[0] + 1, dtype=np.int32)
+        kept.sum(axis=1).cumsum(out=indptr[1:])
+        rows, cols = kept.nonzero()
         matrix = scipy.sparse.csr_matrix(
-            (flat[rows, cols], (rows, cols)), shape=flat.shape)
+            (flat[rows, cols], cols.astype(np.int32), indptr),
+            shape=flat.shape)
         terms.append(CompiledTerm(geometry, primary_dims, matrix))
     return CompiledForm(
         form.name, form.cell, form.arity, primary_dims,

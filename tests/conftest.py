@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from formc.cli_bench import form_text_with
 from formc.form_language import parse_form_file
 from formc.runtime import AffineMap
 
@@ -36,6 +38,16 @@ def parse_one(text, name=None):
         assert len(forms) == 1
         return forms[0]
     return next(f for f in forms if f.name == name)
+
+
+FORMS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "src", "formc", "forms")
+
+
+def shipped_forms(name, shape, degree):
+    """The forms of a shipped form file, re-degreed and on another cell."""
+    with open(os.path.join(FORMS_DIR, name + ".form")) as fh:
+        return parse_form_file(form_text_with(fh.read(), degree, shape))
 
 
 def random_affine_map(rng, d, min_det=0.3):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_one, random_affine_map
+from conftest import parse_one, random_affine_map, shipped_forms
 from formc.codegen import (
     RAW_HEADER,
     count_code_lines,
@@ -99,11 +99,15 @@ def test_poisson_c_geometry_lines():
         "const double G0_1_1 = map->det*(map->g10*map->g10 + map->g11*map->g11);"
         in code
     )
-    # negative coefficients fold into the term sign
+    # G_10 equals G_01, so its A0 column folds into G0_0_1 and it is not
+    # declared; negative coefficients fold into the term sign
+    assert "G0_1_0" not in code
     assert (
-        "block[1] = -5.000000000000000e-01*G0_0_0 - 5.000000000000000e-01*G0_1_0;"
+        "block[1] = -5.000000000000000e-01*G0_0_0 - 5.000000000000000e-01*G0_0_1;"
         in code
     )
+    # the stiffness matrix is symmetric: entry (1, 0) copies entry (0, 1)
+    assert "    block[3] = block[1];" in code.splitlines()
 
 
 def test_p3_poisson_c_block_statements():
@@ -111,7 +115,11 @@ def test_p3_poisson_c_block_statements():
     code = emit_c(cf)
     blocks = [l.strip() for l in code.splitlines() if l.strip().startswith("block[")]
     assert len(blocks) == 100
-    assert count_code_lines(cf) == 104
+    # three G components (G_10 folds into G_01) and 100 block entries
+    assert count_code_lines(cf) == 103
+    copies = [l for l in blocks if l.split(" = ")[1].lstrip("-").startswith(
+        "block[")]
+    assert len(copies) == 59
     zero = [l for l in blocks if l.endswith("= 0.0;")]
     assert len(zero) == 6
     assert {l.split(" ")[0] for l in zero} == {
@@ -370,7 +378,8 @@ def test_latex_escapes_underscores_in_the_form_name():
 
 def test_latex_poisson_rows_and_symbols():
     tex = emit_latex(compile_form(parse_one(POISSON_P1)))
-    assert tex.count("&=&") == 16
+    # with the G_10 column folded into the G_01 one, 15 A0 nonzeros of 16
+    assert tex.count("&=&") == 15
     assert "\\sum_{\\beta_{1}}" in tex
     assert "\\frac{\\partial X_{\\alpha_{1}}}{\\partial x_{\\beta_{1}}}" in tex
 
@@ -383,15 +392,13 @@ def test_latex_coefficient_symbol():
 # --- compiled C against the in-process contraction --------------------------------
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("text", (MASS_P1, POISSON_P3, NAVIERSTOKES, MIXED,
-                                  ELASTICITY))
-def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
-    form = parse_one(text)
+def assert_c_matches_numpy(form, tmp_path, rng, stem="form"):
+    """Build the emitted C with cc -O2 and compare it with the numpy
+    contraction on five random cells, relative to the block's largest."""
     cf = compile_form(form)
     d = form.cell.dim
-    src = tmp_path / "form.c"
-    lib = tmp_path / "form.so"
+    src = tmp_path / (stem + ".c")
+    lib = tmp_path / (stem + ".so")
     src.write_text(emit_c(cf, function_name="run"))
     subprocess.run(
         ["cc", "-std=c99", "-O2", "-shared", "-fPIC", "-o", str(lib), str(src)],
@@ -423,3 +430,37 @@ def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
         got = np.asarray(block).reshape(cf.primary_dims)
         scale = max(np.abs(want).max(), 1e-12)
         assert np.abs(got - want).max() / scale < 1e-12
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("text", (MASS_P1, POISSON_P3, NAVIERSTOKES, MIXED,
+                                  ELASTICITY))
+def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
+    assert_c_matches_numpy(parse_one(text), tmp_path, rng)
+
+
+COPIED_ROW_CASES = [("poisson", "interval", 1)] + [
+    (name, shape, q) for name in ("mass", "poisson", "elasticity")
+    for shape in ("triangle", "tetrahedron") for q in (1, 2)] + [
+    ("navierstokes", shape, 1) for shape in ("triangle", "tetrahedron")]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("name,shape,q", COPIED_ROW_CASES)
+def test_c_with_copied_rows_matches_numpy(name, shape, q, tmp_path, rng):
+    form = next(f for f in shipped_forms(name, shape, q) if f.arity == 2)
+    code = emit_c(compile_form(form))
+    assert " = block[" in code or " = -block[" in code
+    assert_c_matches_numpy(form, tmp_path, rng)
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("shape", ("interval", "triangle", "tetrahedron"))
+@pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
+                                  "elasticity"))
+def test_count_code_lines_counts_emitted_statements(name, shape, q):
+    for form in shipped_forms(name, shape, q):
+        cf = compile_form(form)
+        body = emit_c(cf).split("\n{\n", 1)[1]
+        statements = [ln for ln in body.splitlines() if ln.endswith(";")]
+        assert count_code_lines(cf) == len(statements)

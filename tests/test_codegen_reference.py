@@ -6,18 +6,25 @@ before they moved to whole-array code with a table of distinct values.
 The array emitters must reproduce them byte for byte: same C, same raw
 listing, same LaTeX.  The parts that never looped over nonzeros (header,
 geometry lines and s-expressions) are shared with the module.
+
+The C reference also declares only the G components some nonzero reads,
+and writes a block row that repeats an earlier row, or its negation, as a
+copy.  It finds those rows with a dict of per-row tuples of (column,
+signed cluster) pairs, the clusters joining sorted magnitudes whose gaps
+are at most 16 ulps of the term's largest.  The older reference, which
+declares every component and sums every row, is kept: forms without
+repeated rows must still match it.
 """
 
-import os
+import math
 
 import numpy as np
 import pytest
 
-from conftest import parse_one
-from formc.cli_bench import form_text_with
+from conftest import parse_one, shipped_forms
 from formc.codegen import (
     RAW_HEADER,
-    _c_geometry_expr,
+    _c_geometry_exprs,
     _coeff_offsets,
     _fmt,
     _g_name,
@@ -28,11 +35,7 @@ from formc.codegen import (
     emit_raw,
     read_raw,
 )
-from formc.form_language import parse_form_file
 from formc.tensor_representation import compile_form
-
-FORMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                         "formc", "forms")
 
 
 def reference_nonzeros(ct):
@@ -58,9 +61,8 @@ def reference_join_terms(terms):
     return "".join(parts)
 
 
-def reference_emit_c(cf, function_name="eval"):
+def reference_c_header(cf, function_name):
     d = cf.dim
-    offsets = _coeff_offsets(cf.coefficient_dims)
     lines = []
     lines.append("/* Element tensor evaluation for form '%s': rank %d, %s. */"
                  % (cf.name, cf.arity, cf.cell.shape))
@@ -79,13 +81,20 @@ def reference_emit_c(cf, function_name="eval"):
     sig += ")"
     lines.append(sig)
     lines.append("{")
+    return lines
+
+
+def reference_emit_c_per_entry(cf, function_name="eval"):
+    """Every G component declared, every block row summed."""
+    offsets = _coeff_offsets(cf.coefficient_dims)
+    lines = reference_c_header(cf, function_name)
     csr = []
     for k, ct in enumerate(cf.terms):
         names = []
-        for alpha in ct.geometry.component_multiindices():
+        for n, alpha in enumerate(ct.geometry.component_multiindices()):
             names.append(_g_name(k, alpha))
             lines.append("    const double %s = %s;" % (
-                names[-1], _c_geometry_expr(ct.geometry, alpha, offsets)))
+                names[-1], _c_geometry_exprs(ct.geometry, [n], offsets)[0]))
         m = ct.matrix
         csr.append((names, m.indptr.tolist(), m.indices.tolist(),
                     m.data.tolist()))
@@ -97,6 +106,62 @@ def reference_emit_c(cf, function_name="eval"):
             lo, hi = indptr[flat], indptr[flat + 1]
             terms.extend(zip(data[lo:hi], (names[c] for c in indices[lo:hi])))
         lines.append("    block[%d] = %s;" % (flat, reference_join_terms(terms)))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_clusters(values, ulps=16):
+    """Cluster number of each magnitude: sorted magnitudes are joined while
+    each gap is at most ulps ulps of the largest."""
+    magnitudes = sorted({abs(v) for v in values})
+    tol = ulps * math.ulp(magnitudes[-1]) if magnitudes else 0.0
+    number, previous, out = 0, None, {}
+    for v in magnitudes:
+        if previous is not None and v - previous > tol:
+            number += 1
+        out[v] = number
+        previous = v
+    return out
+
+
+def reference_emit_c(cf, function_name="eval"):
+    """Used G components only, and a copy for every repeated row."""
+    offsets = _coeff_offsets(cf.coefficient_dims)
+    lines = reference_c_header(cf, function_name)
+    csr = []
+    for k, ct in enumerate(cf.terms):
+        m = ct.matrix
+        used = set(m.indices.tolist())
+        names = []
+        for n, alpha in enumerate(ct.geometry.component_multiindices()):
+            names.append(_g_name(k, alpha))
+            if n in used:
+                lines.append("    const double %s = %s;" % (
+                    names[-1], _c_geometry_exprs(ct.geometry, [n], offsets)[0]))
+        data = m.data.tolist()
+        csr.append((names, m.indptr.tolist(), m.indices.tolist(), data,
+                    reference_clusters(data)))
+    if cf.terms:
+        lines.append("")
+    first = {}  # row tuple -> first row written with it
+    for flat in range(cf.block_size):
+        terms = []
+        row = []
+        for names, indptr, indices, data, cluster in csr:
+            lo, hi = indptr[flat], indptr[flat + 1]
+            terms.extend(zip(data[lo:hi], (names[c] for c in indices[lo:hi])))
+            row.append(tuple((c, (-1 if v < 0 else 1) * (cluster[abs(v)] + 1))
+                             for c, v in zip(indices[lo:hi], data[lo:hi])))
+        row = tuple(row)
+        negated = tuple(tuple((c, -s) for c, s in part) for part in row)
+        if terms and row in first:
+            rhs = "block[%d]" % first[row]
+        elif terms and negated in first:
+            rhs = "-block[%d]" % first[negated]
+        else:
+            first[row] = flat
+            rhs = reference_join_terms(terms)
+        lines.append("    block[%d] = %s;" % (flat, rhs))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -151,11 +216,6 @@ def assert_emitters_match(cf):
 
 
 # --- the shipped forms ---------------------------------------------------------
-
-def shipped_forms(name, shape, degree):
-    with open(os.path.join(FORMS_DIR, name + ".form")) as fh:
-        return parse_form_file(form_text_with(fh.read(), degree, shape))
-
 
 @pytest.mark.parametrize("degree", (1, 2, 3))
 @pytest.mark.parametrize("shape", ("triangle", "tetrahedron"))
@@ -242,3 +302,35 @@ def test_signed_zeros_and_repeats_match_reference():
     assert np.signbit(cf.terms[0].matrix.data[:4]).tolist() == [
         False, True, True, False]
     assert_emitters_match(cf)
+
+
+# --- repeated rows --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", (1, 2, 3))
+@pytest.mark.parametrize("shape", ("interval", "triangle", "tetrahedron"))
+def test_shipped_linear_forms_match_the_per_entry_reference(shape, degree):
+    # a load vector has no repeated rows and reads every G component, so
+    # its C is what it was before rows were copied
+    (form,) = [f for f in shipped_forms("poisson", shape, degree)
+               if f.arity == 1]
+    cf = compile_form(form)
+    assert emit_c(cf) == reference_emit_c_per_entry(cf)
+    assert emit_c(cf) == reference_emit_c(cf)
+
+
+def test_interval_rows_copy_and_negate():
+    (form,) = [f for f in shipped_forms("poisson", "interval", 1)
+               if f.arity == 2]
+    cf = compile_form(form)
+    assert block_lines(cf)[1:] == ["    block[1] = -block[0];",
+                                   "    block[2] = -block[0];",
+                                   "    block[3] = block[0];"]
+    assert_emitters_match(cf)
+
+
+def test_copies_differ_from_the_per_entry_reference():
+    (form,) = shipped_forms("mass", "triangle", 1)
+    cf = compile_form(form)
+    assert emit_c(cf) != reference_emit_c_per_entry(cf)
+    assert sum(" = block[" in ln for ln in block_lines(cf)) == 7

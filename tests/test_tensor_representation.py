@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from conftest import parse_one, random_affine_map
+from conftest import parse_one, random_affine_map, shipped_forms
 from formc.cli_bench import form_text_with
 from formc.codegen import emit_raw, read_raw
 from formc.errors import DimensionMismatch, IndexOccursOnce, IndexOccursThrice
@@ -227,8 +227,14 @@ def test_p1_poisson_reference_tensor():
     expected = 0.5 * np.einsum("ia,jb->ijab", grads, grads)
     assert a0.entries.shape == (3, 3, 2, 2)
     assert np.allclose(a0.entries, expected, atol=1e-14)
+    # G_10 equals G_01, so compile_form folds the (1, 0) column into the
+    # (0, 1) one: 16 nonzeros become 15
     cf = compile_form(parse_one(form_text("poisson", degree=1)))
-    assert cf.terms[0].matrix.nnz == 16
+    assert cf.terms[0].matrix.nnz == 15
+    dense = cf.terms[0].matrix.toarray()
+    assert not dense[:, 2].any()
+    assert np.allclose(dense[:, 1], (expected[..., 0, 1]
+                                     + expected[..., 1, 0]).ravel(), atol=1e-14)
 
 
 def test_p3_poisson_triangle_values():
@@ -360,8 +366,9 @@ def test_threshold_ordering_and_tolerance():
 
 
 def test_p3_poisson_nonzero_count():
+    # 252 nonzeros before the (1, 0) column folds into the (0, 1) one
     cf = compile_form(parse_one(form_text("poisson", "triangle", 3)))
-    assert cf.terms[0].matrix.nnz == 252
+    assert cf.terms[0].matrix.nnz == 190
 
 
 # --- compiled forms ---------------------------------------------------------------
@@ -539,3 +546,89 @@ def test_equal_geometries_merge(picks, shape, q, seed):
     reread = read_raw(text)
     assert emit_raw(reread) == text
     assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
+
+
+# --- equal G components and shared integrations ---------------------------------
+
+
+def equal_components(geometry):
+    """First component with the same sum of products, per component: each
+    product a sorted tuple of its dXdx entries and its coefficient reads."""
+    rows, cols, dofs = (a.tolist() for a in geometry.expansion)
+    numbers = [c for c, _ in geometry.coeff_reads]
+    first = {}
+    out = []
+    for n in range(geometry.n_components):
+        products = sorted(
+            (tuple(sorted(zip(rows[s][n], cols[s][n]))),
+             tuple(sorted(zip(numbers, dofs[s][n]))))
+            for s in range(len(rows)))
+        out.append(first.setdefault(tuple(products), n))
+    return out
+
+
+def per_monomial_matrices(form):
+    """Dense A0 per term, integrating every monomial on its own."""
+    groups = {}
+    for monomial in expand_to_monomials(form):
+        term = classify_indices(monomial)
+        geometry = derive_geometry_expr(term)
+        group = groups.setdefault(geometry.key, [geometry, 0.0])
+        group[1] = group[1] + compute_reference_tensor(term).entries
+    out = []
+    for geometry, entries in groups.values():
+        flat = entries.reshape(-1, geometry.n_components)
+        for n, rep in enumerate(equal_components(geometry)):
+            if rep != n:
+                flat[:, rep] += flat[:, n]
+                flat[:, n] = 0.0
+        out.append(np.where(_kept(flat), flat, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("shape", ("interval", "triangle", "tetrahedron"))
+@pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
+                                  "elasticity"))
+def test_shared_integrations_are_bitwise_per_monomial(name, shape, q):
+    for form in shipped_forms(name, shape, q):
+        cf = compile_form(form)
+        want = per_monomial_matrices(form)
+        assert len(cf.terms) == len(want)
+        for ct, dense in zip(cf.terms, want):
+            assert ct.matrix.toarray().tobytes() == dense.tobytes()
+            assert (ct.geometry.representatives.tolist()
+                    == equal_components(ct.geometry))
+
+
+def test_renamed_monomials_integrate_once(monkeypatch):
+    import formc.tensor_representation as tr
+
+    calls = []
+    real = tr.compute_reference_tensor
+    monkeypatch.setattr(tr, "compute_reference_tensor",
+                        lambda term: calls.append(term) or real(term))
+    form = elasticity("tetrahedron", 2)
+    compile_form(form)
+    # monomials 0 and 3, and 1 and 2, are index renamings of each other
+    assert len(expand_to_monomials(form)) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name,kept", (
+    ("mass", [1]),
+    ("poisson", [6]),
+    ("navierstokes", [108]),
+    ("elasticity", [6, 45]),
+))
+def test_equal_components_fold_on_tetrahedra(name, kept):
+    (form,) = [f for f in shipped_forms(name, "tetrahedron", 1)
+               if f.arity == 2]
+    cf = compile_form(form)
+    distinct = [len(set(ct.geometry.representatives.tolist()))
+                for ct in cf.terms]
+    assert distinct == kept
+    # A0 reads no folded component
+    for ct in cf.terms:
+        rep = ct.geometry.representatives
+        assert (rep[ct.matrix.indices] == ct.matrix.indices).all()
