@@ -249,8 +249,7 @@ def emit_c(cf, function_name="eval"):
     for k, ct in enumerate(cf.terms):
         names.append([_g_name(k, alpha)
                       for alpha in ct.geometry.component_multiindices()])
-        used = np.flatnonzero(np.bincount(ct.matrix.indices,
-                                          minlength=len(names[-1])))
+        used = ct.used_components
         lines.extend(map("    const double %s = %s;".__mod__, zip(
             [names[-1][n] for n in used.tolist()],
             _c_geometry_exprs(ct.geometry, used, offsets))))
@@ -265,7 +264,7 @@ def emit_c(cf, function_name="eval"):
 def count_code_lines(cf):
     """Number of statement lines in the generated C: the G components some
     A0 nonzero reads, and one line per block entry."""
-    geometry = sum(np.unique(ct.matrix.indices).size for ct in cf.terms)
+    geometry = sum(ct.used_components.size for ct in cf.terms)
     return geometry + cf.block_size
 
 

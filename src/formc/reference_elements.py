@@ -343,12 +343,12 @@ class LagrangeElement:
         self.nodes = nodes
 
         # (entity_dim, entity_vertices, lattice, component) per dof
-        self.dof_entities = []
-        for comp in range(self.components):
-            for coords, dim, entity, bary in lattice:
-                self.dof_entities.append((dim, entity, bary, comp))
+        self.dof_entities = tuple(
+            (dim, entity, bary, comp) for comp in range(self.components)
+            for coords, dim, entity, bary in lattice)
 
         self._vinv = self._nodal_coefficients(lattice)
+        self._vinv.flags.writeable = False
 
     def _nodal_coefficients(self, lattice):
         pts = np.array([entry[0] for entry in lattice]).reshape(-1, self.cell.dim)
@@ -407,14 +407,21 @@ class LagrangeElement:
         return "%s(%s, %d, %s)" % (kind, self.cell.shape, self.degree, self.continuity)
 
 
+@lru_cache(maxsize=128)
+def _cached_lagrange(shape, degree, continuity, value_rank):
+    return LagrangeElement(ReferenceCell(shape), degree, continuity, value_rank)
+
+
 def make_lagrange(shape, degree, continuity="continuous"):
-    """Scalar Lagrange element on the given reference simplex."""
-    return LagrangeElement(ReferenceCell(shape), degree, continuity, value_rank=0)
+    """Scalar Lagrange element on the given reference simplex.  Elements
+    are cached and shared; their arrays are read-only."""
+    return _cached_lagrange(shape, degree, continuity, 0)
 
 
 def make_vector_lagrange(shape, degree, continuity="continuous"):
-    """Vector Lagrange element with one component per space dimension."""
-    return LagrangeElement(ReferenceCell(shape), degree, continuity, value_rank=1)
+    """Vector Lagrange element with one component per space dimension,
+    cached like make_lagrange."""
+    return _cached_lagrange(shape, degree, continuity, 1)
 
 
 @lru_cache(maxsize=256)

@@ -562,16 +562,22 @@ class SparseBuilder:
             self._cols.append(np.asarray(cols, dtype=int).ravel())
 
     def finalize(self):
-        rows = np.concatenate(self._rows) if self._rows else np.empty(0, int)
-        vals = np.concatenate(self._vals) if self._vals else np.empty(0)
+        rows, vals = _joined(self._rows, int), _joined(self._vals, float)
         if len(self.shape) == 1:
             out = np.bincount(rows, weights=vals, minlength=self.shape[0])
             if len(out) > self.shape[0]:
                 raise DimensionMismatch("vector row id out of range")
             return out.astype(float, copy=False)  # bincount of nothing is int
-        cols = np.concatenate(self._cols) if self._cols else np.empty(0, int)
         return scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=self.shape).tocsr()
+            (vals, (rows, _joined(self._cols, int))), shape=self.shape).tocsr()
+
+
+def _joined(pieces, dtype):
+    """The added pieces as one array; a single piece is not copied, so
+    that assembling one batch holds no second copy of its triplets."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype)
 
 
 def assemble(evaluator, mesh, dofmaps, coefficients=()):

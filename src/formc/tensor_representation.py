@@ -14,6 +14,15 @@ evaluated per element, so that the element tensor is the contraction
 A[i] = sum_alpha A0[i, alpha] * G[alpha].  Monomials with equal geometry
 tensor expressions share one G, and their A0 are summed.
 
+A compiled form contracts a batch of cells in one step.  Each term
+evaluates only the G components that some A0 nonzero reads, in one
+gather, into its columns of one [ncells x K] array; the A0 columns of
+all terms, restricted the same way, lie side by side in one CSR over K
+columns, and one sparse product G @ A0^T gives [ncells x block].  The
+sparse product adds each entry in the fixed order of its A0 row, so a
+cell's block is bitwise the same in every batch.  A dense BLAS product
+is not: it picks its kernels by the number of rows.
+
 Index bookkeeping follows four kinds.  Primary indices are the element
 tensor axes, one per argument.  Each spatial derivative introduces a fresh
 secondary index pairing the reference-direction derivative (A0 side) with a
@@ -460,29 +469,32 @@ class GeometryTensorExpr:
                 self.expansion[0].shape) + tuple(
                     a.tobytes() for a in self.expansion)
 
-    def evaluate(self, dets, gs, coeffs=()):
+    def evaluate(self, dets, gs, coeffs=(), components=None):
         """Geometry tensor components for a batch of affine maps.
 
         ``dets`` has shape [ncells], ``gs`` is dX/dx with shape
         [ncells x d x d] and ``coeffs`` one [ncells x n_e] array per
-        coefficient.  Returns [ncells x n_components]; the determinant
-        enters through its absolute value so that negatively oriented
-        cells integrate correctly.
+        coefficient.  ``components`` selects flat component indices, all
+        by default.  One gather reads every dXdx factor and one more each
+        coefficient read; a product over factors and a sum over auxiliary
+        assignments reduce them.  Returns [ncells x n_selected]; the
+        determinant enters through its absolute value so that negatively
+        oriented cells integrate correctly.
         """
         dets = np.atleast_1d(np.asarray(dets, dtype=float))
         gs = np.asarray(gs, dtype=float)
-        ncells = dets.shape[0]
-        rows, cols, dofs = self.expansion
-        out = np.zeros((ncells, self.n_components))
-        for s in range(rows.shape[0]):
-            piece = np.ones((ncells, self.n_components))
-            for t in range(rows.shape[2]):
-                piece = piece * gs[:, rows[s, :, t], cols[s, :, t]]
-            for k, (coeff, _) in enumerate(self.coeff_reads):
-                piece = piece * coeffs[coeff][:, dofs[s, :, k]]
-            out += piece
-        out *= self.scalar * np.abs(dets)[:, None]
-        return out
+        rows, cols, dofs = (self.expansion if components is None else
+                            (a[:, components] for a in self.expansion))
+        products = gs[:, rows, cols].prod(axis=-1)
+        for k, (coeff, _) in enumerate(self.coeff_reads):
+            products *= coeffs[coeff][:, dofs[..., k]]
+        # added in order, not by sum(): numpy sums eight or more terms
+        # pairwise in a shape-dependent order, and a cell's value must not
+        # depend on its batch
+        out = products[:, 0]
+        for s in range(1, products.shape[1]):
+            out = out + products[:, s]
+        return out * (self.scalar * np.abs(dets))[:, None]
 
 
 def _first_equal_rows(table):
@@ -536,21 +548,34 @@ class CompiledTerm:
             self.matrix.toarray().reshape(self.primary_dims + self.secondary_dims),
             len(self.primary_dims))
 
+    @cached_property
+    def used_components(self):
+        """Ascending flat indices of the G components some A0 nonzero
+        reads, read-only."""
+        used = np.unique(self.matrix.indices)
+        used.flags.writeable = False
+        return used
 
-def contract_terms(terms, primary_dims, dim, dets, gs, coeffs=()):
-    """Contract compiled terms for a batch of affine maps.
+
+def contract_terms(cf, dets, gs, coeffs=()):
+    """Contract every term of a compiled form for a batch of affine maps:
+    G @ A0^T with one [ncells x K] G and the stacked A0 (``cf.stacked``).
 
     Returns [ncells x n1 x ... x nr] with the primary multiindex laid out
     row-major.
     """
     dets = np.atleast_1d(np.asarray(dets, dtype=float))
-    gs = np.asarray(gs, dtype=float).reshape(dets.shape[0], dim, dim)
+    ncells = dets.shape[0]
+    gs = np.asarray(gs, dtype=float).reshape(ncells, cf.dim, cf.dim)
     coeffs = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
-    out = np.zeros((dets.shape[0], prod(primary_dims)))
-    for ct in terms:
-        gvals = ct.geometry.evaluate(dets, gs, coeffs)
-        out += (ct.matrix @ gvals.T).T
-    return out.reshape((dets.shape[0],) + tuple(primary_dims))
+    a0 = cf.stacked
+    g = np.empty((a0.shape[1], ncells)).T  # G.T is contiguous for scipy
+    stop = 0
+    for ct in cf.terms:
+        start, stop = stop, stop + ct.used_components.size
+        g[:, start:stop] = ct.geometry.evaluate(dets, gs, coeffs,
+                                                ct.used_components)
+    return (g @ a0.T).reshape((ncells,) + cf.primary_dims)
 
 
 class CompiledForm:
@@ -579,10 +604,25 @@ class CompiledForm:
     def block_size(self):
         return prod(self.primary_dims)
 
+    @cached_property
+    def stacked(self):
+        """A0 of every term over the G components it reads, side by side
+        in term order: CSR [block x K].  Built on the first contraction,
+        not by compile_form; a single term shares its values."""
+        blocks = [scipy.sparse.csr_matrix(
+            (ct.matrix.data,
+             np.searchsorted(ct.used_components, ct.matrix.indices),
+             ct.matrix.indptr),
+            shape=(self.block_size, ct.used_components.size))
+            for ct in self.terms]
+        if len(blocks) == 1:
+            return blocks[0]
+        return scipy.sparse.hstack(
+            [scipy.sparse.csr_matrix((self.block_size, 0))] + blocks,
+            format="csr")
+
     def element_tensors(self, dets, gs, coeffs=()):
-        return contract_terms(
-            self.terms, self.primary_dims, self.dim, dets, gs, coeffs
-        )
+        return contract_terms(self, dets, gs, coeffs)
 
     def element_tensor(self, det, g, coeffs=()):
         """Single-cell convenience wrapper."""

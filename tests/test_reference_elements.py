@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exponents_upto, simplex_integral
+from conftest import exponents_upto, parse_one, simplex_integral
 from formc.errors import PointOutsideCell, UnsupportedDegree, UnsupportedShape
 from formc.reference_elements import (
     ReferenceCell,
@@ -284,6 +284,27 @@ def test_vector_partition_of_unity_per_component(rng):
     for c in range(3):
         total = vals[c * 20 : (c + 1) * 20, c, :].sum(axis=0)
         assert np.allclose(total, 1.0, atol=1e-12)
+
+
+def test_elements_are_cached_and_read_only():
+    text = ('element = VectorElement("Lagrange", "tetrahedron", 3)\n'
+            "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+            "a = v[0]*u[0]*dx\n")
+    first, second = (parse_one(text).arguments[0] for _ in range(2))
+    assert first is second is make_vector_lagrange("tetrahedron", 3)
+    assert make_lagrange("tetrahedron", 3) is make_lagrange(
+        "tetrahedron", 3, "continuous")
+    assert make_lagrange("tetrahedron", 3) is not first
+    assert isinstance(first.dof_entities, tuple)
+    for array in (first.nodes, first._vinv, first.cell.vertices):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    for _ in range(2):  # a failed call is not cached
+        with pytest.raises(UnsupportedDegree):
+            make_lagrange("triangle", 9)
+        with pytest.raises(ValueError, match="continuity"):
+            make_vector_lagrange("triangle", 1, "broken")
 
 
 # --- error conditions ------------------------------------------------------------

@@ -634,6 +634,14 @@ def test_sparse_builder_sums_duplicates_order_independently():
     out = vec.finalize()
     assert np.allclose(out, [0.0, 2.5, 0.0, 2.0])
 
+    # a single added piece is not copied, yet the result owns its data
+    values = np.array([1.0, 2.0])
+    single = SparseBuilder((2, 2))
+    single.add([0, 1], values, [1, 0])
+    out = single.finalize()
+    values[:] = 0.0
+    assert out.toarray().tolist() == [[0.0, 1.0], [2.0, 0.0]]
+
     with pytest.raises(DimensionMismatch):
         SparseBuilder((2, 2)).add([0], [1.0])
 

@@ -1,6 +1,7 @@
 """Index classification, reference tensors, and geometry tensor expressions."""
 
 import os
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -429,8 +430,83 @@ def test_zero_form_compiles_to_no_terms(rng):
     )
     cf = compile_form(form)
     assert cf.terms == []
+    assert cf.stacked.shape == (9, 0)
     amap = random_affine_map(rng, 2)
     assert np.array_equal(cf.element_tensor(amap.det, amap.g), np.zeros((3, 3)))
+    for n in (0, 4):
+        dets, gs, _ = random_cells(rng, form, n)
+        assert np.array_equal(cf.element_tensors(dets, gs), np.zeros((n, 3, 3)))
+
+
+@lru_cache(maxsize=None)
+def compiled_shipped(name, shape, q):
+    """(form, compiled, reread from its raw listing) per shipped form."""
+    out = []
+    for form in shipped_forms(name, shape, q):
+        cf = compile_form(form)
+        out.append((form, cf, read_raw(emit_raw(cf))))
+    return out
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(("mass", "poisson", "navierstokes",
+                             "elasticity")),
+       shape=st.sampled_from(("interval", "triangle", "tetrahedron")),
+       q=st.integers(1, 3), n=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_contraction_is_batch_independent(name, shape, q, n, seed):
+    rng = np.random.default_rng(seed)
+    for form, cf, reread in compiled_shipped(name, shape, q):
+        dets, gs, coeffs = random_cells(rng, form, n)
+        got = cf.element_tensors(dets, gs, coeffs)
+        assert got.shape == (n,) + cf.primary_dims
+        for k in range(n):
+            single = cf.element_tensor(dets[k], gs[k],
+                                       [c[k:k + 1] for c in coeffs])
+            assert np.array_equal(single, got[k])
+        assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
+        few = min(n, 2)
+        want = quadrature_element_tensors(form, dets[:few], gs[:few],
+                                          [c[:few] for c in coeffs])
+        assert np.abs(got[:few] - want).max(initial=0.0) <= 1e-10 * max(
+            np.abs(want).max(initial=0.0), 1e-12)
+
+
+def test_eight_or_more_auxiliary_sums_are_batch_independent(rng):
+    # two auxiliary sums on a tetrahedron: nine products per G component
+    form = parse_one(
+        'element = FiniteElement("Lagrange", "tetrahedron", 1)\n'
+        "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+        "w = Function(element)\ni = Index()\nj = Index()\n"
+        "a = v.dx(i)*u.dx(i)*w.dx(j)*w.dx(j)*dx\n")
+    cf = compile_form(form)
+    assert [ct.geometry.aux_dims for ct in cf.terms] == [(3, 3)]
+    dets, gs, coeffs = random_cells(rng, form, 7)
+    got = cf.element_tensors(dets, gs, coeffs)
+    for k in range(7):
+        assert np.array_equal(
+            cf.element_tensor(dets[k], gs[k], [c[k:k + 1] for c in coeffs]),
+            got[k])
+    want = quadrature_element_tensors(form, dets, gs, coeffs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_stacked_width_counts_only_read_components():
+    (form,) = shipped_forms("navierstokes", "tetrahedron", 1)
+    cf = compile_form(form)
+    assert "stacked" not in vars(cf)  # built on the first contraction
+    (ct,) = cf.terms
+    assert ct.geometry.n_components == 108
+    assert ct.used_components.size == cf.stacked.shape[1] == 36
+    assert not ct.used_components.flags.writeable
+    assert set(ct.used_components.tolist()) == set(ct.matrix.indices.tolist())
+    widths = [compile_form(f).stacked.shape[1]
+              for q in (1, 2, 3)
+              for name in ("mass", "poisson", "navierstokes", "elasticity")
+              for f in shipped_forms(name, "tetrahedron", q)]
+    assert len(widths) == 15
+    assert sum(widths) == 514
 
 
 def test_drop_tolerance_does_not_change_values(rng):
