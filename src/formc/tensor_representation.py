@@ -15,10 +15,11 @@ A[i] = sum_alpha A0[i, alpha] * G[alpha].  Monomials with equal geometry
 tensor expressions share one G, and their A0 are summed.
 
 A compiled form contracts a batch of cells in one step.  Each term
-evaluates only the G components that some A0 nonzero reads, in one
-gather, into its columns of one [ncells x K] array; the A0 columns of
-all terms, restricted the same way, lie side by side in one CSR over K
-columns, and one sparse product G @ A0^T gives [ncells x block].  The
+evaluates only the G components that some A0 nonzero reads, one
+gathered factor at a time, into its columns of one [ncells x K] array;
+the A0 columns of all terms, restricted the same way, lie side by side
+in one CSR over K columns, and one sparse product G @ A0^T gives
+[ncells x block].  The
 sparse product adds each entry in the fixed order of its A0 row, so a
 cell's block is bitwise the same in every batch.  A dense BLAS product
 is not: it picks its kernels by the number of rows.
@@ -475,17 +476,23 @@ class GeometryTensorExpr:
         ``dets`` has shape [ncells], ``gs`` is dX/dx with shape
         [ncells x d x d] and ``coeffs`` one [ncells x n_e] array per
         coefficient.  ``components`` selects flat component indices, all
-        by default.  One gather reads every dXdx factor and one more each
-        coefficient read; a product over factors and a sum over auxiliary
-        assignments reduce them.  Returns [ncells x n_selected]; the
-        determinant enters through its absolute value so that negatively
-        oriented cells integrate correctly.
+        by default.  Each transform and each coefficient read is one
+        gather over all cells, auxiliary assignments and components,
+        multiplied in one at a time, so that at most two
+        [ncells x S x n_selected] arrays are live; a sum over the S
+        auxiliary assignments reduces them.  Returns [ncells x n_selected];
+        the determinant enters through its absolute value so that
+        negatively oriented cells integrate correctly.
         """
         dets = np.atleast_1d(np.asarray(dets, dtype=float))
         gs = np.asarray(gs, dtype=float)
         rows, cols, dofs = (self.expansion if components is None else
                             (a[:, components] for a in self.expansion))
-        products = gs[:, rows, cols].prod(axis=-1)
+        n_transforms = rows.shape[-1]
+        products = (gs[:, rows[..., 0], cols[..., 0]] if n_transforms else
+                    np.ones((len(gs),) + rows.shape[:2]))
+        for t in range(1, n_transforms):
+            products *= gs[:, rows[..., t], cols[..., t]]
         for k, (coeff, _) in enumerate(self.coeff_reads):
             products *= coeffs[coeff][:, dofs[..., k]]
         # added in order, not by sum(): numpy sums eight or more terms
@@ -608,15 +615,13 @@ class CompiledForm:
     def stacked(self):
         """A0 of every term over the G components it reads, side by side
         in term order: CSR [block x K].  Built on the first contraction,
-        not by compile_form; a single term shares its values."""
+        not by compile_form."""
         blocks = [scipy.sparse.csr_matrix(
             (ct.matrix.data,
              np.searchsorted(ct.used_components, ct.matrix.indices),
              ct.matrix.indptr),
             shape=(self.block_size, ct.used_components.size))
             for ct in self.terms]
-        if len(blocks) == 1:
-            return blocks[0]
         return scipy.sparse.hstack(
             [scipy.sparse.csr_matrix((self.block_size, 0))] + blocks,
             format="csr")

@@ -1,6 +1,7 @@
 """Index classification, reference tensors, and geometry tensor expressions."""
 
 import os
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -473,13 +474,15 @@ def test_stacked_contraction_is_batch_independent(name, shape, q, n, seed):
             np.abs(want).max(initial=0.0), 1e-12)
 
 
+# two auxiliary sums on a tetrahedron: nine products per G component
+NINE_SUMS = ('element = FiniteElement("Lagrange", "tetrahedron", 1)\n'
+             "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+             "w = Function(element)\ni = Index()\nj = Index()\n"
+             "a = v.dx(i)*u.dx(i)*w.dx(j)*w.dx(j)*dx\n")
+
+
 def test_eight_or_more_auxiliary_sums_are_batch_independent(rng):
-    # two auxiliary sums on a tetrahedron: nine products per G component
-    form = parse_one(
-        'element = FiniteElement("Lagrange", "tetrahedron", 1)\n'
-        "v = BasisFunction(element)\nu = BasisFunction(element)\n"
-        "w = Function(element)\ni = Index()\nj = Index()\n"
-        "a = v.dx(i)*u.dx(i)*w.dx(j)*w.dx(j)*dx\n")
+    form = parse_one(NINE_SUMS)
     cf = compile_form(form)
     assert [ct.geometry.aux_dims for ct in cf.terms] == [(3, 3)]
     dets, gs, coeffs = random_cells(rng, form, 7)
@@ -490,6 +493,27 @@ def test_eight_or_more_auxiliary_sums_are_batch_independent(rng):
             got[k])
     want = quadrature_element_tensors(form, dets, gs, coeffs)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_evaluate_gathers_one_factor_at_a_time(rng):
+    # four transforms and two coefficient reads per product: gathering
+    # them all at once would hold [ncells x S x n x 4] doubles
+    form = parse_one(NINE_SUMS)
+    (ct,) = compile_form(form).terms
+    assert ct.geometry.expansion[0].shape[::2] == (9, 4)
+    n = 2000
+    dets, gs, coeffs = random_cells(rng, form, n)
+    dets, gs = np.array(dets), np.array(gs)
+    tracemalloc.start()
+    try:
+        got = ct.geometry.evaluate(dets, gs, coeffs, ct.used_components)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer = n * 9 * ct.used_components.size * got.itemsize
+    assert peak < 3 * layer
+    assert np.array_equal(got, ct.geometry.evaluate(
+        dets, gs, coeffs)[:, ct.used_components])
 
 
 def test_stacked_width_counts_only_read_components():
