@@ -23,7 +23,7 @@ import numpy as np
 from . import codegen, runtime
 from .errors import FormcError, ValueMismatch
 from .form_language import parse_form_file
-from .reference_elements import make_lagrange, make_quadrature
+from .reference_elements import CELL_SHAPES, make_lagrange, make_quadrature
 from .tensor_representation import compile_form
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "main",
 ]
 
-_SHAPE_OF_DIM = {1: "interval", 2: "triangle", 3: "tetrahedron"}
 DEFAULT_ELEMENTS = 10_000
 DEFAULT_REPETITIONS = 5
 
@@ -88,7 +87,7 @@ def flop_estimates(params):
     n, d, r = params.n, params.d, params.r
     T_T = n ** r * n ** params.n_f * d ** params.n_D
     p = max((r + params.n_f) * params.q - params.n_D, 0)
-    N = make_quadrature(_SHAPE_OF_DIM[d], p).num_points
+    N = make_quadrature(CELL_SHAPES[d - 1], p).num_points
     T_Q = n ** r * N * (params.n_f + params.n_D * d + 1)
     return T_T, T_Q, T_Q / T_T
 

@@ -55,7 +55,9 @@ class Index:
     A fixed index carries a literal value and no id; every other kind
     carries an id and, once classified, a range.  Freshly created indices
     are "free": their final kind (primary, secondary, auxiliary) is decided
-    per monomial during compilation.
+    per monomial during compilation.  A classified index carries its slot
+    as value: its position among the monomial's secondary indices or among
+    its auxiliary indices of the same side.
     """
 
     _counter = itertools.count()
@@ -75,7 +77,7 @@ class Index:
             self.range = None
         else:
             self.id = next(Index._counter)
-            self.value = None
+            self.value = value
             self.range = range
 
     @classmethod

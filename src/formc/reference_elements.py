@@ -25,7 +25,8 @@ from .errors import PointOutsideCell, UnsupportedDegree, UnsupportedShape
 
 MAX_DEGREE = 8
 
-_SHAPE_DIM = {"interval": 1, "triangle": 2, "tetrahedron": 3}
+CELL_SHAPES = ("interval", "triangle", "tetrahedron")  # of dimension 1..3
+_SHAPE_DIM = {shape: d for d, shape in enumerate(CELL_SHAPES, 1)}
 
 _GEOMETRY_TOL = 1e-10
 

@@ -31,7 +31,8 @@ from .errors import (
     UnsupportedDerivative,
 )
 from .form_language import BasisFunction, Form, expand_to_monomials
-from .reference_elements import make_quadrature, quadrature_tabulation
+from .reference_elements import (CELL_SHAPES, make_quadrature,
+                                 quadrature_tabulation)
 from .tensor_representation import CompiledForm
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "l2_error",
 ]
 
-_SHAPES = {1: "interval", 2: "triangle", 3: "tetrahedron"}
 # cells per batched quadrature oracle call
 CHUNK = 256
 
@@ -133,7 +133,7 @@ class Mesh:
             raise NonFiniteValue("vertex %d has a non-finite coordinate"
                                  % np.argmin(finite))
         self.dim = self.vertices.shape[1]
-        if self.dim not in _SHAPES:
+        if not 1 <= self.dim <= len(CELL_SHAPES):
             raise DimensionMismatch("unsupported mesh dimension %d" % self.dim)
         ids = np.asarray(cells)
         if ids.ndim != 2 or ids.shape[1] != self.dim + 1:
@@ -150,7 +150,7 @@ class Mesh:
         if ids.size and (ids.min() < 0 or ids.max() >= len(self.vertices)):
             raise DimensionMismatch("cell vertex id out of range")
         self.cells = ids.astype(int)
-        self.cell_shape = _SHAPES[self.dim]
+        self.cell_shape = CELL_SHAPES[self.dim - 1]
 
         Bs = _cell_matrices(self.vertices[self.cells])
         dets, adj = _det_adj(Bs)

@@ -32,11 +32,13 @@ expansion index pairing its basis factor (A0) with a dof read (G).  A free
 index written by the user must occur exactly twice: twice among components
 means an auxiliary sum inside A0, twice among derivative directions means an
 auxiliary sum inside G, and once on each side makes it secondary.
+A classified index carries its slot as ``value``: its position among the
+monomial's secondary indices, or among its auxiliary indices of one side.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iter_product
+from itertools import count, product as iter_product
 from math import prod
 
 import numpy as np
@@ -77,10 +79,7 @@ class ClassifiedFactor:
     slot: int  # argument slot or coefficient number
     component: object  # classified Index, fixed Index or None
     derivatives: tuple  # secondary reference-direction indices
-
-    @property
-    def scalar_dim(self):
-        return self.element.scalar_dim
+    expansion: object  # a coefficient's secondary expansion index, else None
 
 
 class MonomialTerm:
@@ -121,14 +120,23 @@ class MonomialTerm:
         return total
 
 
+def _slotted(kind, slots, extent):
+    """A fresh classified index whose value is its position in slots."""
+    index = Index(kind, value=len(slots), range=extent)
+    slots.append(index)
+    return index
+
+
 def classify_indices(monomial):
     """Decide the kind of every index of one expanded monomial.
 
     Returns a MonomialTerm with fresh classified index objects; the free
     indices of the input keep their pairing but are rebound to secondary or
-    auxiliary copies.  Raises IndexOccursOnce / IndexOccursThrice when a
-    free index is not repeated exactly twice, and DimensionMismatch when a
-    vector-valued factor lacks a component.
+    auxiliary copies.  Each classified index gets its slot as ``value``:
+    its position in term.secondary, term.aux_a0 or term.aux_g.  Raises
+    IndexOccursOnce / IndexOccursThrice when a free index is not repeated
+    exactly twice, and DimensionMismatch when a vector-valued factor lacks
+    a component.
     """
     if not isinstance(monomial, Monomial):
         raise TypeError("expected a Monomial")
@@ -139,7 +147,6 @@ def classify_indices(monomial):
     # occurrence sides of each free index: components live on the reference
     # side, derivative directions on the geometry side
     occurrences = {}
-    order = []
     for f in factors:
         if f.element.value_rank == 1 and f.component is None:
             raise DimensionMismatch(
@@ -158,17 +165,13 @@ def classify_indices(monomial):
             if i.kind != "fixed":
                 sites.append(("g", i))
         for side, index in sites:
-            if index.id not in occurrences:
-                occurrences[index.id] = []
-                order.append(index.id)
-            occurrences[index.id].append(side)
+            occurrences.setdefault(index.id, []).append(side)
 
     rebound = {}
-    user_secondary = []
+    secondary = []
     aux_a0 = []
     aux_g = []
-    for index_id in order:
-        sides = occurrences[index_id]
+    for index_id, sides in occurrences.items():
         if len(sides) == 1:
             raise IndexOccursOnce(
                 "index occurs only once in a monomial; free indices must "
@@ -180,18 +183,13 @@ def classify_indices(monomial):
                 "be repeated exactly twice" % len(sides)
             )
         if sides == ["a0", "a0"]:
-            new = Index("auxiliary", range=d)
-            aux_a0.append(new)
+            rebound[index_id] = _slotted("auxiliary", aux_a0, d)
         elif sides == ["g", "g"]:
-            new = Index("auxiliary", range=d)
-            aux_g.append(new)
+            rebound[index_id] = _slotted("auxiliary", aux_g, d)
         else:
-            new = Index("secondary", range=d)
-            user_secondary.append(new)
-        rebound[index_id] = new
+            rebound[index_id] = _slotted("secondary", secondary, d)
 
     # rebuild factors, introducing expansion and reference-direction indices
-    created_secondary = []
     transforms = []
     coeff_reads = []
     classified = []
@@ -202,17 +200,16 @@ def classify_indices(monomial):
                 f.component if f.component.kind == "fixed"
                 else rebound[f.component.id]
             )
+        expansion = None
         if isinstance(f, BasisFunction):
             kind, slot = "argument", f.slot
         else:
             kind, slot = "coefficient", f.number
-            expansion = Index("secondary", range=f.element.space_dim)
-            created_secondary.append(expansion)
+            expansion = _slotted("secondary", secondary, f.element.space_dim)
             coeff_reads.append((slot, expansion))
         derivs = []
         for i in f.derivatives:
-            ref = Index("secondary", range=d)
-            created_secondary.append(ref)
+            ref = _slotted("secondary", secondary, d)
             derivs.append(ref)
             x = i if i.kind == "fixed" else rebound[i.id]
             transforms.append((ref, x))
@@ -222,9 +219,9 @@ def classify_indices(monomial):
             slot=slot,
             component=component,
             derivatives=tuple(derivs),
+            expansion=expansion,
         ))
 
-    secondary = user_secondary + created_secondary
     return MonomialTerm(
         scalar=monomial.scalar,
         cell=cell,
@@ -285,73 +282,53 @@ def compute_reference_tensor(term, quadrature_degree=None):
     )
     rule = make_quadrature(term.cell.shape, p0)
 
-    q_label = 0
-    next_label = 1
+    # einsum labels count up in factor order, 0 is the quadrature point;
+    # axis_labels holds the label of each A0 axis the integration yields,
+    # and None on the component-valued user secondary axes
+    rank = term.rank
+    axis_labels = [None] * (rank + len(term.secondary))
+    new_label = count(1)
     operands = []
-    basis_labels = {}
-    deriv_labels = {}
-    for k, f in enumerate(term.factors):
+    for f in term.factors:
         tab = quadrature_tabulation(f.element, rule.exact_degree)
-        basis_labels[k] = next_label
-        next_label += 1
+        basis = next(new_label)
+        axis_labels[f.slot if f.expansion is None
+                    else rank + f.expansion.value] = basis
         if f.derivatives:
-            arr = tab.gradients
-            deriv_labels[f.derivatives[0].id] = next_label
-            labels = [basis_labels[k], next_label, q_label]
-            next_label += 1
+            deriv = next(new_label)
+            axis_labels[rank + f.derivatives[0].value] = deriv
+            operands.extend([tab.gradients, [basis, deriv, 0]])
         else:
-            arr = tab.values
-            labels = [basis_labels[k], q_label]
-        operands.extend([arr, labels])
-    operands.extend([rule.weights, [q_label]])
-
-    out_labels = []
-    factor_index = {id(f): k for k, f in enumerate(term.factors)}
-    for f in term.arg_factors:
-        out_labels.append(basis_labels[factor_index[id(f)]])
-    coeff_iter = iter(
-        k for k, f in enumerate(term.factors) if f.kind == "coefficient"
-    )
-    coeff_factor_of = dict(zip((e.id for _, e in term.coeff_reads), coeff_iter))
-    for s in term.secondary:
-        if s.id in deriv_labels:
-            out_labels.append(deriv_labels[s.id])
-        elif s.id in coeff_factor_of:
-            out_labels.append(basis_labels[coeff_factor_of[s.id]])
-        # user secondary indices are component valued and handled blockwise
+            operands.extend([tab.values, [basis, 0]])
+    operands.extend([rule.weights, [0]])
+    out_labels = [label for label in axis_labels if label is not None]
     scalar_block = np.einsum(*operands, out_labels, optimize=_contraction_path(
         tuple((a.shape, tuple(labels)) for a, labels in zip(operands[::2],
                                                             operands[1::2])),
         tuple(out_labels)))
 
-    dims = term.primary_dims + term.secondary_dims
-    entries = np.zeros(dims)
+    entries = np.zeros(term.primary_dims + term.secondary_dims)
+    # user secondary indices lead term.secondary; each transform and each
+    # coefficient read created one of the others
+    n_user = len(term.secondary) - len(term.transforms) - len(term.coeff_reads)
 
-    component_ids = []
-    for f in term.factors:
-        c = f.component
-        if c is not None and c.kind != "fixed" and c.id not in component_ids:
-            component_ids.append(c.id)
-
-    def block(f, assignment):
+    def block(f, values):
         """Basis rows of factor f in its selected component."""
         if f.element.value_rank == 0:
             return slice(None)
-        c = f.component
-        c = c.value if c.kind == "fixed" else assignment[c.id]
-        return slice(c * f.scalar_dim, (c + 1) * f.scalar_dim)
+        c, n = f.component, f.element.scalar_dim
+        k = c.value if c.kind == "fixed" else values[c.kind][c.value]
+        return slice(k * n, (k + 1) * n)
 
-    for combo in iter_product(range(term.cell.dim), repeat=len(component_ids)):
-        assignment = dict(zip(component_ids, combo))
-        selector = [block(f, assignment) for f in term.arg_factors]
-        for s in term.secondary:
-            if s.id in deriv_labels:
-                selector.append(slice(None))
-            elif s.id in coeff_factor_of:
-                selector.append(
-                    block(term.factors[coeff_factor_of[s.id]], assignment))
-            else:
-                selector.append(assignment[s.id])
+    # every assignment of the free components writes its own block
+    for combo in iter_product(range(term.cell.dim),
+                              repeat=n_user + len(term.aux_a0)):
+        values = {"secondary": combo[:n_user], "auxiliary": combo[n_user:]}
+        selector = ([block(f, values) for f in term.arg_factors]
+                    + list(combo[:n_user])
+                    + [slice(None)] * (len(term.secondary) - n_user))
+        for f in term.coeff_factors:
+            selector[rank + f.expansion.value] = block(f, values)
         entries[tuple(selector)] += scalar_block
 
     return ReferenceTensor(entries, term.rank)
@@ -360,23 +337,17 @@ def compute_reference_tensor(term, quadrature_degree=None):
 def _reference_key(term):
     """Equal keys mean bitwise-equal compute_reference_tensor entries.
 
-    Each factor contributes its element, kind and slot, its component and
-    derivative as a fixed value or as the position of a secondary ("s") or
-    auxiliary ("a") index, and for a coefficient the position of its
-    expansion index.  Index renamings between monomials thus share a key.
+    Each factor contributes its element, kind and slot, and its component,
+    derivative and coefficient expansion index as (kind, value): a fixed
+    value or the slot of a classified index.  Index renamings between
+    monomials thus share a key.
     """
-    pos = {i.id: ("s", k) for k, i in enumerate(term.secondary)}
-    pos.update((i.id, ("a", k)) for k, i in enumerate(term.aux_a0))
-
     def where(i):
-        return ("f", i.value) if i.kind == "fixed" else pos[i.id]
+        return None if i is None else (i.kind, i.value)
 
-    expansion = iter([pos[e.id] for _, e in term.coeff_reads])
     return term.cell.shape, term.secondary_dims, tuple(
-        (f.element, f.kind, f.slot,
-         None if f.component is None else where(f.component),
-         tuple(map(where, f.derivatives)),
-         next(expansion) if f.kind == "coefficient" else None)
+        (f.element, f.kind, f.slot, where(f.component),
+         tuple(map(where, f.derivatives)), where(f.expansion))
         for f in term.factors)
 
 
@@ -517,15 +488,13 @@ def _multiindices(dims):
 
 
 def derive_geometry_expr(term):
-    """Geometry tensor expression paired with the monomial's A0; classified
-    indices become slots by their position in term.secondary or term.aux_g."""
-    slots = {i.id: ("s", k) for k, i in enumerate(term.secondary)}
-    slots.update((i.id, ("b", k)) for k, i in enumerate(term.aux_g))
+    """Geometry tensor expression paired with the monomial's A0: each
+    classified index becomes the slot its value holds, tagged by kind."""
+    tag = {"secondary": "s", "auxiliary": "b", "fixed": "f"}
     return GeometryTensorExpr(
         term.scalar, term.secondary_dims, [i.range for i in term.aux_g],
-        [(slots[ref.id][1], ("f", x.value) if x.kind == "fixed"
-          else slots[x.id]) for ref, x in term.transforms],
-        [(c, slots[e.id][1]) for c, e in term.coeff_reads],
+        [(ref.value, (tag[x.kind], x.value)) for ref, x in term.transforms],
+        [(c, e.value) for c, e in term.coeff_reads],
     )
 
 

@@ -3,7 +3,7 @@
 import os
 import tracemalloc
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from formc.tensor_representation import (
     CompiledTerm,
     GeometryTensorExpr,
     _kept,
+    _reference_key,
     classify_indices,
     compile_form,
     compute_reference_tensor,
@@ -94,6 +95,18 @@ def terms_of(kind, shape="triangle", degree=1):
     return [classify_indices(m) for m in expand_to_monomials(form)]
 
 
+def assert_slots(term):
+    """Classified indices carry their positions as values, and the geometry
+    expression reads its slots from them."""
+    for slots in (term.secondary, term.aux_a0, term.aux_g):
+        assert [i.value for i in slots] == list(range(len(slots)))
+    geo = derive_geometry_expr(term)
+    assert [(r, k) for r, (_, k) in geo.transforms] == [
+        (ref.value, x.value) for ref, x in term.transforms]
+    assert geo.coeff_reads == tuple(
+        (c, e.value) for c, e in term.coeff_reads)
+
+
 # --- index classification ------------------------------------------------------
 
 
@@ -129,6 +142,11 @@ def test_navierstokes_classification():
     assert term.aux_g == ()
     assert len(term.coeff_reads) == 1
     assert len(term.transforms) == 1
+    assert_slots(term)
+    # u's reference direction (slot 2) pairs with the user index j (slot 0);
+    # w's expansion index is slot 1
+    assert derive_geometry_expr(term).transforms == ((2, ("s", 0)),)
+    assert derive_geometry_expr(term).coeff_reads == ((0, 1),)
 
 
 def test_elasticity_classification():
@@ -139,6 +157,12 @@ def test_elasticity_classification():
     assert geo_ranks == [2, 2, 4, 4]
     aux = sorted((len(t.aux_a0), len(t.aux_g)) for t in terms)
     assert aux == [(0, 0), (0, 0), (1, 1), (1, 1)]
+    for t in terms:
+        assert_slots(t)
+    # v[i].dx(j)*u[i].dx(j): i sums inside A0, j inside G, and the two
+    # reference directions take secondary slots 0 and 1
+    assert derive_geometry_expr(terms[0]).transforms == (
+        (0, ("b", 0)), (1, ("b", 0)))
 
 
 def test_index_occurrence_errors():
@@ -713,6 +737,33 @@ def test_renamed_monomials_integrate_once(monkeypatch):
     # monomials 0 and 3, and 1 and 2, are index renamings of each other
     assert len(expand_to_monomials(form)) == 4
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q", (1, 2))
+@pytest.mark.parametrize("shape", ("triangle", "tetrahedron"))
+def test_reference_key_contract(shape, q):
+    form = parse_one(
+        'element = VectorElement("Lagrange", "%s", %d)\n' % (shape, q)
+        + "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+        "w = Function(element)\ni = Index()\nj = Index()\n"
+        "a = (%s)*dx\n" % " + ".join(text for text, _ in MERGE_POOL))
+    terms = [classify_indices(m) for m in expand_to_monomials(form)]
+    assert len(terms) == len(MERGE_POOL)
+    keys = [_reference_key(t) for t in terms]
+    entries = [compute_reference_tensor(t).entries for t in terms]
+    # equal keys mean bitwise-equal reference tensors
+    for a, b in combinations(range(len(terms)), 2):
+        if keys[a] == keys[b]:
+            assert entries[a].tobytes() == entries[b].tobytes()
+    # index renamings share a key; the scalar enters G, not A0, and the
+    # coefficient pair keys w's expansion index by its slot
+    texts = [text for text, _ in MERGE_POOL]
+    for pair in (("v[i].dx(j)*u[i].dx(j)", "v[j].dx(i)*u[j].dx(i)"),
+                 ("0.5*v[i].dx(j)*u[j].dx(i)", "v[j].dx(i)*u[i].dx(j)"),
+                 ("w[i]*v[j]*u[j].dx(i)", "w[j]*v[i]*u[i].dx(j)")):
+        a, b = (texts.index(text) for text in pair)
+        assert keys[a] == keys[b], pair
+    assert len(set(keys)) == len(terms) - 3
 
 
 @pytest.mark.parametrize("name,kept", (
