@@ -18,6 +18,7 @@ reciprocal, so the algebra is closed over the four classes.
 
 import itertools
 import re
+from collections import Counter, namedtuple
 
 from .errors import (
     ArityError,
@@ -111,19 +112,8 @@ def _as_index(obj):
 
 
 def _cell_of(x):
-    for f in _terminals_of(x):
-        return f.element.cell
-    return None
-
-
-def _terminals_of(x):
-    if isinstance(x, Terminal):
-        return (x,)
-    if isinstance(x, Product):
-        return x.factors
-    if isinstance(x, Sum):
-        return tuple(f for t in x.terms for f in t.factors)
-    return ()
+    return next((f.element.cell for p in _as_products(x) for f in p.factors),
+                None)
 
 
 def _check_cells(a, b):
@@ -182,7 +172,12 @@ class Terminal(_Operand):
         self.derivatives = tuple(derivatives)
 
     def _copy(self, **kw):
-        raise NotImplementedError
+        return type(self)(
+            self.element,
+            self._slot_key(),
+            kw.get("component", self.component),
+            kw.get("derivatives", self.derivatives),
+        )
 
     def __getitem__(self, index):
         if self.element.value_rank == 0:
@@ -200,14 +195,23 @@ class Terminal(_Operand):
             raise ValueError("derivative direction %d out of range" % index.value)
         return self._copy(derivatives=self.derivatives + (index,))
 
-    def _tokens(self):
-        comp = None if self.component is None else self.component.key()
+    def dx(self, index):
+        return self._wrap(Product(1.0, (self._with_derivative(index),)))
+
+    def __neg__(self):
+        return self._scaled(-1.0)
+
+    def _scaled(self, a):
+        return self._wrap(Product(a, (self,)))
+
+    def _tokens(self, key=Index.key):
+        comp = None if self.component is None else key(self.component)
         return (
             type(self).__name__,
             self.element._key(),
             self._slot_key(),
             comp,
-            tuple(i.key() for i in self.derivatives),
+            tuple(key(i) for i in self.derivatives),
         )
 
     def __eq__(self, other):
@@ -232,25 +236,12 @@ class BasisFunction(Terminal):
         super().__init__(element, component, derivatives)
         self.slot = next(_arg_counter) if slot is None else slot
 
-    def _copy(self, **kw):
-        return BasisFunction(
-            self.element,
-            slot=self.slot,
-            component=kw.get("component", self.component),
-            derivatives=kw.get("derivatives", self.derivatives),
-        )
-
     def _slot_key(self):
         return self.slot
 
-    def dx(self, index):
-        return Product(1.0, (self._with_derivative(index),))
-
-    def __neg__(self):
-        return Product(-1.0, (self,))
-
-    def _scaled(self, a):
-        return Product(a, (self,))
+    @staticmethod
+    def _wrap(product):
+        return product
 
     def __repr__(self):
         return "BasisFunction(slot=%d%s%s)" % (
@@ -267,25 +258,12 @@ class Function(Terminal):
         super().__init__(element, component, derivatives)
         self.number = next(_coeff_counter) if number is None else number
 
-    def _copy(self, **kw):
-        return Function(
-            self.element,
-            number=self.number,
-            component=kw.get("component", self.component),
-            derivatives=kw.get("derivatives", self.derivatives),
-        )
-
     def _slot_key(self):
         return self.number
 
-    def dx(self, index):
-        return Sum((Product(1.0, (self._with_derivative(index),)),))
-
-    def __neg__(self):
-        return Sum((Product(-1.0, (self,)),))
-
-    def _scaled(self, a):
-        return Sum((Product(a, (self,)),))
+    @staticmethod
+    def _wrap(product):
+        return Sum((product,))
 
     def __repr__(self):
         return "Function(number=%d)" % self.number
@@ -375,11 +353,6 @@ class Measure:
 
     def __init__(self, name="dx"):
         self.name = name
-
-    def __rmul__(self, other):
-        if isinstance(other, _Operand):
-            return Form(_as_sum(other))
-        return NotImplemented
 
     def __repr__(self):
         return self.name
@@ -516,7 +489,7 @@ def structurally_equal(a, b):
         return False
     if [e._key() for e in a.coefficients] != [e._key() for e in b.coefficients]:
         return False
-    return sorted(_canonical_keys(a)) == sorted(_canonical_keys(b))
+    return Counter(_canonical_keys(a)) == Counter(_canonical_keys(b))
 
 
 def _canonical_keys(form):
@@ -524,23 +497,13 @@ def _canonical_keys(form):
     for m in expand_to_monomials(form):
         renaming = {}
 
-        def tok(i):
+        def key(i):
             if i.kind == "fixed":
                 return ("fix", i.value)
-            if i.id not in renaming:
-                renaming[i.id] = len(renaming)
-            return ("idx", renaming[i.id])
+            return ("idx", renaming.setdefault(i.id, len(renaming)))
 
-        fkeys = []
-        for f in m.factors:
-            fkeys.append((
-                type(f).__name__,
-                f.element._key(),
-                f._slot_key(),
-                None if f.component is None else tok(f.component),
-                tuple(tok(i) for i in f.derivatives),
-            ))
-        keys.append((round(m.scalar, 12), tuple(fkeys)))
+        keys.append((round(m.scalar, 12),
+                     tuple(f._tokens(key) for f in m.factors)))
     return keys
 
 
@@ -560,17 +523,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("type", "text", "line", "col")
-
-    def __init__(self, type_, text, line, col):
-        self.type = type_
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "%s(%r)@%d:%d" % (self.type, self.text, self.line, self.col)
+_Token = namedtuple("_Token", "type text line col")
 
 
 def _tokenize(text):
@@ -599,9 +552,15 @@ def _tokenize(text):
 class _Parser:
     """Recursive-descent parser for form files.
 
-    Accepts a small superset of the published grammar: a leading unary
-    minus on a term is allowed so that canonically printed forms with
-    negative leading scalars read back.
+    Two rules read every integrand:
+
+        sum  := ['-'] term (('+'|'-') term)*
+        term := factor ('*' factor)*
+
+    At top level a term ends in ``*dx`` and the sum is a Form; inside
+    parentheses dx may not appear.  The leading unary minus is a small
+    superset of the published grammar, so that canonically printed forms
+    with negative leading scalars read back.
     """
 
     def __init__(self, text):
@@ -675,7 +634,7 @@ class _Parser:
             "Index",
         ):
             return self.parse_declaration()
-        return self.parse_form_expr()
+        return self.parse_sum(measured=True)
 
     def parse_declaration(self):
         head = self.advance()
@@ -733,65 +692,51 @@ class _Parser:
             self.peek().type == "ident" and self.peek(1).text == "="
         )
 
-    def parse_form_expr(self):
+    def parse_sum(self, measured):
         start = self.peek()
-        total = None
-        sign = 1.0
-        if self.peek().text == "-":
+        negate = start.text == "-"
+        if negate:
             self.advance()
-            sign = -1.0
+        total = None
         while True:
             tok = self.peek()
-            term = self.parse_measured_term()
-            term = term if sign > 0 else (-term)
+            term = self.parse_term(measured)
+            term = -term if negate else term
             total = term if total is None else self.build(
                 tok, lambda: total + term)
-            if self.at_statement_boundary():
-                return self.build(start, lambda: Form(
-                    total.integrand if isinstance(total, Form) else total))
-            tok = self.advance()
-            if tok.text == "+":
-                sign = 1.0
-            elif tok.text == "-":
-                sign = -1.0
-            else:
-                self.fail("expected '+', '-' or a new statement", tok)
+            tok = self.peek()
+            if tok.text not in ("+", "-"):
+                break
+            self.advance()
+            negate = tok.text == "-"
+        if not measured:
+            return total
+        if not self.at_statement_boundary():
+            self.fail("expected '+', '-' or a new statement", tok)
+        return self.build(start, lambda: Form(total))
 
-    def parse_measured_term(self):
+    def parse_term(self, measured):
         start = self.peek()
-        factors, saw_dx = self.parse_factor_chain(allow_dx=True)
-        if not saw_dx:
-            raise MissingMeasure(
-                "term does not end with the measure dx (line %d, column %d)"
-                % (start.line, start.col)
-            )
-        return self.combine(factors, start)
-
-    def parse_factor_chain(self, allow_dx):
         factors = []
-        saw_dx = False
         while True:
             tok = self.peek()
             if tok.type == "ident" and tok.text == "dx":
-                if not allow_dx:
+                if not measured:
                     self.fail("dx may only end a top-level term", tok)
                 self.advance()
-                saw_dx = True
                 if self.peek().text == "*":
                     self.fail("dx must be the last factor of a term")
                 break
             factors.append(self.parse_factor())
-            if self.peek().text == "*":
-                self.advance()
-                continue
-            if allow_dx and not saw_dx:
-                tok = self.peek()
-                raise MissingMeasure(
-                    "term does not end with the measure dx (line %d, column %d)"
-                    % (tok.line, tok.col)
-                )
-            break
-        return factors, saw_dx
+            if self.peek().text != "*":
+                if measured:
+                    tok = self.peek()
+                    raise MissingMeasure(
+                        "term does not end with the measure dx (line %d, "
+                        "column %d)" % (tok.line, tok.col))
+                break
+            self.advance()
+        return self.combine(factors, start if measured else self.peek())
 
     def parse_factor(self):
         tok = self.peek()
@@ -800,7 +745,7 @@ class _Parser:
             return float(tok.text)
         if tok.text == "(":
             self.advance()
-            value = self.parse_paren_expr()
+            value = self.parse_sum(measured=False)
             self.expect("op", ")")
             return self.parse_postfixes(value)
         if tok.type == "ident":
@@ -810,29 +755,6 @@ class _Parser:
                 self.fail("%r cannot appear in an integrand" % tok.text, tok)
             return self.parse_postfixes(value)
         self.fail("expected a factor", tok)
-
-    def parse_paren_expr(self):
-        total = None
-        sign = 1.0
-        if self.peek().text == "-":
-            self.advance()
-            sign = -1.0
-        while True:
-            tok = self.peek()
-            factors, _ = self.parse_factor_chain(allow_dx=False)
-            term = self.combine(factors, self.peek())
-            term = term if sign > 0 else (-term)
-            total = term if total is None else self.build(
-                tok, lambda: total + term)
-            tok = self.peek()
-            if tok.text == "+":
-                self.advance()
-                sign = 1.0
-            elif tok.text == "-":
-                self.advance()
-                sign = -1.0
-            else:
-                return total
 
     def parse_postfixes(self, value):
         while True:
@@ -930,20 +852,24 @@ def form_file_text(forms):
             lines.append("%s = Index()" % name)
         return index_names[index.id]
 
+    def declare(names, prefix, head, elements):
+        """Names of slots 0..n-1.  A form shares a name with an earlier
+        one only if the elements of every slot up to it agree too, so the
+        names of each form are declared in slot order."""
+        out = []
+        for k, element in enumerate(elements):
+            key = tuple(e._key() for e in elements[:k + 1])
+            if key not in names:
+                names[key] = "%s%d" % (prefix, len(names))
+                lines.append("%s = %s(%s)"
+                             % (names[key], head, element_name(element)))
+            out.append(names[key])
+        return out
+
     body = []
     for form in forms:
-        for slot, element in enumerate(form.arguments):
-            key = (slot, element._key())
-            if key not in argument_names:
-                name = "v%d" % slot
-                argument_names[key] = name
-                lines.append("%s = BasisFunction(%s)" % (name, element_name(element)))
-        for number, element in enumerate(form.coefficients):
-            key = (number, element._key())
-            if key not in coefficient_names:
-                name = "w%d" % len(coefficient_names)
-                coefficient_names[key] = name
-                lines.append("%s = Function(%s)" % (name, element_name(element)))
+        args = declare(argument_names, "v", "BasisFunction", form.arguments)
+        coeffs = declare(coefficient_names, "w", "Function", form.coefficients)
 
         pieces = []
         for m in expand_to_monomials(form):
@@ -952,9 +878,9 @@ def form_file_text(forms):
                 bits.append(repr(abs(m.scalar)))
             for f in m.factors:
                 if isinstance(f, BasisFunction):
-                    text = argument_names[(f.slot, f.element._key())]
+                    text = args[f.slot]
                 else:
-                    text = coefficient_names[(f.number, f.element._key())]
+                    text = coeffs[f.number]
                 if f.component is not None:
                     text += "[%s]" % index_name(f.component)
                 for i in f.derivatives:

@@ -55,7 +55,6 @@ from .reference_elements import make_quadrature, quadrature_tabulation
 
 __all__ = [
     "MonomialTerm",
-    "ReferenceTensor",
     "GeometryTensorExpr",
     "CompiledTerm",
     "CompiledForm",
@@ -237,26 +236,6 @@ def classify_indices(monomial):
 # --- reference tensor ---------------------------------------------------------
 
 
-class ReferenceTensor:
-    """Dense, read-only reference tensor of one monomial.
-
-    Axes: the primary indices in slot order, then the secondary indices in
-    the monomial's secondary order.  Flattening is row-major throughout.
-    """
-
-    def __init__(self, entries, primary_rank):
-        entries.flags.writeable = False
-        self.entries = entries
-        self.rank = entries.ndim
-        self.primary_rank = primary_rank
-        self.dims = entries.shape
-
-    def __repr__(self):
-        return "ReferenceTensor(dims=%r, primary=%d)" % (
-            tuple(self.dims), self.primary_rank,
-        )
-
-
 @lru_cache(maxsize=256)
 def _contraction_path(inputs, out_labels):
     """The path einsum(optimize=True) takes for operands of these shapes and
@@ -268,14 +247,17 @@ def _contraction_path(inputs, out_labels):
 
 
 def compute_reference_tensor(term, quadrature_degree=None):
-    """Integrate the reference-side factor products of one monomial.
+    """Integrate the reference-side factor products of one monomial into
+    its dense, read-only A0.
 
-    The quadrature rule is exact for the integrand degree unless an
-    explicit ``quadrature_degree`` overrides it.  Vector components never
-    enter the quadrature: on a product basis the scalar profile of a basis
-    function is component independent, so the scalar factor integrals are
-    computed once and written into every component block selected by the
-    (fixed, secondary or auxiliary) component indices.
+    A0's axes are the primary indices in slot order, then the secondary
+    indices in the monomial's secondary order.  The quadrature rule is
+    exact for the integrand degree unless an explicit ``quadrature_degree``
+    overrides it.  Vector components never enter the quadrature: on a
+    product basis the scalar profile of a basis function is component
+    independent, so the scalar factor integrals are computed once and
+    written into every component block selected by the (fixed, secondary
+    or auxiliary) component indices.
     """
     p0 = term.quadrature_degree() if quadrature_degree is None else (
         quadrature_degree
@@ -331,7 +313,8 @@ def compute_reference_tensor(term, quadrature_degree=None):
             selector[rank + f.expansion.value] = block(f, values)
         entries[tuple(selector)] += scalar_block
 
-    return ReferenceTensor(entries, term.rank)
+    entries.flags.writeable = False
+    return entries
 
 
 def _reference_key(term):
@@ -517,13 +500,6 @@ class CompiledTerm:
         self.secondary_dims = geometry.dims
         self.matrix = matrix
 
-    @property
-    def tensor(self):
-        """Dense A0, rebuilt from the nonzeros."""
-        return ReferenceTensor(
-            self.matrix.toarray().reshape(self.primary_dims + self.secondary_dims),
-            len(self.primary_dims))
-
     @cached_property
     def used_components(self):
         """Ascending flat indices of the G components some A0 nonzero
@@ -623,7 +599,7 @@ def compile_form(form):
         geometry = derive_geometry_expr(term)
         key = _reference_key(term)
         if key not in integrated:
-            integrated[key] = compute_reference_tensor(term).entries
+            integrated[key] = compute_reference_tensor(term)
         group = groups.setdefault(geometry.key, [geometry, 0.0])
         group[1] = group[1] + integrated[key]
     terms = []

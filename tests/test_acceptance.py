@@ -102,7 +102,7 @@ def test_criterion_01_generated_code_regression(capfd):
     def body():
         cf = compile_form(form_for("poisson", "triangle", 3))
         (term,) = cf.terms
-        flat = term.tensor.entries.reshape(100, 4)
+        flat = term.matrix.toarray().reshape(100, 4)
         return (
             cf.block_size == 100
             and abs(flat[0, 0] - 4.249999999999996e-01) < 1e-9

@@ -375,6 +375,31 @@ def test_parser_errors_name_their_line(tail, error, line):
     assert "(line %d, column " % line in str(err.value)
 
 
+@pytest.mark.parametrize("tail,error,message", (
+    ("a = v*(u*dx)*dx\n", FormSyntaxError,
+     "dx may only end a top-level term (line 4, column 10)"),
+    ("a = dx*u\n", FormSyntaxError,
+     "dx must be the last factor of a term (line 4, column 7)"),
+    ("a = v*u\n", MissingMeasure,
+     "term does not end with the measure dx (line 5, column 1)"),
+    ("a = v*u + v*dx\n", MissingMeasure,
+     "term does not end with the measure dx (line 4, column 9)"),
+    ("a = v*u*dx u\n", FormSyntaxError,
+     "expected '+', '-' or a new statement (line 4, column 12)"),
+    ("a = dx\n", FormSyntaxError, "empty term (line 4, column 5)"),
+    ("a = 2.0*dx\n", FormSyntaxError,
+     "term contains no basis function or coefficient (line 4, column 5)"),
+    # inside parentheses the term's error points past the term
+    ("a = (-2.0)*v*u*dx\n", FormSyntaxError,
+     "term contains no basis function or coefficient (line 4, column 10)"),
+))
+def test_parser_errors_pin_message(tail, error, message):
+    with pytest.raises(error) as err:
+        parse_form_file(LINES + tail)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 # --- canonical printer ------------------------------------------------------------
 
 
@@ -402,6 +427,23 @@ def test_printer_round_trip(name):
     assert form_file_text(again) == text
 
 
+@pytest.mark.parametrize("elements", (
+    ("P1", "P1", "P2", "P2"),  # a P1 form, then a P2 form
+    ("P1", "P2", "P2", "P2"),  # b's slot 1 matches a's, its slot 0 does not
+))
+def test_printer_names_each_forms_arguments(elements):
+    element = {"P1": E, "P2": make_lagrange("triangle", 2)}
+    forms = []
+    for name, e0, e1 in (("a",) + elements[:2], ("b",) + elements[2:]):
+        v, u = BasisFunction(element[e0]), BasisFunction(element[e1])
+        w, z = Function(element[e0]), Function(element[e1])
+        forms.append((v.dx(0) * u * w.dx(1) * z * dx).named(name))
+    again = parse_form_file(form_file_text(forms))
+    assert [g.name for g in again] == ["a", "b"]
+    for f, g in zip(forms, again):
+        assert structurally_equal(f, g)
+
+
 def test_structurally_equal_discriminates():
     def build(scalar):
         v = BasisFunction(E)
@@ -426,6 +468,11 @@ def test_structurally_equal_discriminates():
     )
     # equality is up to renaming of free indices
     assert structurally_equal(i_form, j_form)
+    # monomials with and without a component compare without ordering
+    w = BasisFunction(EV)
+    mixed = (w.dx(0) + w[0].dx(0)) * dx
+    assert structurally_equal(mixed, mixed)
+    assert not structurally_equal(mixed, (w.dx(0) + w[1].dx(0)) * dx)
 
 
 # --- fuzzed form files ------------------------------------------------------------
