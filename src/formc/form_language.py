@@ -396,10 +396,18 @@ class Form:
             integrand = _as_sum(integrand)
         self.name = name
 
+        # terms whose monomial cancels are dropped, so that a coefficient
+        # read only there is not numbered; they still fix the arguments
+        keys = [_monomial_key(t) for t in integrand.terms]
+        totals = dict.fromkeys(keys, 0.0)
+        for key, t in zip(keys, integrand.terms):
+            totals[key] += t.scalar
+        live = [totals[key] != 0.0 for key in keys]
         slots = sorted({f.slot for t in integrand.terms for f in t.factors
                         if isinstance(f, BasisFunction)})
-        numbers = sorted({f.number for t in integrand.terms for f in t.factors
-                          if isinstance(f, Function)})
+        numbers = sorted({f.number
+                          for t, keep in zip(integrand.terms, live) if keep
+                          for f in t.factors if isinstance(f, Function)})
         if not slots:
             raise ArityError("form has no arguments")
         slot_map = {s: k for k, s in enumerate(slots)}
@@ -408,7 +416,7 @@ class Form:
         arguments = [None] * len(slots)
         coefficients = [None] * len(numbers)
         terms = []
-        for t in integrand.terms:
+        for t, keep in zip(integrand.terms, live):
             seen = set()
             factors = []
             for f in t.factors:
@@ -426,6 +434,8 @@ class Form:
                         raise ArityError(
                             "argument %d bound to two different elements" % new.slot
                         )
+                elif not keep:
+                    continue  # a cancelled term's coefficients get no number
                 else:
                     new = f._copy()
                     new.number = number_map[f.number]
@@ -439,9 +449,10 @@ class Form:
                 factors.append(new)
             if seen != set(range(len(slots))):
                 raise ArityError("every term must be linear in every argument")
-            terms.append(Product(t.scalar, factors))
+            if keep:
+                terms.append(Product(t.scalar, factors))
 
-        cells = {el.cell for el in arguments + coefficients if el is not None}
+        cells = {f.element.cell for t in integrand.terms for f in t.factors}
         if len(cells) > 1:
             raise IncompatibleCells("form mixes elements on different cells")
 
@@ -463,6 +474,11 @@ class Form:
         )
 
 
+def _monomial_key(product):
+    """Equal keys mean the same factors, up to their order."""
+    return tuple(sorted(repr(f._tokens()) for f in product.factors))
+
+
 def expand_to_monomials(form):
     """Flatten a form's integrand into collected monomials.
 
@@ -473,7 +489,7 @@ def expand_to_monomials(form):
     collected = {}
     order = []
     for t in form.integrand.terms:
-        key = tuple(sorted(repr(f._tokens()) for f in t.factors))
+        key = _monomial_key(t)
         if key not in collected:
             collected[key] = Monomial(0.0, t.factors)
             order.append(key)

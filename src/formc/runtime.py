@@ -554,12 +554,12 @@ class SparseBuilder:
         self._vals = []
 
     def add(self, rows, values, cols=None):
-        self._rows.append(np.asarray(rows, dtype=int).ravel())
+        self._rows.append(np.asarray(rows).ravel())
         self._vals.append(np.asarray(values, dtype=float).ravel())
         if len(self.shape) == 2:
             if cols is None:
                 raise DimensionMismatch("matrix builder needs column ids")
-            self._cols.append(np.asarray(cols, dtype=int).ravel())
+            self._cols.append(np.asarray(cols).ravel())
 
     def finalize(self):
         rows, vals = _joined(self._rows, int), _joined(self._vals, float)
@@ -644,11 +644,13 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
 
     # one triplet per element-tensor entry, cell by cell in row-major order
     builder = SparseBuilder([dm.global_dim for dm in dofmaps])
-    rows = dofmaps[0].cell_dofs
     if len(dofmaps) == 1:
-        builder.add(rows, blocks)
+        builder.add(dofmaps[0].cell_dofs, blocks)
     else:
-        cols = dofmaps[1].cell_dofs
+        # int32 ids, where they fit, spare coo_matrix a checked copy
+        ids = (np.int32 if max(builder.shape + (blocks.size,)) < 2 ** 31
+               else np.int64)
+        rows, cols = (dm.cell_dofs.astype(ids) for dm in dofmaps)
         builder.add(np.repeat(rows, cols.shape[1], axis=1), blocks,
                     np.tile(cols, (1, rows.shape[1])))
     return builder.finalize()

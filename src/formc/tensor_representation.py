@@ -16,13 +16,20 @@ tensor expressions share one G, and their A0 are summed.
 
 A compiled form contracts a batch of cells in one step.  Each term
 evaluates only the G components that some A0 nonzero reads, one
-gathered factor at a time, into its columns of one [ncells x K] array;
-the A0 columns of all terms, restricted the same way, lie side by side
-in one CSR over K columns, and one sparse product G @ A0^T gives
-[ncells x block].  The
+gathered factor at a time, straight into its columns of one
+[ncells x K] array; the A0 columns of all terms, restricted the same
+way, lie side by side in one CSR over K columns (``stacked``).  Many of
+its rows repeat an earlier row exactly, or its negation (P3
+Navier-Stokes on a tetrahedron: 401 distinct of 3,600 rows).  When
+contracting only the distinct rows saves more multiply-adds than the
+block has rows to copy, one sparse product A0_distinct @ G^T gives
+[U x ncells], a row map gathers it out to [block x ncells], and the
+negated rows change sign; otherwise the whole stack is multiplied.  The
 sparse product adds each entry in the fixed order of its A0 row, so a
-cell's block is bitwise the same in every batch.  A dense BLAS product
-is not: it picks its kernels by the number of rows.
+cell's block is bitwise the same in every batch, and a repeated row
+gives bitwise the value of its representative, negated rows too.  A
+dense BLAS product is not batch independent: it picks its kernels by
+the number of rows.
 
 Index bookkeeping follows four kinds.  Primary indices are the element
 tensor axes, one per argument.  Each spatial derivative introduces a fresh
@@ -424,38 +431,49 @@ class GeometryTensorExpr:
                 self.expansion[0].shape) + tuple(
                     a.tobytes() for a in self.expansion)
 
-    def evaluate(self, dets, gs, coeffs=(), components=None):
+    def evaluate(self, dets, gs, coeffs=(), components=None, out=None):
         """Geometry tensor components for a batch of affine maps.
 
         ``dets`` has shape [ncells], ``gs`` is dX/dx with shape
         [ncells x d x d] and ``coeffs`` one [ncells x n_e] array per
         coefficient.  ``components`` selects flat component indices, all
         by default.  Each transform and each coefficient read is one
-        gather over all cells, auxiliary assignments and components,
+        gather over all cells, auxiliary assignments and components; the
+        running product starts from the first and the others are
         multiplied in one at a time, so that at most two
-        [ncells x S x n_selected] arrays are live; a sum over the S
-        auxiliary assignments reduces them.  Returns [ncells x n_selected];
-        the determinant enters through its absolute value so that
-        negatively oriented cells integrate correctly.
+        [ncells x S x n_selected] arrays are live.  The S auxiliary
+        assignments are then added in order, and ``scalar * |det|``
+        multiplies last, written into ``out`` ([ncells x n_selected],
+        any strides; a new array by default), which is returned.  The
+        determinant enters through its absolute value so that negatively
+        oriented cells integrate correctly.
         """
         dets = np.atleast_1d(np.asarray(dets, dtype=float))
         gs = np.asarray(gs, dtype=float)
         rows, cols, dofs = (self.expansion if components is None else
                             (a[:, components] for a in self.expansion))
-        n_transforms = rows.shape[-1]
-        products = (gs[:, rows[..., 0], cols[..., 0]] if n_transforms else
-                    np.ones((len(gs),) + rows.shape[:2]))
-        for t in range(1, n_transforms):
-            products *= gs[:, rows[..., t], cols[..., t]]
-        for k, (coeff, _) in enumerate(self.coeff_reads):
-            products *= coeffs[coeff][:, dofs[..., k]]
+        if out is None:
+            out = np.empty((len(dets), rows.shape[1]))
+        scale = (self.scalar * np.abs(dets))[:, None]
+        # (array, index) of each factor's gather
+        reads = ([(gs, (slice(None), rows[..., t], cols[..., t]))
+                  for t in range(rows.shape[2])]
+                 + [(coeffs[c], (slice(None), dofs[..., k]))
+                    for k, (c, _) in enumerate(self.coeff_reads)])
+        if not reads:  # every component is scalar * |det|
+            out[...] = scale
+            return out
+        source, index = reads[0]
+        products = source[index]
+        for source, index in reads[1:]:
+            products *= source[index]
         # added in order, not by sum(): numpy sums eight or more terms
         # pairwise in a shape-dependent order, and a cell's value must not
         # depend on its batch
-        out = products[:, 0]
+        total = products[:, 0]
         for s in range(1, products.shape[1]):
-            out = out + products[:, s]
-        return out * (self.scalar * np.abs(dets))[:, None]
+            total += products[:, s]
+        return np.multiply(total, scale, out=out)
 
 
 def _first_equal_rows(table):
@@ -510,9 +528,11 @@ class CompiledTerm:
 
 
 def contract_terms(cf, dets, gs, coeffs=()):
-    """Contract every term of a compiled form for a batch of affine maps:
-    G @ A0^T with one [ncells x K] G and the stacked A0 (``cf.stacked``).
+    """Contract every term of a compiled form for a batch of affine maps.
 
+    Every term's G components are written into one [ncells x K] G, and
+    one sparse product with the U rows of ``cf.contraction`` gives
+    [U x ncells], gathered out to [block x ncells] by its row map, if any.
     Returns [ncells x n1 x ... x nr] with the primary multiindex laid out
     row-major.
     """
@@ -520,14 +540,51 @@ def contract_terms(cf, dets, gs, coeffs=()):
     ncells = dets.shape[0]
     gs = np.asarray(gs, dtype=float).reshape(ncells, cf.dim, cf.dim)
     coeffs = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
-    a0 = cf.stacked
+    a0, rows, negated = cf.contraction
     g = np.empty((a0.shape[1], ncells)).T  # G.T is contiguous for scipy
     stop = 0
     for ct in cf.terms:
         start, stop = stop, stop + ct.used_components.size
-        g[:, start:stop] = ct.geometry.evaluate(dets, gs, coeffs,
-                                                ct.used_components)
-    return (g @ a0.T).reshape((ncells,) + cf.primary_dims)
+        ct.geometry.evaluate(dets, gs, coeffs, ct.used_components,
+                             out=g[:, start:stop])
+    out = a0 @ g.T
+    if rows is not None:
+        out = out[rows]
+        out[negated] *= -1.0
+    return out.T.reshape((ncells,) + cf.primary_dims)
+
+
+def _distinct_rows(a0):
+    """Map the rows of a CSR onto its distinct rows, equal up to sign.
+
+    Rows are keyed by the exact bytes of their column indices and values,
+    and by the same with the values negated; the first row of each key
+    represents it, and every empty row shares the first empty one.
+    Returns (representatives, rows, negated): the representative row
+    numbers, each row's position among them, and the rows that equal the
+    negation of theirs.
+    """
+    code = np.empty((a0.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
+    code[:, 0] = a0.indices
+    code[:, 1] = a0.data.view(np.int64)
+    data = code.tobytes()
+    code[:, 1] = (-a0.data).view(np.int64)
+    flipped = code.tobytes()
+    bounds = (16 * a0.indptr).tolist()
+    first = {}  # key -> position among the representatives
+    representatives, rows, negated = [], [], []
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        key = data[a:b]
+        if key not in first:
+            if flipped[a:b] in first:
+                key = flipped[a:b]
+                negated.append(r)
+            else:
+                first[key] = len(representatives)
+                representatives.append(r)
+        rows.append(first[key])
+    return representatives, np.array(rows, dtype=np.intp), np.array(
+        negated, dtype=np.intp)
 
 
 class CompiledForm:
@@ -556,11 +613,10 @@ class CompiledForm:
     def block_size(self):
         return prod(self.primary_dims)
 
-    @cached_property
+    @property
     def stacked(self):
         """A0 of every term over the G components it reads, side by side
-        in term order: CSR [block x K].  Built on the first contraction,
-        not by compile_form."""
+        in term order: CSR [block x K], built anew on each read."""
         blocks = [scipy.sparse.csr_matrix(
             (ct.matrix.data,
              np.searchsorted(ct.used_components, ct.matrix.indices),
@@ -570,6 +626,26 @@ class CompiledForm:
         return scipy.sparse.hstack(
             [scipy.sparse.csr_matrix((self.block_size, 0))] + blocks,
             format="csr")
+
+    @cached_property
+    def contraction(self):
+        """(a0, rows, negated): the A0 rows contract_terms multiplies, and
+        how they give the block.
+
+        When the stack's nonzeros outside its distinct rows outnumber the
+        block's rows, ``a0`` holds the distinct rows of ``stacked``,
+        ``rows`` maps each block row onto one of them and ``negated``
+        lists the block rows that change sign; otherwise ``a0`` is the
+        stack and ``rows`` is None.  Built on the first contraction, not
+        by compile_form; the full stack is not kept beside the distinct
+        rows.
+        """
+        a0 = self.stacked
+        representatives, rows, negated = _distinct_rows(a0)
+        distinct = a0[representatives]
+        if a0.nnz - distinct.nnz > self.block_size:
+            return distinct, rows, negated
+        return a0, None, None
 
     def element_tensors(self, dets, gs, coeffs=()):
         return contract_terms(self, dets, gs, coeffs)

@@ -31,6 +31,7 @@ from formc.form_language import (
     structurally_equal,
 )
 from formc.reference_elements import make_lagrange, make_vector_lagrange
+from formc.tensor_representation import compile_form
 
 E = make_lagrange("triangle", 1)
 EV = make_vector_lagrange("triangle", 1)
@@ -176,6 +177,30 @@ def test_exact_cancellation_drops_terms():
     form = (v * u - v * u) * dx
     assert form.arity == 2
     assert expand_to_monomials(form) == []
+
+
+def test_cancelled_coefficients_get_no_number():
+    v = BasisFunction(E)
+    u = BasisFunction(E)
+    w = Function(E)
+    z = Function(make_lagrange("triangle", 2))
+    # the only coefficient cancels
+    only = (v * u + w * v * u - w * v * u) * dx
+    assert only.coefficients == []
+    assert compile_form(only).coefficient_dims == ()
+    # w cancels, so z is renumbered to coefficient 0
+    renumbered = (w * v * u - w * v * u + z * v * u) * dx
+    assert renumbered.coefficients == [z.element]
+    assert [f.number for m in expand_to_monomials(renumbered)
+            for f in m.coeff_factors] == [0]
+    assert compile_form(renumbered).coefficient_dims == (6,)
+    for form in (only, renumbered):
+        (again,) = parse_form_file(form_file_text(form.named("a")))
+        assert structurally_equal(form, again)
+    # a cancelled term still fixes the arguments
+    zero = (w * v * u - w * v * u) * dx
+    assert (zero.arity, zero.coefficients) == (2, [])
+    assert expand_to_monomials(zero) == []
 
 
 def test_elasticity_expansion():

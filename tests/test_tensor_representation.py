@@ -540,6 +540,70 @@ def test_evaluate_gathers_one_factor_at_a_time(rng):
         dets, gs, coeffs)[:, ct.used_components])
 
 
+@pytest.mark.parametrize("name,shape,q,form_name,distinct,negated", (
+    ("navierstokes", "tetrahedron", 1, "a", 17, 0),
+    ("navierstokes", "tetrahedron", 2, "a", 101, 0),
+    ("navierstokes", "tetrahedron", 3, "a", 401, 0),
+    ("elasticity", "interval", 1, "a", 1, 2),
+    # the direct product: too few nonzeros repeat
+    ("poisson", "tetrahedron", 3, "a", None, None),
+    ("poisson", "interval", 1, "L", None, None),
+    ("poisson", "triangle", 2, "L", None, None),
+    ("poisson", "tetrahedron", 3, "L", None, None),
+    ("mass", "tetrahedron", 1, "a", None, None),
+    ("mass", "tetrahedron", 3, "a", None, None),
+))
+def test_contraction_row_map(rng, name, shape, q, form_name, distinct,
+                             negated):
+    ((form, cf, reread),) = [c for c in compiled_shipped(name, shape, q)
+                             if c[0].name == form_name]
+    assert "contraction" not in vars(compile_form(form))  # built lazily
+    a0, rows, flipped = cf.contraction
+    stacked = cf.stacked
+    if distinct is None:
+        assert rows is None and flipped is None
+        assert (a0 != stacked).nnz == 0
+    else:
+        assert a0.shape[0] == distinct and flipped.size == negated
+        assert stacked.nnz - a0.nnz > cf.block_size
+        # every block row is its distinct row, or that row negated, exactly
+        sign = np.ones(cf.block_size)
+        sign[flipped] = -1.0
+        assert np.array_equal(stacked.toarray(),
+                              sign[:, None] * a0.toarray()[rows])
+    dets, gs, coeffs = random_cells(rng, form, 6)
+    got = cf.element_tensors(dets, gs, coeffs)
+    # bitwise the product with the whole stack
+    g = np.hstack([np.empty((6, 0))] + [ct.geometry.evaluate(
+        dets, gs, coeffs, ct.used_components) for ct in cf.terms])
+    assert np.array_equal(got.reshape(6, -1),
+                          (stacked @ np.ascontiguousarray(g.T)).T)
+    for k in range(6):
+        assert np.array_equal(got[k], cf.element_tensor(
+            dets[k], gs[k], [c[k:k + 1] for c in coeffs]))
+    assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
+
+
+@pytest.mark.parametrize("kind,shape", (
+    ("mass", "triangle"),  # no factor: scalar * |det| alone
+    ("mass_w", "triangle"),  # the product starts from a coefficient read
+    ("navierstokes", "tetrahedron"),
+))
+def test_evaluate_writes_into_a_strided_view(rng, kind, shape):
+    form = parse_one(form_text(kind, shape, 2))
+    for ct in compile_form(form).terms:
+        used = ct.used_components
+        dets, gs, coeffs = random_cells(rng, form, 5)
+        dets, gs = np.array(dets), np.array(gs)
+        buffer = np.full((used.size + 3, 5), np.nan).T  # column-major
+        view = buffer[:, 2:2 + used.size]
+        got = ct.geometry.evaluate(dets, gs, coeffs, used, out=view)
+        assert got is view
+        assert np.array_equal(view, ct.geometry.evaluate(dets, gs, coeffs,
+                                                         used))
+        assert np.isnan(buffer[:, :2]).all() and np.isnan(buffer[:, -1]).all()
+
+
 def test_stacked_width_counts_only_read_components():
     (form,) = shipped_forms("navierstokes", "tetrahedron", 1)
     cf = compile_form(form)
