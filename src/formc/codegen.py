@@ -12,7 +12,10 @@ summed.  A listing with one block per monomial reads just as well.
 The C declares the G components that some A0 nonzero reads.  A block entry
 whose A0 row repeats an earlier row, or its negation, up to quadrature
 noise, copies that entry ("block[r] = -block[j];"); every other entry is
-the sum of its row's nonzeros with the row's own constants.
+the sum of its row's nonzeros with the row's own constants.  The row
+classes come from ``tensor_representation.row_classes``, the function the
+numpy contraction uses with exact values; here each value is coded by its
+signed cluster of magnitudes within ROW_ULPS.
 
 The emitters work on each term's A0 nonzeros as whole CSR arrays.  An A0
 has few distinct values (P3 Navier-Stokes on a tetrahedron: 167,238
@@ -41,6 +44,7 @@ from .tensor_representation import (
     CompiledForm,
     CompiledTerm,
     GeometryTensorExpr,
+    row_classes,
 )
 
 __all__ = [
@@ -146,18 +150,18 @@ ROW_ULPS = 16
 def _block_rhs(cf, names):
     """Right-hand side of every block entry.
 
-    A nonempty row that has the same nonzero columns as an earlier row, in
-    every term and in CSR order, with equal or all negated values, copies
-    the first such row: "block[j]" or "-block[j]".  Values compare through
-    per-term clusters of their magnitudes, so quadrature noise does not
-    hide a repeat.  Every other row is the sum of its A0 nonzeros in term
+    Rows are classed by ``row_classes`` on each term's A0 nonzeros, coded
+    by per-term clusters of their magnitudes, signed, so that quadrature
+    noise does not hide a repeat.  A nonempty row that is not the first of
+    its class copies that first row: "block[j]" or, for a negated row,
+    "-block[j]".  Every other row is the sum of its A0 nonzeros in term
     order, each as a signed coefficient times its G name, with the row's
     own constants; only the values of these rows are formatted.
     """
     n_rows = cf.block_size
     if not cf.terms:
         return ["0.0"] * n_rows
-    terms, keys, negated = [], [], []
+    terms, codes = [], []
     for ct in cf.terms:
         m = ct.matrix
         # distinct values told apart by their bits, as _formatted does
@@ -172,31 +176,14 @@ def _block_rhs(cf, names):
                    ROW_ULPS * np.spacing(ascending[-1:]), out=step[1:])
         cluster = np.empty_like(step)
         cluster[order] = step.cumsum()
-        # 16 bytes per nonzero, its column and signed cluster, and the same
-        # with the sign flipped
-        code = np.empty((m.nnz, 2), dtype=np.int64)
-        code[:, 0] = m.indices
-        code[:, 1] = np.where(values < 0, -cluster, cluster)[inverse]
-        bounds = (16 * m.indptr).tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        data = code.tobytes()
-        keys.append([data[a:b] for a, b in spans])
-        code[:, 1] *= -1
-        data = code.tobytes()
-        negated.append([data[a:b] for a, b in spans])
+        codes.append(np.where(values < 0, -cluster, cluster)[inverse])
         terms.append((m, values, inverse))
-    seen = {}  # key of each nonempty row whose sum is written -> its row
-    copies = []  # per row: the copy, or None where the sum is written
-    for r, (key, neg) in enumerate(zip(zip(*keys), zip(*negated))):
-        if key in seen:
-            copies.append("block[%d]" % seen[key])
-        elif neg in seen:
-            copies.append("-block[%d]" % seen[neg])
-        else:
-            copies.append(None)
-            if any(key):
-                seen[key] = r
-    written = np.array([copy is None for copy in copies])
+    representatives, rows, negated = row_classes(
+        [m for m, _, _ in terms], codes, [-code for code in codes])
+    first = np.array(representatives)[rows]
+    sign = np.isin(np.arange(n_rows), negated)
+    written = (first == np.arange(n_rows)) | (
+        np.diff(sum(m.indptr for m, _, _ in terms)) == 0)
     sums = []
     for (m, values, inverse), term_names in zip(terms, names):
         counts = m.indptr[1:] - m.indptr[:-1]
@@ -213,7 +200,9 @@ def _block_rhs(cf, names):
     texts = iter([_leading("".join(["".join(p[ip[r]:ip[r + 1]])
                                     for p, ip in sums]))
                   for r in range(len(sums[0][1]) - 1)])
-    return [next(texts) if copy is None else copy for copy in copies]
+    return [next(texts) if w else ("-block[%d]" if neg else "block[%d]") % j
+            for w, neg, j in zip(written.tolist(), sign.tolist(),
+                                 first.tolist())]
 
 
 def emit_c(cf, function_name="eval"):

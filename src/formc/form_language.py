@@ -388,7 +388,11 @@ class Form:
     """Integral of a multilinear integrand over cell interiors.
 
     Argument slots and coefficient numbers are compacted to 0..r-1 and
-    0..n_w-1 in declaration order when the form is built.
+    0..n_w-1 in declaration order when the form is built.  The integrand
+    is kept as its collected ``monomials``: terms with the same factors,
+    up to their order, are one monomial with their scalars summed in term
+    order and the factors of the first; monomials that cancel exactly are
+    dropped.
     """
 
     def __init__(self, integrand, name=None):
@@ -402,11 +406,11 @@ class Form:
         totals = dict.fromkeys(keys, 0.0)
         for key, t in zip(keys, integrand.terms):
             totals[key] += t.scalar
-        live = [totals[key] != 0.0 for key in keys]
         slots = sorted({f.slot for t in integrand.terms for f in t.factors
                         if isinstance(f, BasisFunction)})
         numbers = sorted({f.number
-                          for t, keep in zip(integrand.terms, live) if keep
+                          for key, t in zip(keys, integrand.terms)
+                          if totals[key]
                           for f in t.factors if isinstance(f, Function)})
         if not slots:
             raise ArityError("form has no arguments")
@@ -415,8 +419,8 @@ class Form:
 
         arguments = [None] * len(slots)
         coefficients = [None] * len(numbers)
-        terms = []
-        for t, keep in zip(integrand.terms, live):
+        collected = {}  # key -> the monomial of its first term
+        for key, t in zip(keys, integrand.terms):
             seen = set()
             factors = []
             for f in t.factors:
@@ -434,7 +438,7 @@ class Form:
                         raise ArityError(
                             "argument %d bound to two different elements" % new.slot
                         )
-                elif not keep:
+                elif not totals[key]:
                     continue  # a cancelled term's coefficients get no number
                 else:
                     new = f._copy()
@@ -449,8 +453,8 @@ class Form:
                 factors.append(new)
             if seen != set(range(len(slots))):
                 raise ArityError("every term must be linear in every argument")
-            if keep:
-                terms.append(Product(t.scalar, factors))
+            if totals[key] and key not in collected:
+                collected[key] = Monomial(totals[key], factors)
 
         cells = {f.element.cell for t in integrand.terms for f in t.factors}
         if len(cells) > 1:
@@ -459,7 +463,7 @@ class Form:
         self.arity = len(slots)
         self.arguments = arguments
         self.coefficients = coefficients
-        self.integrand = Sum(tuple(terms))
+        self.monomials = list(collected.values())
         self.cell = arguments[0].cell
 
     def named(self, name):
@@ -480,21 +484,8 @@ def _monomial_key(product):
 
 
 def expand_to_monomials(form):
-    """Flatten a form's integrand into collected monomials.
-
-    Identical factor sequences (same elements, slots, components and
-    derivative indices) are collected by summing their scalars; terms that
-    cancel exactly disappear.
-    """
-    collected = {}
-    order = []
-    for t in form.integrand.terms:
-        key = _monomial_key(t)
-        if key not in collected:
-            collected[key] = Monomial(0.0, t.factors)
-            order.append(key)
-        collected[key].scalar += t.scalar
-    return [collected[k] for k in order if collected[k].scalar != 0.0]
+    """The collected monomials of a form's integrand, as a new list."""
+    return list(form.monomials)
 
 
 def structurally_equal(a, b):

@@ -5,11 +5,11 @@ The runtime exists to close the loop around compiled forms: assemble global
 matrices either by contracting reference and geometry tensors or by direct
 quadrature, compare the two, and run small boundary value problems end to
 end.  Work around the kernel is done on whole-mesh arrays: the mesh checks
-every cell at once, the dof map numbers shared entities with one sort, and
-assembly scatters the stacked element tensors of all cells as a single
-triplet set that is summed once at finalize.  The quadrature oracle is
-batched too: it evaluates CHUNK cells per call, and a single cell is a
-batch of one.
+every cell at once, the dof map numbers shared entities with one sort,
+and assembly scatters the stacked element tensors of all cells as one
+triplet set, summed by one bincount or one COO to CSR conversion.  The
+quadrature oracle is batched too: it evaluates CHUNK cells per call, and
+a single cell is a batch of one.
 """
 
 import math
@@ -33,13 +33,12 @@ from .errors import (
 from .form_language import BasisFunction, Form, expand_to_monomials
 from .reference_elements import (CELL_SHAPES, make_quadrature,
                                  quadrature_tabulation)
-from .tensor_representation import CompiledForm
+from .tensor_representation import CompiledForm, batch_arrays
 
 __all__ = [
     "Mesh",
     "AffineMap",
     "DofMap",
-    "SparseBuilder",
     "load_mesh",
     "save_mesh",
     "unit_square_mesh",
@@ -353,12 +352,20 @@ def affine_maps(mesh):
 
 
 class DofMap:
-    """Local-to-global dof numbering for one element over one mesh."""
+    """Local-to-global dof numbering for one element over one mesh:
+    ``cell_dofs`` is a read-only 2-D integer array of ids in [0, global_dim).
+    """
 
     def __init__(self, element, global_dim, cell_dofs):
+        ids = np.asarray(cell_dofs)
+        if ids.ndim != 2 or ids.dtype.kind not in "iu":
+            raise DimensionMismatch("cell dofs must be a 2-D integer array")
+        if ids.size and (ids.min() < 0 or ids.max() >= global_dim):
+            raise DimensionMismatch("cell dof id out of range")
         self.element = element
         self.global_dim = global_dim
-        self.cell_dofs = cell_dofs
+        self.cell_dofs = ids.view()
+        self.cell_dofs.flags.writeable = False
 
     def __repr__(self):
         return "DofMap(M=%d, cells=%d, n=%d)" % (
@@ -464,10 +471,10 @@ def quadrature_element_tensors(form, dets, gs, coeffs=()):
     by explicit enumeration, at a cost of order n^2 N per cell and block.
     Returns [ncells x n1 x ... x nr].
     """
-    dets = np.atleast_1d(np.asarray(dets, dtype=float))
-    ncells = dets.shape[0]
     d = form.cell.dim
-    gs = np.asarray(gs, dtype=float).reshape(ncells, d, d)
+    dets, gs, coeffs = batch_arrays(
+        d, [el.space_dim for el in form.coefficients], dets, gs, coeffs)
+    ncells = dets.shape[0]
     primary_dims = tuple(el.space_dim for el in form.arguments)
     out = np.zeros((ncells,) + primary_dims)
     scale = np.abs(dets)
@@ -526,58 +533,29 @@ def quadrature_element_tensor(form, amap, coefficients=()):
     dofs on the cell."""
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
-    if len(coefficients) != len(form.coefficients):
-        raise DimensionMismatch("form needs %d coefficients, got %d"
-                                % (len(form.coefficients), len(coefficients)))
-    coeffs = []
-    for number, (w, el) in enumerate(zip(coefficients, form.coefficients)):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (el.space_dim,):
-            raise DimensionMismatch(
-                "coefficient %d has %d dofs, element needs %d"
-                % (number, w.size, el.space_dim))
-        coeffs.append(w[None])
-    return quadrature_element_tensors(form, [amap.det], [amap.g], coeffs)[0]
+    return quadrature_element_tensors(form, [amap.det], [amap.g], [
+        np.asarray(w)[None] for w in coefficients])[0]
 
 
 # --- assembly --------------------------------------------------------------------
 
 
-class SparseBuilder:
-    """Triplet accumulator; finalize sums duplicates into CSR (or a dense
-    vector for one-dimensional shapes)."""
-
-    def __init__(self, shape):
-        self.shape = tuple(shape)
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, rows, values, cols=None):
-        self._rows.append(np.asarray(rows).ravel())
-        self._vals.append(np.asarray(values, dtype=float).ravel())
-        if len(self.shape) == 2:
-            if cols is None:
-                raise DimensionMismatch("matrix builder needs column ids")
-            self._cols.append(np.asarray(cols).ravel())
-
-    def finalize(self):
-        rows, vals = _joined(self._rows, int), _joined(self._vals, float)
-        if len(self.shape) == 1:
-            out = np.bincount(rows, weights=vals, minlength=self.shape[0])
-            if len(out) > self.shape[0]:
-                raise DimensionMismatch("vector row id out of range")
-            return out.astype(float, copy=False)  # bincount of nothing is int
-        return scipy.sparse.coo_matrix(
-            (vals, (rows, _joined(self._cols, int))), shape=self.shape).tocsr()
-
-
-def _joined(pieces, dtype):
-    """The added pieces as one array; a single piece is not copied, so
-    that assembling one batch holds no second copy of its triplets."""
-    if len(pieces) == 1:
-        return pieces[0]
-    return np.concatenate(pieces) if pieces else np.empty(0, dtype)
+def _scatter(blocks, dofmaps):
+    """Sum one triplet per element-tensor entry, cell by cell in row-major
+    order, into a vector (one dof map) or a CSR matrix (two); duplicates
+    add up.  The ids are in range: every DofMap checks its own."""
+    shape = tuple(dm.global_dim for dm in dofmaps)
+    if len(shape) == 1:
+        out = np.bincount(dofmaps[0].cell_dofs.ravel(),
+                          weights=blocks.ravel(), minlength=shape[0])
+        return out.astype(float, copy=False)  # bincount of nothing is int
+    # int32 ids, where they fit, spare coo_matrix a checked copy
+    ids = np.int32 if max(shape + (blocks.size,)) < 2 ** 31 else np.int64
+    rows, cols = (dm.cell_dofs.astype(ids) for dm in dofmaps)
+    return scipy.sparse.coo_matrix(
+        (blocks.ravel(), (np.repeat(rows, cols.shape[1], axis=1).ravel(),
+                          np.tile(cols, (1, rows.shape[1])).ravel())),
+        shape=shape).tocsr()
 
 
 def assemble(evaluator, mesh, dofmaps, coefficients=()):
@@ -642,18 +620,7 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
                                        [w[s:s + CHUNK] for w in locals_])
             for s in range(0, max(mesh.num_cells, 1), CHUNK)])
 
-    # one triplet per element-tensor entry, cell by cell in row-major order
-    builder = SparseBuilder([dm.global_dim for dm in dofmaps])
-    if len(dofmaps) == 1:
-        builder.add(dofmaps[0].cell_dofs, blocks)
-    else:
-        # int32 ids, where they fit, spare coo_matrix a checked copy
-        ids = (np.int32 if max(builder.shape + (blocks.size,)) < 2 ** 31
-               else np.int64)
-        rows, cols = (dm.cell_dofs.astype(ids) for dm in dofmaps)
-        builder.add(np.repeat(rows, cols.shape[1], axis=1), blocks,
-                    np.tile(cols, (1, rows.shape[1])))
-    return builder.finalize()
+    return _scatter(blocks, dofmaps)
 
 
 # --- solver and boundary conditions ------------------------------------------------

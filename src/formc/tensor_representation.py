@@ -68,7 +68,9 @@ __all__ = [
     "classify_indices",
     "compute_reference_tensor",
     "derive_geometry_expr",
+    "batch_arrays",
     "contract_terms",
+    "row_classes",
     "compile_form",
 ]
 
@@ -527,6 +529,28 @@ class CompiledTerm:
         return used
 
 
+def batch_arrays(dim, coefficient_dims, dets, gs, coeffs):
+    """A batch of n affine maps and coefficient dofs as float arrays: dets
+    [n], gs [n x dim x dim] (an empty gs holds no maps) and one [n x n_e]
+    array per coefficient, or DimensionMismatch.  Float input is not
+    copied."""
+    dets, gs = np.asarray(dets, dtype=float), np.asarray(gs, dtype=float)
+    gs = gs if gs.size else gs.reshape(0, dim, dim)
+    coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+    if len(coeffs) != len(coefficient_dims):
+        raise DimensionMismatch("form needs %d coefficients, got %d"
+                                % (len(coefficient_dims), len(coeffs)))
+    n = dets.shape[:1]
+    shapes = [gs.shape] + [c.shape for c in coeffs]
+    if dets.ndim != 1 or shapes != [n + (dim, dim)] + [
+            n + (e,) for e in coefficient_dims]:
+        raise DimensionMismatch(
+            "a batch needs dets [n], gs [n x %d x %d] and [n x n_e] arrays, "
+            "n_e = %s; got %s" % (dim, dim, list(coefficient_dims),
+                                  [dets.shape] + shapes))
+    return dets, gs, coeffs
+
+
 def contract_terms(cf, dets, gs, coeffs=()):
     """Contract every term of a compiled form for a batch of affine maps.
 
@@ -536,10 +560,9 @@ def contract_terms(cf, dets, gs, coeffs=()):
     Returns [ncells x n1 x ... x nr] with the primary multiindex laid out
     row-major.
     """
-    dets = np.atleast_1d(np.asarray(dets, dtype=float))
+    dets, gs, coeffs = batch_arrays(cf.dim, cf.coefficient_dims, dets, gs,
+                                    coeffs)
     ncells = dets.shape[0]
-    gs = np.asarray(gs, dtype=float).reshape(ncells, cf.dim, cf.dim)
-    coeffs = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
     a0, rows, negated = cf.contraction
     g = np.empty((a0.shape[1], ncells)).T  # G.T is contiguous for scipy
     stop = 0
@@ -554,30 +577,32 @@ def contract_terms(cf, dets, gs, coeffs=()):
     return out.T.reshape((ncells,) + cf.primary_dims)
 
 
-def _distinct_rows(a0):
-    """Map the rows of a CSR onto its distinct rows, equal up to sign.
+def row_classes(matrices, codes, flipped):
+    """Map the rows shared by term CSRs onto their distinct rows, equal up
+    to sign, given one int64 code per nonzero of ``matrices[t]`` in
+    ``codes[t]`` and the code of its negation in ``flipped[t]``.
 
-    Rows are keyed by the exact bytes of their column indices and values,
-    and by the same with the values negated; the first row of each key
-    represents it, and every empty row shares the first empty one.
-    Returns (representatives, rows, negated): the representative row
-    numbers, each row's position among them, and the rows that equal the
-    negation of theirs.
+    A row is keyed by the tuple over terms of its (column, code) bytes,
+    not by their join, as two terms can share column numbers.  The first
+    row of each key, or of its flipped key, represents it; all empty rows
+    share one.  Returns (representatives, rows, negated): representative
+    row numbers, each row's position among them, and the negated rows.
     """
-    code = np.empty((a0.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
-    code[:, 0] = a0.indices
-    code[:, 1] = a0.data.view(np.int64)
-    data = code.tobytes()
-    code[:, 1] = (-a0.data).view(np.int64)
-    flipped = code.tobytes()
-    bounds = (16 * a0.indptr).tolist()
+    keys, negations = [], []
+    for m, code, flip in zip(matrices, codes, flipped):
+        table = np.empty((m.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
+        table[:, 0] = m.indices
+        bounds = (16 * m.indptr).tolist()
+        for out, column in ((keys, code), (negations, flip)):
+            table[:, 1] = column
+            data = table.tobytes()
+            out.append([data[a:b] for a, b in zip(bounds, bounds[1:])])
     first = {}  # key -> position among the representatives
     representatives, rows, negated = [], [], []
-    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        key = data[a:b]
+    for r, (key, neg) in enumerate(zip(zip(*keys), zip(*negations))):
         if key not in first:
-            if flipped[a:b] in first:
-                key = flipped[a:b]
+            if neg in first:
+                key = neg
                 negated.append(r)
             else:
                 first[key] = len(representatives)
@@ -641,7 +666,10 @@ class CompiledForm:
         rows.
         """
         a0 = self.stacked
-        representatives, rows, negated = _distinct_rows(a0)
+        matrices = [ct.matrix for ct in self.terms]
+        representatives, rows, negated = row_classes(
+            matrices, [m.data.view(np.int64) for m in matrices],
+            [(-m.data).view(np.int64) for m in matrices])
         distinct = a0[representatives]
         if a0.nnz - distinct.nnz > self.block_size:
             return distinct, rows, negated

@@ -203,6 +203,21 @@ def test_cancelled_coefficients_get_no_number():
     assert expand_to_monomials(zero) == []
 
 
+def test_monomials_sum_in_term_order_with_first_factors():
+    v = BasisFunction(E)
+    u = BasisFunction(E)
+    w = Function(E)
+    form = (0.1 * v * u + w * v * u + 0.2 * u * v + 0.5 * v.dx(0) * u
+            - w * u * v + 0.3 * v * u) * dx
+    monomials = expand_to_monomials(form)
+    assert [m.scalar for m in monomials] == [(0.1 + 0.2) + 0.3, 0.5]
+    assert monomials[0].scalar != 0.1 + (0.2 + 0.3)
+    assert [[(f.slot, len(f.derivatives)) for f in m.factors]
+            for m in monomials] == [[(0, 0), (1, 0)], [(0, 1), (1, 0)]]
+    assert form.coefficients == []
+    assert expand_to_monomials(form) is not monomials
+
+
 def test_elasticity_expansion():
     text = (
         'element = VectorElement("Lagrange", "triangle", 1)\n'

@@ -21,6 +21,7 @@ from formc.errors import (
 from formc.reference_elements import make_lagrange, make_vector_lagrange
 from formc.runtime import (
     AffineMap,
+    DofMap,
     Mesh,
     affine_map,
     affine_maps,
@@ -35,7 +36,6 @@ from formc.runtime import (
     quadrature_element_tensor,
     quadrature_element_tensors,
     save_mesh,
-    SparseBuilder,
     unit_cube_mesh,
     unit_square_mesh,
     write_matrix_market,
@@ -494,6 +494,29 @@ def test_quadrature_batch_matches_single_cells(rng):
         quadrature_element_tensor(compile_form(form), maps[0], [w[0]])
 
 
+@pytest.mark.parametrize("compiled", (True, False))
+def test_batch_evaluators_check_their_arrays(compiled, rng):
+    form = form_of("navierstokes")  # P1 on a triangle: 6 coefficient dofs
+    if compiled:
+        evaluate = compile_form(form).element_tensors
+    else:
+        def evaluate(dets, gs, coeffs):
+            return quadrature_element_tensors(form, dets, gs, coeffs)
+    amap = random_affine_map(rng, 2)
+    dets, gs = [amap.det], [amap.g]
+    w = rng.uniform(-1, 1, (1, 6))
+    assert evaluate(dets, gs, [w]).shape == (1, 6, 6)
+    with pytest.raises(DimensionMismatch, match="needs 1 coefficients, got 2"):
+        evaluate(dets, gs, [w, w])
+    for bad in ([np.hstack([w, w])], [w[0]], [np.vstack([w, w])]):
+        with pytest.raises(DimensionMismatch, match="a batch needs"):
+            evaluate(dets, gs, bad)
+    for bad_dets, bad_gs in (([amap.det] * 2, gs), ([dets], gs),
+                             (dets, [amap.g[:1]]), (dets, amap.g)):
+        with pytest.raises(DimensionMismatch, match="a batch needs"):
+            evaluate(bad_dets, bad_gs, [w])
+
+
 # --- assembly ---------------------------------------------------------------------
 
 
@@ -617,41 +640,58 @@ def test_assemble_reread_form_is_bitwise_equal(kind, degree, rng):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_sparse_builder_sums_duplicates_order_independently():
-    first = SparseBuilder((3, 3))
-    first.add([0, 0, 1], [1.0, 2.0, 3.0], [0, 0, 2])
-    first.add([2], [4.0], [2])
-    second = SparseBuilder((3, 3))
-    second.add([2], [4.0], [2])
-    second.add([1, 0, 0], [3.0, 2.0, 1.0], [2, 0, 0])
-    a = first.finalize().toarray()
-    b = second.finalize().toarray()
-    assert np.abs(a - b).max() < 1e-13
-    assert a[0, 0] == pytest.approx(3.0)
-
-    vec = SparseBuilder((4,))
-    vec.add([1, 1, 3], [1.0, 1.5, 2.0])
-    out = vec.finalize()
-    assert np.allclose(out, [0.0, 2.5, 0.0, 2.0])
-
-    # a single added piece is not copied, yet the result owns its data
-    values = np.array([1.0, 2.0])
-    single = SparseBuilder((2, 2))
-    single.add([0, 1], values, [1, 0])
-    out = single.finalize()
-    values[:] = 0.0
-    assert out.toarray().tolist() == [[0.0, 1.0], [2.0, 0.0]]
-
-    with pytest.raises(DimensionMismatch):
-        SparseBuilder((2, 2)).add([0], [1.0])
+def test_assemble_sums_duplicate_triplets():
+    # both cells scatter onto the same three dofs, so every entry of the
+    # global tensor is the sum of the two element tensors' entries
+    dmap = DofMap(make_lagrange("triangle", 1), 3,
+                  np.array([[0, 1, 2], [0, 1, 2]]))
+    w = np.array([1.0, -2.0, 0.5])
+    for form, dofmaps, coefficients in (
+            (form_of("mass"), [dmap, dmap], []),
+            (form_of("load"), [dmap], [(w, dmap)])):
+        cf = compile_form(form)
+        blocks = cf.element_tensors(TWO_TRIANGLES.dets, TWO_TRIANGLES.gs,
+                                    [w[dmap.cell_dofs]] * len(coefficients))
+        out = assemble(cf, TWO_TRIANGLES, dofmaps, coefficients)
+        dense = out.toarray() if scipy.sparse.issparse(out) else out
+        assert np.array_equal(dense, blocks[0] + blocks[1])
 
 
-def test_sparse_builder_vector_rejects_out_of_range_rows():
-    vec = SparseBuilder((3,))
-    vec.add([0, 3], [1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        vec.finalize()
-    assert SparseBuilder((3,)).finalize().dtype == float
+def test_vector_with_no_triplets_is_float():
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.empty((0, 3), int))
+    dmap = build_dofmap(mesh, make_lagrange("triangle", 1))
+    form = form_of("load")
+    for path in (compile_form(form), form):
+        vec = assemble(path, mesh, [dmap], [(np.ones(3), dmap)])
+        assert vec.dtype == float and np.array_equal(vec, np.zeros(3))
+
+
+def test_dofmap_checks_its_ids():
+    dmap = build_dofmap(unit_square_mesh(1), make_lagrange("triangle", 1))
+    assert not dmap.cell_dofs.flags.writeable
+    ids = np.array(dmap.cell_dofs)
+    for bad in (ids[0], ids.astype(float), [["0", "1", "2"]]):
+        with pytest.raises(DimensionMismatch, match="2-D integer"):
+            DofMap(dmap.element, dmap.global_dim, bad)
+    kept = DofMap(dmap.element, dmap.global_dim, ids)
+    assert not kept.cell_dofs.flags.writeable and ids.flags.writeable
+
+
+@pytest.mark.parametrize("slot,bad_id", (
+    ("coefficient", -1), ("argument", 9), ("coefficient", 9)))
+def test_out_of_range_dof_ids_are_rejected(slot, bad_id, rng):
+    # P1 Poisson on unit_square_mesh(2): dofs 0..8
+    mesh = unit_square_mesh(2)
+    dmap = build_dofmap(mesh, make_lagrange("triangle", 1))
+    ids = np.array(dmap.cell_dofs)
+    ids[3, 1] = bad_id
+    f = rng.uniform(-1, 1, dmap.global_dim)
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        bad = DofMap(dmap.element, dmap.global_dim, ids)
+        if slot == "argument":
+            assemble(compile_form(form_of("poisson")), mesh, [bad, bad])
+        else:
+            assemble(compile_form(form_of("load")), mesh, [dmap], [(f, bad)])
 
 
 # --- solver and boundary conditions -----------------------------------------------

@@ -33,6 +33,7 @@ from formc.tensor_representation import (
     compile_form,
     compute_reference_tensor,
     derive_geometry_expr,
+    row_classes,
 )
 
 
@@ -582,6 +583,30 @@ def test_contraction_row_map(rng, name, shape, q, form_name, distinct,
         assert np.array_equal(got[k], cf.element_tensor(
             dets[k], gs[k], [c[k:k + 1] for c in coeffs]))
     assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
+
+
+def test_row_classes():
+    # rows of two terms as {column: value}; row 5 holds in term 1 what
+    # row 4 holds in term 0, so joining a row's per-term bytes would
+    # make the two equal
+    rows = [({1: 2.0, 3: -1.0}, {}), ({1: 2.0, 3: -1.0}, {}),
+            ({1: -2.0, 3: 1.0}, {}), ({}, {}), ({3: 7.0}, {}),
+            ({}, {3: 7.0}), ({}, {}), ({}, {3: -7.0}),
+            ({1: 2.0, 3: -1.0}, {3: 7.0})]
+    matrices = []
+    for t in range(2):
+        dense = np.zeros((len(rows), 5))
+        for r, row in enumerate(rows):
+            dense[r, list(row[t])] = list(row[t].values())
+        matrices.append(csr_matrix(dense))
+    representatives, rep, negated = row_classes(
+        matrices, [m.data.view(np.int64) for m in matrices],
+        [(-m.data).view(np.int64) for m in matrices])
+    assert representatives == [0, 3, 4, 5, 8]
+    assert rep.tolist() == [0, 0, 0, 1, 2, 3, 1, 3, 4]
+    assert negated.tolist() == [2, 7]
+    # no terms, no rows
+    assert row_classes([], [], [])[0] == []
 
 
 @pytest.mark.parametrize("kind,shape", (
