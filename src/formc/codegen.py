@@ -10,22 +10,21 @@ every monomial whose expression is equal to it, with their A0 blocks
 summed.  A listing with one block per monomial reads just as well.
 
 The C declares the G components that some A0 nonzero reads.  A block entry
-whose A0 row repeats an earlier row, or its negation, up to quadrature
-noise, copies that entry ("block[r] = -block[j];"); every other entry is
-the sum of its row's nonzeros with the row's own constants.  The row
-classes come from ``tensor_representation.row_classes``, the function the
-numpy contraction uses with exact values; here each value is coded by its
-signed cluster of magnitudes within ROW_ULPS.
+whose A0 row repeats an earlier row, or its negation, copies that entry
+("block[r] = -block[j];"); every other entry is the sum of its row's
+nonzeros with the row's own constants.  The rows to copy are those of
+``CompiledForm.row_plan``, the plan the numpy contraction follows.
 
 The emitters work on each term's A0 nonzeros as whole CSR arrays.  An A0
-has few distinct values (P3 Navier-Stokes on a tetrahedron: 167,238
-nonzeros, 6,485 distinct magnitudes), so a shared value table formats each
-distinct value once, told apart by its bits, and maps the strings back to
-the nonzeros; multi-index labels are formatted once per CSR row and once
-per secondary column.  The text is the same, byte for byte, as a reference
-that formats every nonzero on its own in CSR order and finds repeated rows
-with a dict of per-row tuples (``tests/test_codegen_reference.py``), and
-identical inputs give identical text.
+has few distinct values, each the double nearest a rational (P3
+Navier-Stokes on a tetrahedron: 167,238 nonzeros, 340 distinct values), so
+a shared value table formats each distinct value once, told apart by its
+bits, and maps the strings back to the nonzeros; multi-index labels are
+formatted once per CSR row and once per secondary column.  The text is the
+same, byte for byte, as a reference that formats every nonzero on its own
+in CSR order and finds repeated rows with a dict of per-row tuples
+(``tests/test_codegen_reference.py``), and identical inputs give identical
+text.
 
 The generated C evaluates fastest when the map determinant is positive; the
 runtime mesh loader guarantees that orientation.  Loops are fully unrolled:
@@ -44,7 +43,6 @@ from .tensor_representation import (
     CompiledForm,
     CompiledTerm,
     GeometryTensorExpr,
-    row_classes,
 )
 
 __all__ = [
@@ -142,50 +140,31 @@ def _leading(text):
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-# Two A0 values compare equal, for finding repeated rows, when a chain of
-# gaps of at most this many ulps of their term's largest |A0| joins them.
-ROW_ULPS = 16
-
-
 def _block_rhs(cf, names):
     """Right-hand side of every block entry.
 
-    Rows are classed by ``row_classes`` on each term's A0 nonzeros, coded
-    by per-term clusters of their magnitudes, signed, so that quadrature
-    noise does not hide a repeat.  A nonempty row that is not the first of
-    its class copies that first row: "block[j]" or, for a negated row,
-    "-block[j]".  Every other row is the sum of its A0 nonzeros in term
-    order, each as a signed coefficient times its G name, with the row's
-    own constants; only the values of these rows are formatted.
+    A nonempty row that ``cf.row_plan`` maps onto an earlier row copies
+    it: "block[j]" or, for a negated row, "-block[j]".  Every other row is
+    the sum of its A0 nonzeros in term order, each as a signed coefficient
+    times its G name, with the row's own constants; only the values of
+    these rows are formatted, once per distinct value.
     """
     n_rows = cf.block_size
     if not cf.terms:
         return ["0.0"] * n_rows
-    terms, codes = [], []
-    for ct in cf.terms:
+    representatives, rows, negated = cf.row_plan
+    first = representatives[rows]
+    sign = np.zeros(n_rows, dtype=bool)
+    sign[negated] = True
+    written = (first == np.arange(n_rows)) | (
+        np.diff(sum(ct.matrix.indptr for ct in cf.terms)) == 0)
+    sums = []
+    for ct, term_names in zip(cf.terms, names):
         m = ct.matrix
         # distinct values told apart by their bits, as _formatted does
         values, inverse = np.unique(np.ascontiguousarray(
             m.data, dtype=np.float64).view(np.int64), return_inverse=True)
         values = values.view(np.float64)
-        magnitude = np.abs(values)
-        order = magnitude.argsort()
-        ascending = magnitude[order]
-        step = np.ones(values.size, dtype=np.int64)  # 1 where a cluster starts
-        np.greater(ascending[1:] - ascending[:-1],
-                   ROW_ULPS * np.spacing(ascending[-1:]), out=step[1:])
-        cluster = np.empty_like(step)
-        cluster[order] = step.cumsum()
-        codes.append(np.where(values < 0, -cluster, cluster)[inverse])
-        terms.append((m, values, inverse))
-    representatives, rows, negated = row_classes(
-        [m for m, _, _ in terms], codes, [-code for code in codes])
-    first = np.array(representatives)[rows]
-    sign = np.isin(np.arange(n_rows), negated)
-    written = (first == np.arange(n_rows)) | (
-        np.diff(sum(m.indptr for m, _, _ in terms)) == 0)
-    sums = []
-    for (m, values, inverse), term_names in zip(terms, names):
         counts = m.indptr[1:] - m.indptr[:-1]
         kept = written.repeat(counts)
         used = inverse[kept]

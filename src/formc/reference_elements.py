@@ -428,8 +428,8 @@ def make_vector_lagrange(shape, degree, continuity="continuous"):
 @lru_cache(maxsize=256)
 def quadrature_tabulation(element, degree):
     """Scalar basis of ``element`` (per-component profile of a vector one)
-    at the points of make_quadrature(cell, degree); compiler and oracle
-    share this one cache."""
+    at the points of make_quadrature(cell, degree), cached for the
+    quadrature oracle."""
     if element.value_rank:
         element = make_lagrange(element.cell.shape, element.degree,
                                 element.continuity)

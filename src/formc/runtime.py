@@ -686,9 +686,9 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     mask[dofs] = False
     free = np.nonzero(mask)[0]
     A = matrix.tocsr() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
-    Afb = A[free][:, dofs]
-    reduced_rhs = rhs[free] - Afb @ values
-    return A[free][:, free], reduced_rhs, free
+    Af = A[free]  # the free rows, selected once
+    reduced_rhs = rhs[free] - Af[:, dofs] @ values
+    return Af[:, free], reduced_rhs, free
 
 
 def lift_solution(n, free, x_free, dofs, values):

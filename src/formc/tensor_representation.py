@@ -6,7 +6,7 @@ reference tensor
     A0[i, alpha] = integral over the reference cell of the product of
                    (derivatives of) reference basis functions
 
-precomputed once by quadrature, and a geometry tensor expression
+integrated once, exactly, and a geometry tensor expression
 
     G[alpha] = c * det * (products of dX/dx entries and coefficient dofs)
 
@@ -14,22 +14,31 @@ evaluated per element, so that the element tensor is the contraction
 A[i] = sum_alpha A0[i, alpha] * G[alpha].  Monomials with equal geometry
 tensor expressions share one G, and their A0 are summed.
 
+Every A0 entry of a Lagrange form on a simplex is a rational number.  The
+basis functions are integer polynomials in barycentric coordinates
+(Silvester's product formula), their products integrate to integers over
+a common denominator, and the monomial sums and component folds stay in
+integers; only then is each nonzero rounded to the double nearest its
+rational.  So equal rationals are equal doubles, and only exact zeros are
+dropped.  No quadrature is involved.
+
 A compiled form contracts a batch of cells in one step.  Each term
 evaluates only the G components that some A0 nonzero reads, one
 gathered factor at a time, straight into its columns of one
 [ncells x K] array; the A0 columns of all terms, restricted the same
 way, lie side by side in one CSR over K columns (``stacked``).  Many of
-its rows repeat an earlier row exactly, or its negation (P3
-Navier-Stokes on a tetrahedron: 401 distinct of 3,600 rows).  When
-contracting only the distinct rows saves more multiply-adds than the
+its rows repeat an earlier row exactly, or its negation; ``row_plan``
+finds them by their bits (P3 on a tetrahedron: Navier-Stokes 401,
+elasticity 1,458 and Poisson 168 distinct of 3,600, 3,600 and 400 rows).
+When contracting only the distinct rows saves more multiply-adds than the
 block has rows to copy, one sparse product A0_distinct @ G^T gives
 [U x ncells], a row map gathers it out to [block x ncells], and the
 negated rows change sign; otherwise the whole stack is multiplied.  The
-sparse product adds each entry in the fixed order of its A0 row, so a
-cell's block is bitwise the same in every batch, and a repeated row
-gives bitwise the value of its representative, negated rows too.  A
-dense BLAS product is not batch independent: it picks its kernels by
-the number of rows.
+emitted C copies the same rows.  The sparse product adds each entry in
+the fixed order of its A0 row, so a cell's block is bitwise the same in
+every batch, and a repeated row gives bitwise the value of its
+representative, negated rows too.  A dense BLAS product is not batch
+independent: it picks its kernels by the number of rows.
 
 Index bookkeeping follows four kinds.  Primary indices are the element
 tensor axes, one per argument.  Each spatial derivative introduces a fresh
@@ -45,8 +54,8 @@ monomial's secondary indices, or among its auxiliary indices of one side.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count, product as iter_product
-from math import prod
+from itertools import product as iter_product
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 import scipy.sparse
@@ -55,10 +64,10 @@ from .errors import (
     DimensionMismatch,
     IndexOccursOnce,
     IndexOccursThrice,
+    UnsupportedDegree,
     UnsupportedDerivative,
 )
 from .form_language import BasisFunction, Form, Index, Monomial, expand_to_monomials
-from .reference_elements import make_quadrature, quadrature_tabulation
 
 __all__ = [
     "MonomialTerm",
@@ -73,10 +82,6 @@ __all__ = [
     "row_classes",
     "compile_form",
 ]
-
-# A0 entries with |value| <= DROP_TOL * max|A0| are quadrature noise.
-DROP_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class ClassifiedFactor:
@@ -119,13 +124,6 @@ class MonomialTerm:
         self.rank = len(self.arg_factors)
         self.primary_dims = tuple(f.element.space_dim for f in self.arg_factors)
         self.secondary_dims = tuple(i.range for i in self.secondary)
-
-    def quadrature_degree(self):
-        """Exactness needed to integrate the reference integrand."""
-        total = 0
-        for f in self.factors:
-            total += max(f.element.degree - len(f.derivatives), 0)
-        return total
 
 
 def _slotted(kind, slots, extent):
@@ -244,61 +242,183 @@ def classify_indices(monomial):
 
 # --- reference tensor ---------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _checked(bound):
+    """UnsupportedDegree when an exact A0 numerator may exceed int64."""
+    if bound > _INT64_MAX:
+        raise UnsupportedDegree(
+            "an exact reference tensor numerator does not fit in 64 bits")
+
+
+def _magnitude(numerators):
+    """Largest |numerator|, 0 for none."""
+    return max(int(np.max(numerators, initial=0)),
+               -int(np.min(numerators, initial=0)))
+
+
+def _univariate(q, b):
+    """Integer coefficients, lowest power first, of prod_{k<b} (q x - k)."""
+    coeffs = [1]
+    for k in range(b):
+        coeffs = [q * lo - k * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _differentiated(polys, i):
+    """The univariate factors with the i-th one differentiated."""
+    return polys[:i] + [[k * c for k, c in enumerate(polys[i])][1:]] + polys[
+        i + 1:]
+
+
+@lru_cache(maxsize=64)
+def _basis_polynomials(element, derivative):
+    """q! times each scalar basis function of a degree-q Lagrange element,
+    or times its reference derivatives, as a polynomial in the d + 1
+    barycentric coordinates lambda.
+
+    Silvester's product formula gives the function of the lattice point
+    beta (beta_i / q in barycentric coordinates) as
+    prod_i prod_{k<beta_i} (q lambda_i - k) / (k + 1), and a reference
+    derivative is d/dlambda_{r+1} - d/dlambda_0.  Returns (rows,
+    exponents, coefficients) per nonzero term: the basis function, times d
+    directions with the direction fastest for a derivative, its
+    [nnz x (d+1)] exponents and its Python int coefficients.
+    """
+    d, q = element.cell.dim, element.degree
+    rows, exponents, coefficients = [], [], []
+    n = 0
+    for _, entity, lattice, _ in element.dof_entities[:element.scalar_dim]:
+        beta = [0] * (d + 1)
+        for v, b in zip(entity, lattice):
+            beta[v] = b
+        scale = factorial(q) // prod(map(factorial, beta))
+        polys = [_univariate(q, b) for b in beta]
+        # each row is a signed sum of products of univariate polynomials
+        sums = [[(scale, polys)]]
+        if derivative:
+            sums = [[(scale, _differentiated(polys, r + 1)),
+                     (-scale, _differentiated(polys, 0))] for r in range(d)]
+        for products in sums:
+            terms = {}
+            for sign, factors in products:
+                for e in iter_product(*(range(len(p)) for p in factors)):
+                    terms[e] = terms.get(e, 0) + sign * prod(
+                        p[k] for p, k in zip(factors, e))
+            for e, c in terms.items():
+                if c:
+                    rows.append(n)
+                    exponents.append(e)
+                    coefficients.append(c)
+            n += 1
+    return (np.array(rows, dtype=np.intp),
+            np.array(exponents, dtype=np.intp).reshape(-1, d + 1),
+            np.array(coefficients, dtype=object))
+
+
+@lru_cache(maxsize=32)
+def _moments(d, total):
+    """(P + d)! times the integral of lambda^gamma over the reference
+    simplex, gamma! (P + d)! / (|gamma| + d)!, for every gamma of total
+    degree at most P = total, indexed by gamma's row-major code in base
+    P + 1 (0 past degree P), as Python ints."""
+    gammas = np.indices((total + 1,) * (d + 1)).reshape(d + 1, -1)
+    degree = gammas.sum(axis=0)
+    inside = degree <= total
+    fact = np.array([factorial(k) for k in range(total + d + 1)],
+                    dtype=object)
+    out = np.zeros(degree.size, dtype=object)
+    out[inside] = (fact[gammas[:, inside]].prod(axis=0) * fact[total + d]
+                   // fact[degree[inside] + d])
+    return out
+
+
+def _row_sums(values, rows, axis):
+    """Sum of the slices of values along axis that share a row number;
+    rows ascend."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[starts], np.add.reduceat(values, starts, axis=axis)
+
 
 @lru_cache(maxsize=256)
-def _contraction_path(inputs, out_labels):
-    """The path einsum(optimize=True) takes for operands of these shapes and
-    labels; it depends on nothing else, so it is searched for once."""
-    operands = []
-    for shape, labels in inputs:
-        operands += [np.broadcast_to(0.0, shape), list(labels)]
-    return np.einsum_path(*operands, list(out_labels), optimize=True)[0]
+def _scalar_integrals(factors):
+    """Exact integrals over the reference cell of every product of the
+    (element, derivative) factors' scalar basis functions, or reference
+    derivatives: (numerators, denominator), reduced by their common
+    divisor, numerators a read-only int64 array with a basis axis per
+    factor, then a direction axis for a derivative, in factor order.
 
-
-def compute_reference_tensor(term, quadrature_degree=None):
-    """Integrate the reference-side factor products of one monomial into
-    its dense, read-only A0.
-
-    A0's axes are the primary indices in slot order, then the secondary
-    indices in the monomial's secondary order.  The quadrature rule is
-    exact for the integrand degree unless an explicit ``quadrature_degree``
-    overrides it.  Vector components never enter the quadrature: on a
-    product basis the scalar profile of a basis function is component
-    independent, so the scalar factor integrals are computed once and
-    written into every component block selected by the (fixed, secondary
-    or auxiliary) component indices.
+    The factors before the last are multiplied out in Python ints,
+    merging equal monomials per product of basis functions, and the last
+    is paired with them through the moments of ``_moments``.
     """
-    p0 = term.quadrature_degree() if quadrature_degree is None else (
-        quadrature_degree
-    )
-    rule = make_quadrature(term.cell.shape, p0)
+    d = factors[0][0].cell.dim
+    total = sum(max(e.degree - der, 0) for e, der in factors)
+    sizes = [e.scalar_dim * (d if der else 1) for e, der in factors]
+    shape = sum(([e.scalar_dim] + [d] * der for e, der in factors), [])
+    polys = [_basis_polynomials(e, der) for e, der in factors]
+    # a monomial's code is its exponents in base P + 1: codes add
+    place = (total + 1) ** np.arange(d, -1, -1)
+    n_codes = (total + 1) ** (d + 1)
+    out = np.zeros((prod(sizes[:-1]), sizes[-1]), dtype=object)
+    if all(coefficients.size for _, _, coefficients in polys):
+        # the product polynomials of the factors before the last, one row
+        # per combination of their rows, as (row, code, coefficient) terms
+        rows, codes = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        coefficients = np.ones(1, dtype=object)
+        for size, (f_rows, f_exps, f_coeffs) in zip(sizes, polys[:-1]):
+            keys = ((rows[:, None] * size + f_rows) * n_codes
+                    + codes[:, None] + f_exps @ place).ravel()
+            order = np.argsort(keys, kind="stable")
+            keys, coefficients = _row_sums(
+                np.multiply.outer(coefficients, f_coeffs).ravel()[order],
+                keys[order], axis=0)
+            rows, codes = np.divmod(keys, n_codes)
+        last_rows, last_exps, last_coeffs = polys[-1]
+        last_codes, inverse = np.unique(last_exps @ place, return_inverse=True)
+        moments = _moments(d, total)[codes[:, None] + last_codes]
+        used, partial = _row_sums(coefficients[:, None] * moments, rows, 0)
+        done, sums = _row_sums(partial[:, inverse] * last_coeffs, last_rows, 1)
+        out[used[:, None], done] = sums
+    denominator = prod(factorial(e.degree) for e, _ in factors) * factorial(
+        total + d)
+    common = gcd(denominator, *out.ravel().tolist())
+    out //= common
+    _checked(_magnitude(out))
+    numerators = out.astype(np.int64).reshape(shape)
+    numerators.flags.writeable = False
+    return numerators, denominator // common
 
-    # einsum labels count up in factor order, 0 is the quadrature point;
-    # axis_labels holds the label of each A0 axis the integration yields,
-    # and None on the component-valued user secondary axes
+
+def compute_reference_tensor(term):
+    """Integrate the reference-side factor products of one monomial
+    exactly into its dense A0.
+
+    Returns (numerators, denominator) with A0 = numerators / denominator,
+    numerators a read-only int64 array.  A0's axes are the primary
+    indices in slot order, then the secondary indices in the monomial's
+    secondary order.  Vector components never enter the integration: on a
+    product basis the scalar profile of a basis function is component
+    independent, so the scalar factor integrals are computed once (and
+    memoised per reference integrand) and written into every component
+    block selected by the (fixed, secondary or auxiliary) component
+    indices.
+    """
+    numerators, denominator = _scalar_integrals(tuple(
+        (f.element, bool(f.derivatives)) for f in term.factors))
+    # the A0 axis of each scalar axis; the component-valued user secondary
+    # axes have none
     rank = term.rank
-    axis_labels = [None] * (rank + len(term.secondary))
-    new_label = count(1)
-    operands = []
+    axes = []
     for f in term.factors:
-        tab = quadrature_tabulation(f.element, rule.exact_degree)
-        basis = next(new_label)
-        axis_labels[f.slot if f.expansion is None
-                    else rank + f.expansion.value] = basis
-        if f.derivatives:
-            deriv = next(new_label)
-            axis_labels[rank + f.derivatives[0].value] = deriv
-            operands.extend([tab.gradients, [basis, deriv, 0]])
-        else:
-            operands.extend([tab.values, [basis, 0]])
-    operands.extend([rule.weights, [0]])
-    out_labels = [label for label in axis_labels if label is not None]
-    scalar_block = np.einsum(*operands, out_labels, optimize=_contraction_path(
-        tuple((a.shape, tuple(labels)) for a, labels in zip(operands[::2],
-                                                            operands[1::2])),
-        tuple(out_labels)))
+        axes.append(f.slot if f.expansion is None
+                    else rank + f.expansion.value)
+        axes.extend(rank + i.value for i in f.derivatives)
+    scalar_block = numerators.transpose(np.argsort(axes))
 
-    entries = np.zeros(term.primary_dims + term.secondary_dims)
+    entries = np.zeros(term.primary_dims + term.secondary_dims,
+                       dtype=np.int64)
     # user secondary indices lead term.secondary; each transform and each
     # coefficient read created one of the others
     n_user = len(term.secondary) - len(term.transforms) - len(term.coeff_reads)
@@ -323,7 +443,7 @@ def compute_reference_tensor(term, quadrature_degree=None):
         entries[tuple(selector)] += scalar_block
 
     entries.flags.writeable = False
-    return entries
+    return entries, denominator
 
 
 def _reference_key(term):
@@ -501,12 +621,6 @@ def derive_geometry_expr(term):
     )
 
 
-def _kept(entries, rel_tol=DROP_TOL):
-    """Mask of the entries with |value| > rel_tol * max|entries|."""
-    magnitude = np.abs(entries)
-    return magnitude > rel_tol * (magnitude.max() if entries.size else 0.0)
-
-
 # --- compiled forms -------------------------------------------------------------
 
 
@@ -577,39 +691,40 @@ def contract_terms(cf, dets, gs, coeffs=()):
     return out.T.reshape((ncells,) + cf.primary_dims)
 
 
-def row_classes(matrices, codes, flipped):
+def row_classes(matrices):
     """Map the rows shared by term CSRs onto their distinct rows, equal up
-    to sign, given one int64 code per nonzero of ``matrices[t]`` in
-    ``codes[t]`` and the code of its negation in ``flipped[t]``.
+    to sign.
 
-    A row is keyed by the tuple over terms of its (column, code) bytes,
-    not by their join, as two terms can share column numbers.  The first
-    row of each key, or of its flipped key, represents it; all empty rows
-    share one.  Returns (representatives, rows, negated): representative
-    row numbers, each row's position among them, and the negated rows.
+    A row is keyed once, by the tuple over terms of its (column, value
+    bits) bytes, not by their join, as two terms can share column
+    numbers; a row whose first stored value has its sign bit set is keyed
+    negated, and marked so.  The first row of each key represents it; all
+    empty rows share one.  Returns (representatives, rows, negated):
+    representative row numbers, each row's position among them, and the
+    rows whose mark differs from their representative's.
     """
-    keys, negations = [], []
-    for m, code, flip in zip(matrices, codes, flipped):
+    n_rows = matrices[0].shape[0] if matrices else 0
+    flip = np.zeros(n_rows, dtype=bool)  # the sign of each first value
+    found = np.zeros(n_rows, dtype=bool)
+    for m in matrices:
+        here = (np.diff(m.indptr) > 0) & ~found
+        flip[here] = np.signbit(m.data[m.indptr[:-1][here]])
+        found |= here
+    keys = []
+    for m in matrices:
         table = np.empty((m.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
         table[:, 0] = m.indices
+        table[:, 1] = np.where(flip.repeat(np.diff(m.indptr)), -m.data,
+                               m.data).view(np.int64)
+        data = table.tobytes()
         bounds = (16 * m.indptr).tolist()
-        for out, column in ((keys, code), (negations, flip)):
-            table[:, 1] = column
-            data = table.tobytes()
-            out.append([data[a:b] for a, b in zip(bounds, bounds[1:])])
+        keys.append([data[a:b] for a, b in zip(bounds, bounds[1:])])
     first = {}  # key -> position among the representatives
-    representatives, rows, negated = [], [], []
-    for r, (key, neg) in enumerate(zip(zip(*keys), zip(*negations))):
-        if key not in first:
-            if neg in first:
-                key = neg
-                negated.append(r)
-            else:
-                first[key] = len(representatives)
-                representatives.append(r)
-        rows.append(first[key])
-    return representatives, np.array(rows, dtype=np.intp), np.array(
-        negated, dtype=np.intp)
+    rows = np.array([first.setdefault(key, len(first)) for key in zip(*keys)],
+                    dtype=np.intp)
+    representatives = np.unique(rows, return_index=True)[1]
+    return representatives, rows, np.flatnonzero(
+        flip != flip[representatives][rows])
 
 
 class CompiledForm:
@@ -653,23 +768,26 @@ class CompiledForm:
             format="csr")
 
     @cached_property
+    def row_plan(self):
+        """(representatives, rows, negated) of ``row_classes`` over the
+        terms' A0: the block rows equal, up to sign, to an earlier row.
+        The numpy contraction and the emitted C both follow it."""
+        return row_classes([ct.matrix for ct in self.terms])
+
+    @cached_property
     def contraction(self):
         """(a0, rows, negated): the A0 rows contract_terms multiplies, and
         how they give the block.
 
         When the stack's nonzeros outside its distinct rows outnumber the
-        block's rows, ``a0`` holds the distinct rows of ``stacked``,
-        ``rows`` maps each block row onto one of them and ``negated``
-        lists the block rows that change sign; otherwise ``a0`` is the
-        stack and ``rows`` is None.  Built on the first contraction, not
-        by compile_form; the full stack is not kept beside the distinct
-        rows.
+        block's rows, ``a0`` holds the distinct rows of ``stacked``, and
+        ``rows`` and ``negated`` are those of ``row_plan``; otherwise
+        ``a0`` is the stack and ``rows`` is None.  Built on the first
+        contraction, not by compile_form; the full stack is not kept
+        beside the distinct rows.
         """
         a0 = self.stacked
-        matrices = [ct.matrix for ct in self.terms]
-        representatives, rows, negated = row_classes(
-            matrices, [m.data.view(np.int64) for m in matrices],
-            [(-m.data).view(np.int64) for m in matrices])
+        representatives, rows, negated = self.row_plan
         distinct = a0[representatives]
         if a0.nnz - distinct.nnz > self.block_size:
             return distinct, rows, negated
@@ -683,43 +801,75 @@ class CompiledForm:
         return self.element_tensors([det], [g], coeffs)[0]
 
 
+def _exact_sum(total, denominator, numerators, d):
+    """total / denominator + numerators / d, added into total, as
+    (total, lcm(denominator, d))."""
+    common = lcm(denominator, d)
+    scale, other = common // denominator, common // d
+    _checked(max(scale, other, _magnitude(total) * scale
+                 + _magnitude(numerators) * other))
+    total *= scale
+    total += numerators * other
+    return total, common
+
+
+def _rounded(numerators, denominator):
+    """The double nearest each numerator / denominator.  Integers up to
+    2**53 are exact doubles, and one IEEE division of exact doubles rounds
+    correctly; beyond that, Python's int division, which rounds correctly
+    too, runs once per distinct numerator."""
+    if max(denominator, _magnitude(numerators)) <= 2 ** 53:
+        return numerators / denominator
+    distinct, inverse = np.unique(numerators, return_inverse=True)
+    return np.array([n / denominator for n in distinct.tolist()],
+                    dtype=float)[inverse]
+
+
 def compile_form(form):
     """Compile a language form into its tensor representation.
 
     Monomials whose geometry expressions have equal keys share one term:
-    their dense A0 blocks are summed, in first-occurrence order.  Monomials
-    with equal reference keys share one integration.  The A0 column of
-    each G component that equals an earlier one (``representatives``) is
-    then added to that component's column and zeroed, and entries at or
-    below DROP_TOL of the largest are dropped.
+    their exact A0 blocks are summed over a common denominator, in
+    first-occurrence order.  Monomials with equal reference keys share one
+    integration.  The A0 column of each G component that equals an
+    earlier one (``representatives``) is then added to that component's
+    column and zeroed.  Only then is each nonzero rounded, to the double
+    nearest its rational value, so that equal values give equal doubles;
+    exact zeros are dropped.  A numerator that does not fit in int64
+    raises UnsupportedDegree.
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
     primary_dims = tuple(el.space_dim for el in form.arguments)
-    groups = {}  # geometry key -> [geometry, summed A0 entries]
-    integrated = {}  # reference key -> A0 entries
+    groups = {}  # geometry key -> [geometry, summed numerators, denominator]
+    integrated = {}  # reference key -> (numerators, denominator)
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
         key = _reference_key(term)
         if key not in integrated:
             integrated[key] = compute_reference_tensor(term)
-        group = groups.setdefault(geometry.key, [geometry, 0.0])
-        group[1] = group[1] + integrated[key]
+        numerators, denominator = integrated[key]
+        group = groups.get(geometry.key)
+        if group is None:
+            groups[geometry.key] = [geometry, numerators.copy(), denominator]
+        else:
+            group[1:] = _exact_sum(group[1], group[2], numerators, denominator)
     terms = []
-    for geometry, entries in groups.values():
-        flat = entries.reshape(prod(primary_dims), geometry.n_components)
+    for geometry, numerators, denominator in groups.values():
+        flat = numerators.reshape(prod(primary_dims), geometry.n_components)
         rep = geometry.representatives
+        _checked(_magnitude(flat) * int(np.bincount(rep).max()))
         for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
             flat[:, rep[n]] += flat[:, n]
-            flat[:, n] = 0.0
-        kept = _kept(flat)
+            flat[:, n] = 0
+        nonzero = flat != 0
         indptr = np.zeros(flat.shape[0] + 1, dtype=np.int32)
-        kept.sum(axis=1).cumsum(out=indptr[1:])
-        rows, cols = kept.nonzero()
+        nonzero.sum(axis=1).cumsum(out=indptr[1:])
+        rows, cols = nonzero.nonzero()
         matrix = scipy.sparse.csr_matrix(
-            (flat[rows, cols], cols.astype(np.int32), indptr),
-            shape=flat.shape)
+            (_rounded(flat[rows, cols], denominator), cols.astype(np.int32),
+             indptr), shape=flat.shape)
         terms.append(CompiledTerm(geometry, primary_dims, matrix))
     return CompiledForm(
         form.name, form.cell, form.arity, primary_dims,

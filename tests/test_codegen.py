@@ -83,7 +83,7 @@ def test_mass_c_structure():
     assert "void eval(double block[], const affine_map_2d *map)" in code
     assert "const double G0 = map->det;" in code
     assert sum(l.strip().startswith("block[") for l in code.splitlines()) == 9
-    assert "block[0] = 8.333333333333334e-02*G0;" in code
+    assert "block[0] = 8.333333333333333e-02*G0;" in code
     assert "block[1] = 4.166666666666666e-02*G0;" in code
     assert count_code_lines(cf) == 10
 
@@ -128,7 +128,8 @@ def test_p3_poisson_c_block_statements():
     }
     by_index = {l.split(" ")[0]: l for l in blocks}
     assert by_index["block[0]"].startswith("block[0] = 4.250000000000")
-    assert by_index["block[1]"].startswith("block[1] = -8.750000000000")
+    # the double nearest -7/80
+    assert by_index["block[1]"].startswith("block[1] = -8.749999999999999e-02")
     assert by_index["block[99]"].startswith("block[99] = 4.050000000000")
     assert "*G0_0_0" in by_index["block[99]"]
 
@@ -439,9 +440,15 @@ def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
     assert_c_matches_numpy(parse_one(text), tmp_path, rng)
 
 
-COPIED_ROW_CASES = [("poisson", "interval", 1)] + [
+# P2 and P3 Navier-Stokes and P3 elasticity take seconds to minutes to
+# build, so their C is not built here
+COPIED_ROW_CASES = [
+    (name, "interval", q) for name in ("mass", "poisson", "elasticity")
+    for q in (1, 2, 3)] + [("navierstokes", "interval", 1)] + [
     (name, shape, q) for name in ("mass", "poisson", "elasticity")
     for shape in ("triangle", "tetrahedron") for q in (1, 2)] + [
+    (name, shape, 3) for name in ("mass", "poisson")
+    for shape in ("triangle", "tetrahedron")] + [
     ("navierstokes", shape, 1) for shape in ("triangle", "tetrahedron")]
 
 
@@ -464,3 +471,31 @@ def test_count_code_lines_counts_emitted_statements(name, shape, q):
         body = emit_c(cf).split("\n{\n", 1)[1]
         statements = [ln for ln in body.splitlines() if ln.endswith(";")]
         assert count_code_lines(cf) == len(statements)
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("shape", ("interval", "triangle", "tetrahedron"))
+@pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
+                                  "elasticity"))
+def test_c_copies_follow_the_row_plan(name, shape, q):
+    # the C copies exactly the nonempty rows the plan maps onto an earlier
+    # row, with the plan's signs; an empty row is written 0.0
+    for form in shipped_forms(name, shape, q):
+        cf = compile_form(form)
+        representatives, rows, negated = cf.row_plan
+        first = representatives[rows]
+        nonempty = np.diff(sum(ct.matrix.indptr for ct in cf.terms)) > 0
+        want = {r: ("-" if r in negated else "") + "block[%d]" % first[r]
+                for r in range(cf.block_size) if first[r] != r and nonempty[r]}
+        got = {}
+        for line in emit_c(cf).splitlines():
+            if line.startswith("    block["):
+                lhs, rhs = line.strip().rstrip(";").split(" = ")
+                if rhs.lstrip("-").startswith("block["):
+                    got[int(lhs[6:-1])] = rhs
+        assert got == want
+        # the numpy contraction gathers its distinct rows by the same map
+        a0, map_rows, map_negated = cf.contraction
+        if map_rows is not None:
+            assert map_rows is rows and map_negated is negated
+            assert a0.shape[0] == len(representatives)

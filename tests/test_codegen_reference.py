@@ -10,13 +10,13 @@ geometry lines and s-expressions) are shared with the module.
 The C reference also declares only the G components some nonzero reads,
 and writes a block row that repeats an earlier row, or its negation, as a
 copy.  It finds those rows with a dict of per-row tuples of (column,
-signed cluster) pairs, the clusters joining sorted magnitudes whose gaps
-are at most 16 ulps of the term's largest.  The older reference, which
+value bits) pairs, a negated row being the tuple of its negated values'
+bits.  The older reference, which
 declares every component and sums every row, is kept: forms without
 repeated rows must still match it.
 """
 
-import math
+import struct
 
 import numpy as np
 import pytest
@@ -110,18 +110,9 @@ def reference_emit_c_per_entry(cf, function_name="eval"):
     return "\n".join(lines) + "\n"
 
 
-def reference_clusters(values, ulps=16):
-    """Cluster number of each magnitude: sorted magnitudes are joined while
-    each gap is at most ulps ulps of the largest."""
-    magnitudes = sorted({abs(v) for v in values})
-    tol = ulps * math.ulp(magnitudes[-1]) if magnitudes else 0.0
-    number, previous, out = 0, None, {}
-    for v in magnitudes:
-        if previous is not None and v - previous > tol:
-            number += 1
-        out[v] = number
-        previous = v
-    return out
+def reference_bits(v):
+    """The bits of a double, which tell 0.0 from -0.0."""
+    return struct.unpack("<q", struct.pack("<d", v))[0]
 
 
 def reference_emit_c(cf, function_name="eval"):
@@ -138,22 +129,22 @@ def reference_emit_c(cf, function_name="eval"):
             if n in used:
                 lines.append("    const double %s = %s;" % (
                     names[-1], _c_geometry_exprs(ct.geometry, [n], offsets)[0]))
-        data = m.data.tolist()
-        csr.append((names, m.indptr.tolist(), m.indices.tolist(), data,
-                    reference_clusters(data)))
+        csr.append((names, m.indptr.tolist(), m.indices.tolist(),
+                    m.data.tolist()))
     if cf.terms:
         lines.append("")
     first = {}  # row tuple -> first row written with it
     for flat in range(cf.block_size):
         terms = []
         row = []
-        for names, indptr, indices, data, cluster in csr:
+        negated = []
+        for names, indptr, indices, data in csr:
             lo, hi = indptr[flat], indptr[flat + 1]
             terms.extend(zip(data[lo:hi], (names[c] for c in indices[lo:hi])))
-            row.append(tuple((c, (-1 if v < 0 else 1) * (cluster[abs(v)] + 1))
-                             for c, v in zip(indices[lo:hi], data[lo:hi])))
-        row = tuple(row)
-        negated = tuple(tuple((c, -s) for c, s in part) for part in row)
+            pairs = list(zip(indices[lo:hi], data[lo:hi]))
+            row.append(tuple((c, reference_bits(v)) for c, v in pairs))
+            negated.append(tuple((c, reference_bits(-v)) for c, v in pairs))
+        row, negated = tuple(row), tuple(negated)
         if terms and row in first:
             rhs = "block[%d]" % first[row]
         elif terms and negated in first:

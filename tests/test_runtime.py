@@ -755,6 +755,28 @@ def test_apply_dirichlet_shapes():
     assert np.allclose(lifted, [9.0, 5.0, 8.0, 6.0])
 
 
+def test_apply_dirichlet_matches_two_selections(rng):
+    # P2 diffusion plus advection along x: a nonsymmetric matrix whose
+    # eliminated columns move to the right-hand side
+    form = parse_one(
+        'element = FiniteElement("Lagrange", "triangle", 2)\n'
+        "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+        "i = Index()\na = v.dx(i)*u.dx(i)*dx + v*u.dx(0)*dx\n")
+    mesh = perturb_mesh(unit_square_mesh(5), seed=3)
+    dmap = build_dofmap(mesh, make_lagrange("triangle", 2))
+    mat = assemble(compile_form(form), mesh, [dmap, dmap])
+    assert abs(mat - mat.T).max() > 0.1
+    rhs = rng.uniform(-1, 1, dmap.global_dim)
+    dofs = np.flatnonzero(rng.uniform(size=dmap.global_dim) < 0.3)
+    values = rng.uniform(-1, 1, dofs.size)
+    reduced, new_rhs, free = apply_dirichlet(mat, rhs, dofs, values)
+    want = mat.tocsr()[free][:, free]
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(reduced, name), getattr(want, name))
+    assert np.array_equal(new_rhs,
+                          rhs[free] - mat.tocsr()[free][:, dofs] @ values)
+
+
 def test_write_matrix_market(tmp_path):
     mesh = unit_square_mesh(1)
     dmap = build_dofmap(mesh, make_lagrange("triangle", 1))

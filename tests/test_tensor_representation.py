@@ -1,7 +1,9 @@
 """Index classification, reference tensors, and geometry tensor expressions."""
 
+import math
 import os
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -14,7 +16,12 @@ from scipy.sparse import csr_matrix
 from conftest import parse_one, random_affine_map, shipped_forms
 from formc.cli_bench import form_text_with
 from formc.codegen import emit_raw, read_raw
-from formc.errors import DimensionMismatch, IndexOccursOnce, IndexOccursThrice
+from formc.errors import (
+    DimensionMismatch,
+    FormcError,
+    IndexOccursOnce,
+    IndexOccursThrice,
+)
 from formc.form_language import (
     BasisFunction,
     dx,
@@ -27,7 +34,6 @@ from formc.tensor_representation import (
     CompiledForm,
     CompiledTerm,
     GeometryTensorExpr,
-    _kept,
     _reference_key,
     classify_indices,
     compile_form,
@@ -118,7 +124,6 @@ def test_mass_classification():
     assert term.secondary == ()
     assert term.aux_a0 == () and term.aux_g == ()
     assert term.transforms == () and term.coeff_reads == ()
-    assert term.quadrature_degree() == 4
 
 
 def test_poisson_classification():
@@ -130,7 +135,6 @@ def test_poisson_classification():
     assert len(term.aux_g) == 1 and term.aux_g[0].range == 3
     assert term.aux_a0 == ()
     assert len(term.transforms) == 2
-    assert term.quadrature_degree() == 4
 
 
 def test_navierstokes_classification():
@@ -238,9 +242,15 @@ def test_fixed_indices_allowed():
 # --- reference tensors ------------------------------------------------------------
 
 
+def a0_values(term):
+    """compute_reference_tensor's A0 as doubles."""
+    numerators, denominator = compute_reference_tensor(term)
+    return numerators / denominator
+
+
 def test_p1_mass_reference_tensor():
     (term,) = terms_of("mass", degree=1)
-    a0 = compute_reference_tensor(term)
+    a0 = a0_values(term)
     expected = (np.ones((3, 3)) + np.eye(3)) / 24.0
     assert a0.shape == (3, 3)
     assert np.allclose(a0, expected, atol=1e-14)
@@ -249,7 +259,7 @@ def test_p1_mass_reference_tensor():
 
 def test_p1_poisson_reference_tensor():
     (term,) = terms_of("poisson", degree=1)
-    a0 = compute_reference_tensor(term)
+    a0 = a0_values(term)
     grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     expected = 0.5 * np.einsum("ia,jb->ijab", grads, grads)
     assert a0.shape == (3, 3, 2, 2)
@@ -266,7 +276,7 @@ def test_p1_poisson_reference_tensor():
 
 def test_p3_poisson_triangle_values():
     (term,) = terms_of("poisson", "triangle", 3)
-    a0 = compute_reference_tensor(term)
+    a0 = a0_values(term)
     flat = a0.reshape(100, 2, 2)
     assert abs(flat[0, 0, 0] - 4.25e-01) < 1e-9
     assert abs(flat[1, 0, 0] - (-8.75e-02)) < 1e-9
@@ -279,35 +289,20 @@ def test_p3_poisson_triangle_values():
 
 def test_reference_tensor_entries_read_only():
     (term,) = terms_of("mass", degree=1)
-    a0 = compute_reference_tensor(term)
+    numerators, denominator = compute_reference_tensor(term)
+    assert numerators.dtype == np.int64 and denominator == 24
     with pytest.raises(ValueError):
-        a0[0, 0] = 1.0
+        numerators[0, 0] = 1
 
 
 def test_symmetry_of_symmetric_forms():
     for kind in ("mass", "poisson"):
         (term,) = terms_of(kind, "triangle", 2)
-        a0 = compute_reference_tensor(term)
+        a0 = a0_values(term)
         if kind == "mass":
             assert np.allclose(a0, a0.T, atol=1e-14)
         else:
             assert np.allclose(a0, a0.transpose(1, 0, 3, 2), atol=1e-13)
-
-
-def test_quadrature_degree_is_sufficient():
-    # doubling the rule degree must not change any entry beyond roundoff
-    for kind, shape, q in (
-        ("mass", "triangle", 3),
-        ("poisson", "tetrahedron", 2),
-        ("navierstokes", "tetrahedron", 1),
-        ("elasticity", "triangle", 2),
-    ):
-        for term in terms_of(kind, shape, q):
-            base = compute_reference_tensor(term)
-            double = compute_reference_tensor(
-                term, quadrature_degree=2 * term.quadrature_degree()
-            )
-            assert np.allclose(base, double, atol=1e-12), (kind, shape, q)
 
 
 # --- geometry tensor expressions ----------------------------------------------
@@ -318,7 +313,7 @@ def test_rank_bookkeeping():
         for shape in ("triangle", "tetrahedron"):
             for q in (1, 2):
                 for term in terms_of(kind, shape, q):
-                    a0 = compute_reference_tensor(term)
+                    a0 = compute_reference_tensor(term)[0]
                     geo = derive_geometry_expr(term)
                     assert geo.rank == len(term.secondary)
                     assert a0.ndim == term.rank + geo.rank
@@ -374,22 +369,7 @@ def test_mass_geometry_is_det_only(rng):
     )
 
 
-# --- threshold --------------------------------------------------------------------
-
-
-def kept(tensor, **kwargs):
-    """[(multiindex, value)] of the entries _kept keeps, in row-major order."""
-    mask = _kept(tensor, **kwargs)
-    return list(zip(map(tuple, np.argwhere(mask).tolist()), tensor[mask].tolist()))
-
-
-def test_threshold_ordering_and_tolerance():
-    tensor = np.array([[1.0, 0.0], [1e-20, -2.0]])
-    assert kept(tensor) == [((0, 0), 1.0), ((1, 1), -2.0)]
-    # exact zeros stay dropped even with zero tolerance
-    assert ((0, 1), 0.0) not in kept(tensor, rel_tol=0.0)
-    assert ((1, 0), 1e-20) in kept(tensor, rel_tol=0.0)
-    assert kept(np.zeros((2, 2))) == []
+# --- nonzeros ---------------------------------------------------------------------
 
 
 def test_p3_poisson_nonzero_count():
@@ -546,8 +526,8 @@ def test_evaluate_gathers_one_factor_at_a_time(rng):
     ("navierstokes", "tetrahedron", 2, "a", 101, 0),
     ("navierstokes", "tetrahedron", 3, "a", 401, 0),
     ("elasticity", "interval", 1, "a", 1, 2),
+    ("poisson", "tetrahedron", 3, "a", 168, 0),
     # the direct product: too few nonzeros repeat
-    ("poisson", "tetrahedron", 3, "a", None, None),
     ("poisson", "interval", 1, "L", None, None),
     ("poisson", "triangle", 2, "L", None, None),
     ("poisson", "tetrahedron", 3, "L", None, None),
@@ -599,14 +579,12 @@ def test_row_classes():
         for r, row in enumerate(rows):
             dense[r, list(row[t])] = list(row[t].values())
         matrices.append(csr_matrix(dense))
-    representatives, rep, negated = row_classes(
-        matrices, [m.data.view(np.int64) for m in matrices],
-        [(-m.data).view(np.int64) for m in matrices])
-    assert representatives == [0, 3, 4, 5, 8]
+    representatives, rep, negated = row_classes(matrices)
+    assert representatives.tolist() == [0, 3, 4, 5, 8]
     assert rep.tolist() == [0, 0, 0, 1, 2, 3, 1, 3, 4]
     assert negated.tolist() == [2, 7]
     # no terms, no rows
-    assert row_classes([], [], [])[0] == []
+    assert row_classes([])[0].tolist() == []
 
 
 @pytest.mark.parametrize("kind,shape", (
@@ -653,9 +631,32 @@ def test_drop_tolerance_does_not_change_values(rng):
     amap = random_affine_map(rng, 2)
     a = compile_form(form).element_tensor(amap.det, amap.g)
     g = derive_geometry_expr(term).evaluate([amap.det], [amap.g])[0]
-    b = np.einsum("ijk,k->ij",
-                  compute_reference_tensor(term).reshape(10, 10, 4), g)
+    b = np.einsum("ijk,k->ij", a0_values(term).reshape(10, 10, 4), g)
     assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("numerators,denominator", (
+    ([1, -7, 2 ** 53, 12345678901], 3 ** 33),  # IEEE division
+    ([2 ** 62 + 1, -(2 ** 60) - 3, 3, 3], 3 ** 40),  # int division
+    ([2 ** 53 + 1, 1], 10),
+))
+def test_nonzeros_round_to_the_nearest_double(numerators, denominator):
+    import formc.tensor_representation as tr
+
+    got = tr._rounded(np.array(numerators, dtype=np.int64), denominator)
+    want = [float(Fraction(n, denominator)) for n in numerators]
+    assert got.tolist() == want
+
+
+def test_numerators_beyond_int64_raise(monkeypatch):
+    import formc.tensor_representation as tr
+
+    # 3 * 2**62 over the common denominator 3 does not fit
+    with pytest.raises(FormcError):
+        tr._exact_sum(np.array([2 ** 62]), 1, np.array([1]), 3)
+    monkeypatch.setattr(tr, "_INT64_MAX", 1000)
+    with pytest.raises(FormcError):
+        compile_form(parse_one(form_text("mass", "interval", 7)))
 
 
 def test_compile_form_rejects_non_form():
@@ -702,10 +703,8 @@ def test_per_monomial_listing_rereads_like_merged_compile(rng):
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
-        flat = compute_reference_tensor(term).reshape(
-            -1, geometry.n_components)
         terms.append(CompiledTerm(geometry, (30, 30), csr_matrix(
-            np.where(_kept(flat), flat, 0.0))))
+            a0_values(term).reshape(-1, geometry.n_components))))
     per_monomial = CompiledForm("a", form.cell, 2, (30, 30), (), terms)
     reread = read_raw(emit_raw(per_monomial))
     assert len(reread.terms) == 4
@@ -781,21 +780,30 @@ def equal_components(geometry):
 
 
 def per_monomial_matrices(form):
-    """Dense A0 per term, integrating every monomial on its own."""
+    """Dense A0 per term, integrating every monomial on its own: the exact
+    sums over a common denominator, folded, each nonzero rounded as
+    float(Fraction)."""
     groups = {}
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
-        group = groups.setdefault(geometry.key, [geometry, 0.0])
-        group[1] = group[1] + compute_reference_tensor(term)
+        numerators, denominator = compute_reference_tensor(term)
+        group = groups.setdefault(geometry.key, [geometry, 0, 1])
+        common = math.lcm(group[2], denominator)
+        group[1] = (group[1] * (common // group[2])
+                    + numerators * (common // denominator))
+        group[2] = common
     out = []
-    for geometry, entries in groups.values():
+    for geometry, entries, denominator in groups.values():
         flat = entries.reshape(-1, geometry.n_components)
         for n, rep in enumerate(equal_components(geometry)):
             if rep != n:
                 flat[:, rep] += flat[:, n]
-                flat[:, n] = 0.0
-        out.append(np.where(_kept(flat), flat, 0.0))
+                flat[:, n] = 0
+        dense = np.zeros(flat.shape)
+        for r, c in zip(*flat.nonzero()):
+            dense[r, c] = float(Fraction(int(flat[r, c]), denominator))
+        out.append(dense)
     return out
 
 
@@ -840,10 +848,11 @@ def test_reference_key_contract(shape, q):
     assert len(terms) == len(MERGE_POOL)
     keys = [_reference_key(t) for t in terms]
     entries = [compute_reference_tensor(t) for t in terms]
-    # equal keys mean bitwise-equal reference tensors
+    # equal keys mean equal reference tensors
     for a, b in combinations(range(len(terms)), 2):
         if keys[a] == keys[b]:
-            assert entries[a].tobytes() == entries[b].tobytes()
+            assert entries[a][0].tobytes() == entries[b][0].tobytes()
+            assert entries[a][1] == entries[b][1]
     # index renamings share a key; the scalar enters G, not A0, and the
     # coefficient pair keys w's expansion index by its slot
     texts = [text for text, _ in MERGE_POOL]
@@ -872,3 +881,160 @@ def test_equal_components_fold_on_tetrahedra(name, kept):
     for ct in cf.terms:
         rep = ct.geometry.representatives
         assert (rep[ct.matrix.indices] == ct.matrix.indices).all()
+
+
+# --- exact values against an independent integrator ------------------------------
+#
+# The reference below solves each element's Vandermonde system at its nodes
+# in integers, integrates monomials in the reference coordinates X with
+# integral X^gamma = gamma! / (|gamma| + d)!, and lays the scalar integrals
+# out entry by entry from the classified factors.  It uses no formc code
+# beyond the element's nodes and the index classification.
+
+
+def integer_inverse(matrix):
+    """(B, det) with matrix^-1 = B / det, by fraction-free Gauss-Jordan
+    elimination: every division is exact."""
+    n = len(matrix)
+    m = np.zeros((n, 2 * n), dtype=object)
+    m[:, :n] = matrix
+    m[np.arange(n), n + np.arange(n)] = 1
+    previous = 1
+    for k in range(n):
+        pivot = k + np.flatnonzero(m[k:, k] != 0)[0]
+        m[[k, pivot]] = m[[pivot, k]]
+        others = np.flatnonzero(np.arange(n) != k)
+        product = m[k, k] * m[others] - np.multiply.outer(m[others, k], m[k])
+        m[others] = product // previous
+        assert (m[others] * previous == product).all()
+        previous = m[k, k]
+    return m[:, n:], previous
+
+
+@lru_cache(maxsize=None)
+def fraction_basis(shape, q, derivative):
+    """(exponents, coefficients, denominator) of the scalar degree-q
+    Lagrange basis in monomials X^exponent: basis function i is
+    sum_a coefficients[a, i] X^exponents[a] / denominator, with a trailing
+    direction axis on coefficients for the reference derivatives."""
+    element = make_lagrange(shape, q)
+    d = element.cell.dim
+    # the nodes are lattice points: q X is an integer vector
+    ys = np.rint(element.nodes * q).astype(int).tolist()
+    alphas = [a for a in product(range(q + 1), repeat=d) if sum(a) <= q]
+    inverse, det = integer_inverse(
+        [[math.prod(y ** a for y, a in zip(node, alpha)) for alpha in alphas]
+         for node in ys])
+    # X^alpha = (q X)^alpha / q^|alpha|
+    coefficients = np.array([[Fraction(q ** sum(alpha) * c, det) for c in row]
+                             for alpha, row in zip(alphas, inverse)])
+    denominator = math.lcm(*(c.denominator for c in coefficients.ravel()))
+    coefficients = (coefficients * denominator).astype(int).astype(object)
+    if not derivative:
+        return alphas, coefficients, denominator
+    where = {alpha: k for k, alpha in enumerate(alphas)}
+    betas = [b for b in alphas if sum(b) < q]
+    out = np.zeros((len(betas), len(ys), d), dtype=object)
+    for k, beta in enumerate(betas):
+        for r in range(d):
+            up = tuple(b + (s == r) for s, b in enumerate(beta))
+            out[k, :, r] = (beta[r] + 1) * coefficients[where[up]]
+    return betas, out, denominator
+
+
+@lru_cache(maxsize=None)
+def fraction_scalar_integrals(shape, factors):
+    """(numerators, denominator) of the integral of every product of the
+    (degree, derivative) factors' basis functions, axes as the factors'."""
+    parts = [fraction_basis(shape, q, der) for q, der in factors]
+    d = len(parts[0][0][0])
+    total = sum(max(map(sum, exps)) for exps, _, _ in parts)
+    scale = math.factorial(total + d)
+    moments = np.zeros([len(exps) for exps, _, _ in parts], dtype=object)
+    for idx in product(*(range(len(exps)) for exps, _, _ in parts)):
+        gamma = [sum(g) for g in zip(*(exps[k] for k, (exps, _, _)
+                                       in zip(idx, parts)))]
+        moments[idx] = (math.prod(map(math.factorial, gamma)) * scale
+                        // math.factorial(sum(gamma) + d))
+    out = moments
+    for _, coefficients, _ in parts:
+        out = np.tensordot(out, coefficients, axes=([0], [0]))
+    return out, scale * math.prod(den for _, _, den in parts)
+
+
+def fraction_reference_tensor(term):
+    """(numerators, denominator) of a classified monomial's A0, entry by
+    entry: each factor reads its dof, component and direction from the
+    entry's multi-index, summed over the auxiliary components."""
+    scalars, denominator = fraction_scalar_integrals(
+        term.cell.shape,
+        tuple((f.element.degree, bool(f.derivatives)) for f in term.factors))
+    grid = np.indices(term.primary_dims + term.secondary_dims)
+    out = np.zeros(grid.shape[1:], dtype=object)
+    for aux in product(range(term.cell.dim), repeat=len(term.aux_a0)):
+        index, mask = [], np.ones(grid.shape[1:], dtype=bool)
+        for f in term.factors:
+            dof = grid[f.slot if f.expansion is None
+                       else term.rank + f.expansion.value]
+            if f.element.value_rank:
+                c, n = f.component, f.element.scalar_dim
+                comp = (c.value if c.kind == "fixed" else aux[c.value]
+                        if c.kind == "auxiliary" else grid[term.rank + c.value])
+                mask &= dof // n == comp
+                dof = dof % n
+            index.append(dof)
+            index.extend(grid[term.rank + i.value] for i in f.derivatives)
+        out += np.where(mask, scalars[tuple(index)], 0)
+    return out, denominator
+
+
+def fraction_terms(form):
+    """Per compiled term: its folded A0 as (numerators [block x N],
+    denominator), the monomials of equal geometry summed exactly."""
+    groups = {}
+    for monomial in expand_to_monomials(form):
+        term = classify_indices(monomial)
+        geometry = derive_geometry_expr(term)
+        numerators, denominator = fraction_reference_tensor(term)
+        group = groups.setdefault(geometry.key, [geometry, 0, 1])
+        common = math.lcm(group[2], denominator)
+        group[1] = (group[1] * (common // group[2])
+                    + numerators * (common // denominator))
+        group[2] = common
+    out = []
+    for geometry, numerators, denominator in groups.values():
+        flat = numerators.reshape(-1, geometry.n_components)
+        for n, rep in enumerate(equal_components(geometry)):
+            if rep != n:
+                flat[:, rep] += flat[:, n]
+                flat[:, n] = 0
+        out.append((flat, denominator))
+    return out
+
+
+EXACT_CASES = [(kind, shape, q) for kind in ("mass", "poisson")
+               for shape in ("triangle", "tetrahedron") for q in range(1, 7)
+               ] + [(kind, shape, q) for kind in ("navierstokes", "elasticity")
+                    for shape in ("triangle", "tetrahedron") for q in (1, 2)]
+
+
+@pytest.mark.parametrize("kind,shape,q", EXACT_CASES)
+def test_stored_values_are_the_nearest_doubles(kind, shape, q):
+    cf = compile_form(parse_one(form_text(kind, shape, q)))
+    want = fraction_terms(cf.form)
+    assert len(cf.terms) == len(want)
+    for ct, (numerators, denominator) in zip(cf.terms, want):
+        m = ct.matrix
+        # every nonzero rational is stored, and nothing else
+        assert np.array_equal(m.toarray() != 0, numerators != 0)
+        assert m.nnz == np.count_nonzero(numerators != 0)
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        fractions = [Fraction(int(n), denominator)
+                     for n in numerators[rows, m.indices].tolist()]
+        nearest = np.array([float(f) for f in fractions])
+        assert nearest.view(np.int64).tolist() == m.data.view(
+            np.int64).tolist()
+        # equal rationals are one double: as many values as fractions
+        assert np.unique(m.data).size == len(set(fractions))
+    if (kind, shape, q) == ("mass", "tetrahedron", 3):
+        assert len(set(fractions)) == 13
