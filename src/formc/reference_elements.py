@@ -7,10 +7,14 @@ The reference cells are the unit simplices
     tetrahedron   vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1)
 
 Quadrature rules are tensor-product Gauss-Jacobi rules mapped to the simplex
-through the collapsed (Duffy) transform.  Nodal Lagrange bases are obtained
-by inverting a generalized Vandermonde matrix of an orthonormal modal basis
-at the equispaced lattice nodes; the modal basis keeps the Vandermonde well
-conditioned up to the supported degree.
+through the collapsed (Duffy) transform.  A degree-q Lagrange element has
+one dof per point of the equispaced barycentric lattice, lambda = beta / q
+for the multiindices beta with |beta| = q, and its basis is Silvester's
+product formula
+
+    phi_beta(lambda) = prod_i prod_{k < beta_i} (q lambda_i - k) / (k + 1),
+
+which is 1 at its own lattice point and 0 at every other one.
 """
 
 import math
@@ -19,9 +23,14 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import eval_jacobi, roots_jacobi
+from scipy.special import roots_jacobi
 
-from .errors import PointOutsideCell, UnsupportedDegree, UnsupportedShape
+from .errors import (
+    DimensionMismatch,
+    PointOutsideCell,
+    UnsupportedDegree,
+    UnsupportedShape,
+)
 
 MAX_DEGREE = 8
 
@@ -133,147 +142,29 @@ def make_quadrature(shape, degree):
     return QuadratureRule(cell, degree, points, weights)
 
 
-# --- orthonormal modal basis ------------------------------------------------
-
-
-def _jacobi(n, a, x):
-    return eval_jacobi(n, a, 0.0, x)
-
-
-def _jacobi_deriv(n, a, x):
-    if n == 0:
-        return np.zeros_like(x)
-    return 0.5 * (n + a + 1.0) * eval_jacobi(n - 1, a + 1.0, 1.0, x)
-
-
-def _collapsed_group(s, eta, order, alpha):
-    """Value and partials of eta^order * P_order^(alpha,0)(2 s/eta - 1).
-
-    Returns (V, dV/ds, dV/deta).  The quotient 2s/eta - 1 degenerates where
-    eta = 0; the limiting value -1 is substituted there, which reproduces
-    the polynomial limit because every singular term carries a vanishing
-    power of eta.
-    """
-    safe = eta > 1e-13
-    t = np.where(safe, 2.0 * s / np.where(safe, eta, 1.0) - 1.0, -1.0)
-    P = _jacobi(order, alpha, t)
-    if order == 0:
-        zero = np.zeros_like(s)
-        return np.ones_like(s), zero, zero
-    dP = _jacobi_deriv(order, alpha, t)
-    eta_pm1 = eta ** (order - 1)
-    V = eta_pm1 * eta * P
-    V_s = 2.0 * eta_pm1 * dP
-    V_eta = eta_pm1 * (order * P - (t + 1.0) * dP)
-    return V, V_s, V_eta
-
-
-def _modal_indices(shape, degree):
-    d = _SHAPE_DIM[shape]
-    out = []
-    for total in range(degree + 1):
-        if d == 1:
-            out.append((total,))
-        elif d == 2:
-            for p in range(total, -1, -1):
-                out.append((p, total - p))
-        else:
-            for p in range(total, -1, -1):
-                for q in range(total - p, -1, -1):
-                    out.append((p, q, total - p - q))
-    return out
-
-
-def _tabulate_modal(shape, degree, points):
-    """Orthonormal modal basis values and gradients at ``points``.
-
-    Returns (phi [modes x npts], dphi [modes x dim x npts]).
-    """
-    d = _SHAPE_DIM[shape]
-    pts = np.asarray(points, dtype=float).reshape(-1, d)
-    npts = pts.shape[0]
-    modes = _modal_indices(shape, degree)
-    phi = np.empty((len(modes), npts))
-    dphi = np.empty((len(modes), d, npts))
-
-    if d == 1:
-        t = 2.0 * pts[:, 0] - 1.0
-        for k, (p,) in enumerate(modes):
-            scale = np.sqrt(2.0 * p + 1.0)
-            phi[k] = scale * _jacobi(p, 0.0, t)
-            dphi[k, 0] = scale * 2.0 * _jacobi_deriv(p, 0.0, t)
-        return phi, dphi
-
-    if d == 2:
-        x, y = pts[:, 0], pts[:, 1]
-        eta = 1.0 - y
-        c = 2.0 * y - 1.0
-        for k, (p, q) in enumerate(modes):
-            scale = np.sqrt((2.0 * p + 1.0) * (2.0 * p + 2.0 * q + 2.0))
-            U, U_s, U_eta = _collapsed_group(x, eta, p, 0.0)
-            a = 2.0 * p + 1.0
-            W = _jacobi(q, a, c)
-            dW = _jacobi_deriv(q, a, c)
-            phi[k] = scale * U * W
-            dphi[k, 0] = scale * U_s * W
-            dphi[k, 1] = scale * (-U_eta * W + U * 2.0 * dW)
-        return phi, dphi
-
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    eta1 = 1.0 - y - z
-    eta2 = 1.0 - z
-    c = 2.0 * z - 1.0
-    for k, (p, q, r) in enumerate(modes):
-        scale = np.sqrt(
-            (2.0 * p + 1.0)
-            * (2.0 * p + 2.0 * q + 2.0)
-            * (2.0 * p + 2.0 * q + 2.0 * r + 3.0)
-        )
-        U, U_s, U_eta = _collapsed_group(x, eta1, p, 0.0)
-        W, W_s, W_eta = _collapsed_group(y, eta2, q, 2.0 * p + 1.0)
-        a = 2.0 * p + 2.0 * q + 2.0
-        Z = _jacobi(r, a, c)
-        dZ = _jacobi_deriv(r, a, c)
-        phi[k] = scale * U * W * Z
-        dphi[k, 0] = scale * U_s * W * Z
-        dphi[k, 1] = scale * (-U_eta * W + U * W_s) * Z
-        dphi[k, 2] = scale * (-U_eta * W * Z - U * W_eta * Z + U * W * 2.0 * dZ)
-    return phi, dphi
-
-
 # --- lattice nodes and entity bookkeeping -----------------------------------
 
 
-def _lattice_nodes(cell, degree):
-    """Equispaced lattice with entity association.
+def _lattice_entities(cell, degree):
+    """Entity association of the equispaced lattice.
 
-    Returns a list of (coords, entity_dim, entity_vertices, lattice) in dof
-    order: vertices first, then each edge, face and finally the interior.
-    Edge nodes run from the lower-numbered vertex to the higher; nodes
-    interior to a face or cell are sorted by their barycentric multiindex
-    with respect to the entity's sorted vertex list.
+    Returns a list of (entity_dim, entity_vertices, multiindex) in dof order:
+    vertices first, then each edge, face and finally the interior.  Edge
+    nodes run from the lower-numbered vertex to the higher; nodes interior
+    to a face or cell are sorted by their barycentric multiindex with
+    respect to the entity's sorted vertex list.
     """
     d = cell.dim
     if degree == 0:
-        coords = cell.vertices.mean(axis=0)
-        entity = tuple(range(d + 1))
-        return [(coords, d, entity, (0,) * (d + 1))]
-
-    q = degree
-    nodes = []
+        return [(d, tuple(range(d + 1)), (0,) * (d + 1))]
+    entries = []
     for dim in range(d + 1):
         for entity in cell.entities(dim):
-            interior = []
-            for bary in _compositions(q, dim + 1):
-                if all(b > 0 for b in bary):
-                    interior.append(bary)
+            interior = [bary for bary in _compositions(degree, dim + 1)
+                        if all(bary)]
             interior.sort(key=lambda b: b[1:])
-            for bary in interior:
-                coords = np.zeros(d)
-                for b, v in zip(bary, entity):
-                    coords += (b / q) * cell.vertices[v]
-                nodes.append((coords, dim, entity, bary))
-    return nodes
+            entries.extend((dim, entity, bary) for bary in interior)
+    return entries
 
 
 def _compositions(total, parts):
@@ -332,12 +223,19 @@ class LagrangeElement:
         self.value_rank = value_rank
         self.components = cell.dim if value_rank == 1 else 1
 
-        lattice = _lattice_nodes(cell, degree)
-        self._scalar_dim = len(lattice)
+        entries = _lattice_entities(cell, degree)
+        self._scalar_dim = len(entries)
         self.space_dim = self._scalar_dim * self.components
-        nodes = np.array([entry[0] for entry in lattice]).reshape(
-            self._scalar_dim, cell.dim
-        )
+        # row k: the multiindex beta of scalar dof k over the cell vertices
+        lattice = np.zeros((self._scalar_dim, cell.dim + 1), dtype=int)
+        for k, (_, entity, bary) in enumerate(entries):
+            lattice[k, list(entity)] = bary
+        lattice.flags.writeable = False
+        self.lattice = lattice
+        if degree == 0:
+            nodes = cell.vertices.mean(axis=0, keepdims=True)
+        else:
+            nodes = lattice[:, 1:] / degree
         if value_rank == 1:
             nodes = np.tile(nodes, (self.components, 1))
         nodes.flags.writeable = False
@@ -346,39 +244,56 @@ class LagrangeElement:
         # (entity_dim, entity_vertices, lattice, component) per dof
         self.dof_entities = tuple(
             (dim, entity, bary, comp) for comp in range(self.components)
-            for coords, dim, entity, bary in lattice)
-
-        self._vinv = self._nodal_coefficients(lattice)
-        self._vinv.flags.writeable = False
-
-    def _nodal_coefficients(self, lattice):
-        pts = np.array([entry[0] for entry in lattice]).reshape(-1, self.cell.dim)
-        phi, _ = _tabulate_modal(self.cell.shape, self.degree, pts)
-        vandermonde = phi.T
-        return np.linalg.inv(vandermonde)
+            for dim, entity, bary in entries)
 
     @property
     def scalar_dim(self):
         return self._scalar_dim
 
     def tabulate(self, points):
-        """Nodal basis values and gradients at reference ``points``."""
-        d = self.cell.dim
-        pts = np.asarray(points, dtype=float).reshape(-1, d)
+        """Nodal basis values and gradients at reference ``points``, an
+        [n x dim] array.
+
+        Silvester's product is built from cumulative products over k of
+        the factors (q lambda_i - k) / (k + 1) and their derivatives, one
+        table row per lattice value beta_i; a reference derivative is
+        d/dlambda_{r+1} - d/dlambda_0.
+        """
+        d, q = self.cell.dim, self.degree
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise DimensionMismatch(
+                "tabulation points must form an [n x %d] array, not shape %s"
+                % (d, pts.shape))
         if not np.all(self.cell.contains(pts)):
             raise PointOutsideCell(
                 "tabulation points must lie inside the closed reference cell"
             )
-        phi, dphi = _tabulate_modal(self.cell.shape, self.degree, pts)
-        ns, npts = self._scalar_dim, pts.shape[0]
-        values = np.tensordot(self._vinv.T, phi, axes=1)
-        grads = np.einsum("km,mip->kip", self._vinv.T, dphi)
+        npts = pts.shape[0]
+        lam = np.vstack([1.0 - pts.sum(axis=1), pts.T])
+        # table[b] = prod_{k<b} (q lam - k) / (k + 1), slope[b] its derivative
+        table = np.ones((q + 1, d + 1, npts))
+        slope = np.zeros((q + 1, d + 1, npts))
+        for k in range(q):
+            factor = (q * lam - k) / (k + 1)
+            table[k + 1] = table[k] * factor
+            slope[k + 1] = slope[k] * factor + table[k] * (q / (k + 1))
+        vertices = np.arange(d + 1)
+        factors = table[self.lattice, vertices]  # [n x (d+1) x npts]
+        derivs = slope[self.lattice, vertices]
+        values = factors.prod(axis=1)
+        # d phi / d lambda_i: the i-th factor differentiated
+        dlam = np.empty_like(factors)
+        for i in range(d + 1):
+            others = np.delete(factors, i, axis=1).prod(axis=1)
+            dlam[:, i] = others * derivs[:, i]
+        grads = dlam[:, 1:] - dlam[:, :1]
         if self.value_rank == 0:
             values.flags.writeable = False
             grads.flags.writeable = False
             return TabulatedBasis(self, pts, values, grads)
 
-        comps = self.components
+        ns, comps = self._scalar_dim, self.components
         vec_vals = np.zeros((self.space_dim, comps, npts))
         vec_grads = np.zeros((self.space_dim, comps, d, npts))
         for c in range(comps):

@@ -289,10 +289,7 @@ def _basis_polynomials(element, derivative):
     d, q = element.cell.dim, element.degree
     rows, exponents, coefficients = [], [], []
     n = 0
-    for _, entity, lattice, _ in element.dof_entities[:element.scalar_dim]:
-        beta = [0] * (d + 1)
-        for v, b in zip(entity, lattice):
-            beta[v] = b
+    for beta in element.lattice.tolist():
         scale = factorial(q) // prod(map(factorial, beta))
         polys = [_univariate(q, b) for b in beta]
         # each row is a signed sum of products of univariate polynomials
@@ -444,23 +441,6 @@ def compute_reference_tensor(term):
 
     entries.flags.writeable = False
     return entries, denominator
-
-
-def _reference_key(term):
-    """Equal keys mean bitwise-equal compute_reference_tensor entries.
-
-    Each factor contributes its element, kind and slot, and its component,
-    derivative and coefficient expansion index as (kind, value): a fixed
-    value or the slot of a classified index.  Index renamings between
-    monomials thus share a key.
-    """
-    def where(i):
-        return None if i is None else (i.kind, i.value)
-
-    return term.cell.shape, term.secondary_dims, tuple(
-        (f.element, f.kind, f.slot, where(f.component),
-         tuple(map(where, f.derivatives)), where(f.expansion))
-        for f in term.factors)
 
 
 # --- geometry tensor -----------------------------------------------------------
@@ -830,26 +810,22 @@ def compile_form(form):
 
     Monomials whose geometry expressions have equal keys share one term:
     their exact A0 blocks are summed over a common denominator, in
-    first-occurrence order.  Monomials with equal reference keys share one
-    integration.  The A0 column of each G component that equals an
-    earlier one (``representatives``) is then added to that component's
-    column and zeroed.  Only then is each nonzero rounded, to the double
-    nearest its rational value, so that equal values give equal doubles;
-    exact zeros are dropped.  A numerator that does not fit in int64
-    raises UnsupportedDegree.
+    first-occurrence order.  Monomials with equal (element, derivative)
+    factors share one integration in ``_scalar_integrals``.  The A0 column
+    of each G component that equals an earlier one (``representatives``)
+    is then added to that component's column and zeroed.  Only then is
+    each nonzero rounded, to the double nearest its rational value, so
+    that equal values give equal doubles; exact zeros are dropped.  A
+    numerator that does not fit in int64 raises UnsupportedDegree.
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
     primary_dims = tuple(el.space_dim for el in form.arguments)
     groups = {}  # geometry key -> [geometry, summed numerators, denominator]
-    integrated = {}  # reference key -> (numerators, denominator)
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
-        key = _reference_key(term)
-        if key not in integrated:
-            integrated[key] = compute_reference_tensor(term)
-        numerators, denominator = integrated[key]
+        numerators, denominator = compute_reference_tensor(term)
         group = groups.get(geometry.key)
         if group is None:
             groups[geometry.key] = [geometry, numerators.copy(), denominator]

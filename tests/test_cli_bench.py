@@ -280,6 +280,13 @@ def test_cli_tabulate(capsys):
     assert "0.5" in out and "0.25" in out
 
 
+def test_cli_tabulate_rejects_misshapen_points(capsys):
+    # four coordinates are not two triangle points
+    assert cli(["tabulate", "triangle", "1", "--at", "0.1,0.1,0.2,0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("formc: error:") and not captured.out
+
+
 def test_cli_assemble_paths_agree(tmp_path, formfile):
     from formc.runtime import perturb_mesh, save_mesh, unit_square_mesh
 

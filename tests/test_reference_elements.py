@@ -1,12 +1,19 @@
 """Reference cells, Lagrange elements, and simplex quadrature."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import exponents_upto, parse_one, simplex_integral
-from formc.errors import PointOutsideCell, UnsupportedDegree, UnsupportedShape
+from exact_basis import fraction_basis
+from formc.errors import (
+    DimensionMismatch,
+    PointOutsideCell,
+    UnsupportedDegree,
+    UnsupportedShape,
+)
 from formc.reference_elements import (
     ReferenceCell,
     make_lagrange,
@@ -198,6 +205,36 @@ def test_gradients_match_finite_differences(rng):
                 assert np.allclose(grads[:, a, :], fd, atol=1e-6), (shape, q, a)
 
 
+def exact_tabulation(shape, q, points):
+    """Exact values [n x npts] and gradients [n x d x npts] of the scalar
+    basis at points given as Fractions, from the exact_basis reference."""
+    out = []
+    for derivative in (False, True):
+        exponents, coefficients, denominator = fraction_basis(
+            shape, q, derivative)
+        monomials = np.array([[math.prod(x ** a for x, a in zip(p, alpha))
+                               for p in points] for alpha in exponents],
+                             dtype=object)
+        exact = np.tensordot(coefficients, monomials, axes=([0], [0]))
+        out.append(exact / denominator)
+    return out
+
+
+@pytest.mark.parametrize("shape,max_degree", (
+    ("interval", 8), ("triangle", 8), ("tetrahedron", 5)))
+def test_tabulation_matches_exact_basis(shape, max_degree, rng):
+    d = DIM[shape]
+    # dyadic interior points: exact as doubles and as Fractions
+    ticks = rng.integers(1, 64, size=(200, d + 1))
+    ticks = ticks[ticks.sum(axis=1) <= 64][:8, :d]
+    points = [[Fraction(int(t), 64) for t in row] for row in ticks]
+    for q in range(1, max_degree + 1):
+        tab = make_lagrange(shape, q).tabulate(ticks / 64)
+        values, gradients = exact_tabulation(shape, q, points)
+        assert np.abs(tab.values - values.astype(float)).max() <= 1e-13, q
+        assert np.abs(tab.gradients - gradients.astype(float)).max() <= 1e-12, q
+
+
 def test_interpolation_reproduces_polynomials(rng):
     for shape in SHAPES:
         d = DIM[shape]
@@ -296,7 +333,7 @@ def test_elements_are_cached_and_read_only():
         "tetrahedron", 3, "continuous")
     assert make_lagrange("tetrahedron", 3) is not first
     assert isinstance(first.dof_entities, tuple)
-    for array in (first.nodes, first._vinv, first.cell.vertices):
+    for array in (first.nodes, first.lattice, first.cell.vertices):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
@@ -319,6 +356,17 @@ def test_unsupported_degrees():
         make_lagrange("triangle", 0)  # constants must be discontinuous
     with pytest.raises(UnsupportedDegree):
         make_vector_lagrange("tetrahedron", 9)
+
+
+def test_tabulation_points_must_be_n_by_dim():
+    e = make_lagrange("triangle", 1)
+    for points in ([0.1, 0.1], [[0.1, 0.1, 0.2, 0.2]], [[0.1], [0.2]],
+                   np.full((1, 2, 2), 0.1)):
+        with pytest.raises(DimensionMismatch):
+            e.tabulate(points)
+    with pytest.raises(DimensionMismatch):
+        make_vector_lagrange("tetrahedron", 2).tabulate([[0.1, 0.1]])
+    assert e.tabulate(np.zeros((0, 2))).values.shape == (3, 0)
 
 
 def test_point_outside_cell():

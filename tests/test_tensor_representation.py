@@ -5,7 +5,7 @@ import os
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from conftest import parse_one, random_affine_map, shipped_forms
+from exact_basis import fraction_basis
 from formc.cli_bench import form_text_with
 from formc.codegen import emit_raw, read_raw
 from formc.errors import (
@@ -34,7 +35,6 @@ from formc.tensor_representation import (
     CompiledForm,
     CompiledTerm,
     GeometryTensorExpr,
-    _reference_key,
     classify_indices,
     compile_form,
     compute_reference_tensor,
@@ -822,46 +822,15 @@ def test_shared_integrations_are_bitwise_per_monomial(name, shape, q):
                     == equal_components(ct.geometry))
 
 
-def test_renamed_monomials_integrate_once(monkeypatch):
-    import formc.tensor_representation as tr
+def test_renamed_monomials_integrate_once():
+    from formc.tensor_representation import _scalar_integrals
 
-    calls = []
-    real = tr.compute_reference_tensor
-    monkeypatch.setattr(tr, "compute_reference_tensor",
-                        lambda term: calls.append(term) or real(term))
     form = elasticity("tetrahedron", 2)
+    _scalar_integrals.cache_clear()
     compile_form(form)
-    # monomials 0 and 3, and 1 and 2, are index renamings of each other
+    # all four monomials multiply the same two gradient factors
     assert len(expand_to_monomials(form)) == 4
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("q", (1, 2))
-@pytest.mark.parametrize("shape", ("triangle", "tetrahedron"))
-def test_reference_key_contract(shape, q):
-    form = parse_one(
-        'element = VectorElement("Lagrange", "%s", %d)\n' % (shape, q)
-        + "v = BasisFunction(element)\nu = BasisFunction(element)\n"
-        "w = Function(element)\ni = Index()\nj = Index()\n"
-        "a = (%s)*dx\n" % " + ".join(text for text, _ in MERGE_POOL))
-    terms = [classify_indices(m) for m in expand_to_monomials(form)]
-    assert len(terms) == len(MERGE_POOL)
-    keys = [_reference_key(t) for t in terms]
-    entries = [compute_reference_tensor(t) for t in terms]
-    # equal keys mean equal reference tensors
-    for a, b in combinations(range(len(terms)), 2):
-        if keys[a] == keys[b]:
-            assert entries[a][0].tobytes() == entries[b][0].tobytes()
-            assert entries[a][1] == entries[b][1]
-    # index renamings share a key; the scalar enters G, not A0, and the
-    # coefficient pair keys w's expansion index by its slot
-    texts = [text for text, _ in MERGE_POOL]
-    for pair in (("v[i].dx(j)*u[i].dx(j)", "v[j].dx(i)*u[j].dx(i)"),
-                 ("0.5*v[i].dx(j)*u[j].dx(i)", "v[j].dx(i)*u[i].dx(j)"),
-                 ("w[i]*v[j]*u[j].dx(i)", "w[j]*v[i]*u[i].dx(j)")):
-        a, b = (texts.index(text) for text in pair)
-        assert keys[a] == keys[b], pair
-    assert len(set(keys)) == len(terms) - 3
+    assert _scalar_integrals.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("name,kept", (
@@ -885,61 +854,11 @@ def test_equal_components_fold_on_tetrahedra(name, kept):
 
 # --- exact values against an independent integrator ------------------------------
 #
-# The reference below solves each element's Vandermonde system at its nodes
-# in integers, integrates monomials in the reference coordinates X with
+# The reference below takes each element's exact basis from exact_basis,
+# integrates monomials in the reference coordinates X with
 # integral X^gamma = gamma! / (|gamma| + d)!, and lays the scalar integrals
 # out entry by entry from the classified factors.  It uses no formc code
 # beyond the element's nodes and the index classification.
-
-
-def integer_inverse(matrix):
-    """(B, det) with matrix^-1 = B / det, by fraction-free Gauss-Jordan
-    elimination: every division is exact."""
-    n = len(matrix)
-    m = np.zeros((n, 2 * n), dtype=object)
-    m[:, :n] = matrix
-    m[np.arange(n), n + np.arange(n)] = 1
-    previous = 1
-    for k in range(n):
-        pivot = k + np.flatnonzero(m[k:, k] != 0)[0]
-        m[[k, pivot]] = m[[pivot, k]]
-        others = np.flatnonzero(np.arange(n) != k)
-        product = m[k, k] * m[others] - np.multiply.outer(m[others, k], m[k])
-        m[others] = product // previous
-        assert (m[others] * previous == product).all()
-        previous = m[k, k]
-    return m[:, n:], previous
-
-
-@lru_cache(maxsize=None)
-def fraction_basis(shape, q, derivative):
-    """(exponents, coefficients, denominator) of the scalar degree-q
-    Lagrange basis in monomials X^exponent: basis function i is
-    sum_a coefficients[a, i] X^exponents[a] / denominator, with a trailing
-    direction axis on coefficients for the reference derivatives."""
-    element = make_lagrange(shape, q)
-    d = element.cell.dim
-    # the nodes are lattice points: q X is an integer vector
-    ys = np.rint(element.nodes * q).astype(int).tolist()
-    alphas = [a for a in product(range(q + 1), repeat=d) if sum(a) <= q]
-    inverse, det = integer_inverse(
-        [[math.prod(y ** a for y, a in zip(node, alpha)) for alpha in alphas]
-         for node in ys])
-    # X^alpha = (q X)^alpha / q^|alpha|
-    coefficients = np.array([[Fraction(q ** sum(alpha) * c, det) for c in row]
-                             for alpha, row in zip(alphas, inverse)])
-    denominator = math.lcm(*(c.denominator for c in coefficients.ravel()))
-    coefficients = (coefficients * denominator).astype(int).astype(object)
-    if not derivative:
-        return alphas, coefficients, denominator
-    where = {alpha: k for k, alpha in enumerate(alphas)}
-    betas = [b for b in alphas if sum(b) < q]
-    out = np.zeros((len(betas), len(ys), d), dtype=object)
-    for k, beta in enumerate(betas):
-        for r in range(d):
-            up = tuple(b + (s == r) for s, b in enumerate(beta))
-            out[k, :, r] = (beta[r] + 1) * coefficients[where[up]]
-    return betas, out, denominator
 
 
 @lru_cache(maxsize=None)
