@@ -15,11 +15,12 @@ whose A0 row repeats an earlier row, or its negation, copies that entry
 nonzeros with the row's own constants.  The rows to copy are those of
 ``CompiledForm.row_plan``, the plan the numpy contraction follows.
 
-The emitters work on each term's A0 nonzeros as whole CSR arrays.  An A0
-has few distinct values, each the double nearest a rational (P3
+The emitters work on A0 nonzeros as whole CSR arrays: the C on the form's
+one stack (``CompiledForm.stacked``), the listings on each term's own.  An
+A0 has few distinct values, each the double nearest a rational (P3
 Navier-Stokes on a tetrahedron: 167,238 nonzeros, 340 distinct values), so
-a shared value table formats each distinct value once, told apart by its
-bits, and maps the strings back to the nonzeros; multi-index labels are
+a value table formats each distinct value once, told apart by its bits,
+and maps the strings back to the nonzeros; multi-index labels are
 formatted once per CSR row and once per secondary column.  The text is the
 same, byte for byte, as a reference that formats every nonzero on its own
 in CSR order and finds repeated rows with a dict of per-row tuples
@@ -141,44 +142,28 @@ def _leading(text):
 
 
 def _block_rhs(cf, names):
-    """Right-hand side of every block entry.
+    """Right-hand side of every block entry, given the G name of each
+    column of ``cf.stacked``.
 
     A nonempty row that ``cf.row_plan`` maps onto an earlier row copies
     it: "block[j]" or, for a negated row, "-block[j]".  Every other row is
-    the sum of its A0 nonzeros in term order, each as a signed coefficient
-    times its G name, with the row's own constants; only the values of
-    these rows are formatted, once per distinct value.
+    the sum of its stacked A0 nonzeros, each as a signed coefficient times
+    its G name, with the row's own constants; only the values of these
+    rows are formatted, once per distinct value.
     """
-    n_rows = cf.block_size
-    if not cf.terms:
-        return ["0.0"] * n_rows
+    m = cf.stacked
     representatives, rows, negated = cf.row_plan
     first = representatives[rows]
-    sign = np.zeros(n_rows, dtype=bool)
-    sign[negated] = True
-    written = (first == np.arange(n_rows)) | (
-        np.diff(sum(ct.matrix.indptr for ct in cf.terms)) == 0)
-    sums = []
-    for ct, term_names in zip(cf.terms, names):
-        m = ct.matrix
-        # distinct values told apart by their bits, as _formatted does
-        values, inverse = np.unique(np.ascontiguousarray(
-            m.data, dtype=np.float64).view(np.int64), return_inverse=True)
-        values = values.view(np.float64)
-        counts = m.indptr[1:] - m.indptr[:-1]
-        kept = written.repeat(counts)
-        used = inverse[kept]
-        needed = np.zeros(values.size, dtype=bool)
-        needed[used] = True
-        text = np.empty(values.size, dtype=object)
-        text[needed] = [_c_coefficient(v) for v in values[needed].tolist()]
-        pieces = [None] * (2 * used.size)
-        pieces[::2] = text[used].tolist()
-        pieces[1::2] = map(term_names.__getitem__, m.indices[kept].tolist())
-        sums.append((pieces, [0] + (2 * counts[written]).cumsum().tolist()))
-    texts = iter([_leading("".join(["".join(p[ip[r]:ip[r + 1]])
-                                    for p, ip in sums]))
-                  for r in range(len(sums[0][1]) - 1)])
+    counts = m.indptr[1:] - m.indptr[:-1]
+    written = (first == np.arange(cf.block_size)) | (counts == 0)
+    kept = written.repeat(counts)
+    pieces = [None] * (2 * int(kept.sum()))
+    pieces[::2] = _formatted(m.data[kept], _c_coefficient)
+    pieces[1::2] = map(names.__getitem__, m.indices[kept].tolist())
+    bounds = [0] + (2 * counts[written]).cumsum().tolist()
+    texts = iter([_leading("".join(pieces[a:b]))
+                  for a, b in zip(bounds, bounds[1:])])
+    sign = np.bincount(negated, minlength=cf.block_size) > 0
     return [next(texts) if w else ("-block[%d]" if neg else "block[%d]") % j
             for w, neg, j in zip(written.tolist(), sign.tolist(),
                                  first.tolist())]
@@ -213,14 +198,12 @@ def emit_c(cf, function_name="eval"):
     sig += ")"
     lines.append(sig)
     lines.append("{")
-    names = []  # per term: G names by flat secondary index
+    names, exprs = [], []  # the G name and expression of each stack column
     for k, ct in enumerate(cf.terms):
-        names.append([_g_name(k, alpha)
-                      for alpha in ct.geometry.component_multiindices()])
-        used = ct.used_components
-        lines.extend(map("    const double %s = %s;".__mod__, zip(
-            [names[-1][n] for n in used.tolist()],
-            _c_geometry_exprs(ct.geometry, used, offsets))))
+        alphas = ct.geometry.component_multiindices()
+        names += [_g_name(k, alphas[n]) for n in ct.used_components.tolist()]
+        exprs += _c_geometry_exprs(ct.geometry, ct.used_components, offsets)
+    lines.extend(map("    const double %s = %s;".__mod__, zip(names, exprs)))
     if cf.terms:
         lines.append("")
     lines.extend(map("    block[%d] = %s;".__mod__,
@@ -232,8 +215,7 @@ def emit_c(cf, function_name="eval"):
 def count_code_lines(cf):
     """Number of statement lines in the generated C: the G components some
     A0 nonzero reads, and one line per block entry."""
-    geometry = sum(ct.used_components.size for ct in cf.terms)
-    return geometry + cf.block_size
+    return cf.stacked.shape[1] + cf.block_size
 
 
 # --- raw format ----------------------------------------------------------------

@@ -20,7 +20,7 @@ which is 1 at its own lattice point and 0 at every other one.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -142,39 +142,28 @@ def make_quadrature(shape, degree):
     return QuadratureRule(cell, degree, points, weights)
 
 
-# --- lattice nodes and entity bookkeeping -----------------------------------
+# --- the dof lattice ---------------------------------------------------------
 
 
-def _lattice_entities(cell, degree):
-    """Entity association of the equispaced lattice.
+def _lattice(cell, degree):
+    """The multiindices beta with |beta| = degree over the cell vertices,
+    one row per scalar dof.
 
-    Returns a list of (entity_dim, entity_vertices, multiindex) in dof order:
-    vertices first, then each edge, face and finally the interior.  Edge
-    nodes run from the lower-numbered vertex to the higher; nodes interior
-    to a face or cell are sorted by their barycentric multiindex with
-    respect to the entity's sorted vertex list.
+    A dof lies on the entity of the vertices where beta is positive, its
+    support.  Rows are sorted by (support size, support, beta on the
+    support past its first vertex): vertices first, then each edge, face
+    and finally the interior, entities in the order of ``cell.entities``.
     """
-    d = cell.dim
-    if degree == 0:
-        return [(d, tuple(range(d + 1)), (0,) * (d + 1))]
-    entries = []
-    for dim in range(d + 1):
-        for entity in cell.entities(dim):
-            interior = [bary for bary in _compositions(degree, dim + 1)
-                        if all(bary)]
-            interior.sort(key=lambda b: b[1:])
-            entries.extend((dim, entity, bary) for bary in interior)
-    return entries
+    def key(beta):
+        support = [i for i, b in enumerate(beta) if b]
+        return len(support), support, [beta[i] for i in support[1:]]
 
-
-def _compositions(total, parts):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    betas = sorted((beta for beta in product(range(degree + 1),
+                                              repeat=cell.dim + 1)
+                    if sum(beta) == degree), key=key)
+    lattice = np.array(betas, dtype=int)
+    lattice.flags.writeable = False
+    return lattice
 
 
 # --- elements ---------------------------------------------------------------
@@ -223,28 +212,18 @@ class LagrangeElement:
         self.value_rank = value_rank
         self.components = cell.dim if value_rank == 1 else 1
 
-        entries = _lattice_entities(cell, degree)
-        self._scalar_dim = len(entries)
-        self.space_dim = self._scalar_dim * self.components
         # row k: the multiindex beta of scalar dof k over the cell vertices
-        lattice = np.zeros((self._scalar_dim, cell.dim + 1), dtype=int)
-        for k, (_, entity, bary) in enumerate(entries):
-            lattice[k, list(entity)] = bary
-        lattice.flags.writeable = False
-        self.lattice = lattice
+        self.lattice = _lattice(cell, degree)
+        self._scalar_dim = len(self.lattice)
+        self.space_dim = self._scalar_dim * self.components
         if degree == 0:
             nodes = cell.vertices.mean(axis=0, keepdims=True)
         else:
-            nodes = lattice[:, 1:] / degree
+            nodes = self.lattice[:, 1:] / degree
         if value_rank == 1:
             nodes = np.tile(nodes, (self.components, 1))
         nodes.flags.writeable = False
         self.nodes = nodes
-
-        # (entity_dim, entity_vertices, lattice, component) per dof
-        self.dof_entities = tuple(
-            (dim, entity, bary, comp) for comp in range(self.components)
-            for dim, entity, bary in entries)
 
     @property
     def scalar_dim(self):

@@ -387,21 +387,22 @@ def build_dofmap(mesh, element):
 
     ns = element.scalar_dim
     ncells = mesh.num_cells
-    scalar_entities = [entry[:3] for entry in element.dof_entities[:ns]]
-
     if element.continuity == "discontinuous":
         scalar_global = ncells * ns
         scalar_dofs = (np.arange(ncells)[:, None] * ns +
                        np.arange(ns)[None, :])
     else:
+        # a dof lies on the entity of its lattice row's support
+        support = element.lattice > 0
+        dims = support.sum(axis=1) - 1
         scalar_dofs = np.empty((ncells, ns), dtype=int)
         offset = 0
-        for dim in sorted({dim for dim, _, _ in scalar_entities}):
-            ks = [k for k, e in enumerate(scalar_entities) if e[0] == dim]
-            entities = [scalar_entities[k][1] for k in ks]
+        for dim in np.unique(dims).tolist():
+            ks = np.flatnonzero(dims == dim)
+            entities = np.nonzero(support[ks])[1].reshape(ks.size, dim + 1)
+            barys = element.lattice[ks][support[ks]].reshape(ks.size, dim + 1)
             # lattice points keyed by their base-(q+1) digits, so sorted
             # keys follow the lexicographic order of the tuples
-            barys = np.array([scalar_entities[k][2] for k in ks])
             radix = (element.degree + 1) ** np.arange(dim, -1, -1)
             lattice = np.unique(barys @ radix)
             canon = barys
@@ -417,7 +418,7 @@ def build_dofmap(mesh, element):
                 keys = np.take_along_axis(gverts, order, axis=2)
                 uniq, ids, _ = _unique_rows(keys.reshape(-1, dim + 1),
                                             mesh.num_vertices)
-                ids, count = ids.reshape(ncells, len(ks)), len(uniq)
+                ids, count = ids.reshape(ncells, ks.size), len(uniq)
                 canon = np.take_along_axis(barys[None], order, axis=2)
             pos = np.searchsorted(lattice, canon @ radix)
             scalar_dofs[:, ks] = offset + ids * len(lattice) + pos
@@ -677,11 +678,20 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     """Symmetric elimination of prescribed dofs.
 
     Returns (reduced matrix, reduced rhs, free dof ids); the eliminated
-    columns move to the right-hand side so symmetry is preserved.
+    columns move to the right-hand side so symmetry is preserved.  The
+    dof ids must be distinct integers in [0, n), one value each, or
+    DimensionMismatch is raised.
     """
     n = rhs.size
-    dofs = np.asarray(dofs, dtype=int)
+    dofs = np.asarray(dofs)
     values = np.asarray(values, dtype=float)
+    if (dofs.ndim != 1 or values.shape != dofs.shape
+            or dofs.size and (dofs.dtype.kind not in "iu" or dofs.min() < 0
+                              or dofs.max() >= n
+                              or np.unique(dofs).size < dofs.size)):
+        raise DimensionMismatch("prescribed dofs must be distinct integer "
+                                "ids in [0, %d), one value each" % n)
+    dofs = dofs.astype(int)  # an empty list reads as floats
     mask = np.ones(n, dtype=bool)
     mask[dofs] = False
     free = np.nonzero(mask)[0]

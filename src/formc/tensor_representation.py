@@ -26,10 +26,11 @@ A compiled form contracts a batch of cells in one step.  Each term
 evaluates only the G components that some A0 nonzero reads, one
 gathered factor at a time, straight into its columns of one
 [ncells x K] array; the A0 columns of all terms, restricted the same
-way, lie side by side in one CSR over K columns (``stacked``).  Many of
-its rows repeat an earlier row exactly, or its negation; ``row_plan``
-finds them by their bits (P3 on a tetrahedron: Navier-Stokes 401,
-elasticity 1,458 and Poisson 168 distinct of 3,600, 3,600 and 400 rows).
+way, lie side by side in one CSR over K columns (``stacked``), the one
+A0 matrix, built once, that the row plan, the numpy contraction and the
+C read.  Many of its rows repeat an earlier row exactly, or its negation;
+``row_plan`` finds them by their bits (P3 on a tetrahedron: Navier-Stokes
+401, elasticity 1,458 and Poisson 168 distinct of 3,600, 3,600 and 400 rows).
 When contracting only the distinct rows saves more multiply-adds than the
 block has rows to copy, one sparse product A0_distinct @ G^T gives
 [U x ncells], a row map gathers it out to [block x ncells], and the
@@ -618,7 +619,8 @@ class CompiledTerm:
     def used_components(self):
         """Ascending flat indices of the G components some A0 nonzero
         reads, read-only."""
-        used = np.unique(self.matrix.indices)
+        used = np.flatnonzero(np.bincount(self.matrix.indices,
+                                          minlength=self.matrix.shape[1]))
         used.flags.writeable = False
         return used
 
@@ -671,37 +673,27 @@ def contract_terms(cf, dets, gs, coeffs=()):
     return out.T.reshape((ncells,) + cf.primary_dims)
 
 
-def row_classes(matrices):
-    """Map the rows shared by term CSRs onto their distinct rows, equal up
-    to sign.
+def row_classes(m):
+    """Map the rows of a CSR onto its distinct rows, equal up to sign.
 
-    A row is keyed once, by the tuple over terms of its (column, value
-    bits) bytes, not by their join, as two terms can share column
-    numbers; a row whose first stored value has its sign bit set is keyed
-    negated, and marked so.  The first row of each key represents it; all
-    empty rows share one.  Returns (representatives, rows, negated):
-    representative row numbers, each row's position among them, and the
-    rows whose mark differs from their representative's.
+    A row is keyed by its (column, value bits) bytes; a row whose first
+    stored value has its sign bit set is keyed negated, and marked so.
+    The first row of each key represents it; all empty rows share one.
+    Returns (representatives, rows, negated): representative row numbers,
+    each row's position among them, and the rows whose mark differs from
+    their representative's.
     """
-    n_rows = matrices[0].shape[0] if matrices else 0
-    flip = np.zeros(n_rows, dtype=bool)  # the sign of each first value
-    found = np.zeros(n_rows, dtype=bool)
-    for m in matrices:
-        here = (np.diff(m.indptr) > 0) & ~found
-        flip[here] = np.signbit(m.data[m.indptr[:-1][here]])
-        found |= here
-    keys = []
-    for m in matrices:
-        table = np.empty((m.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
-        table[:, 0] = m.indices
-        table[:, 1] = np.where(flip.repeat(np.diff(m.indptr)), -m.data,
-                               m.data).view(np.int64)
-        data = table.tobytes()
-        bounds = (16 * m.indptr).tolist()
-        keys.append([data[a:b] for a, b in zip(bounds, bounds[1:])])
+    counts = m.indptr[1:] - m.indptr[:-1]
+    flip = np.zeros(m.shape[0], dtype=bool)  # the sign of each first value
+    flip[counts > 0] = np.signbit(m.data[m.indptr[:-1][counts > 0]])
+    table = np.empty((m.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
+    table[:, 0] = m.indices
+    table[:, 1] = np.where(flip.repeat(counts), -m.data, m.data).view(np.int64)
+    data = table.tobytes()
+    bounds = (16 * m.indptr).tolist()
     first = {}  # key -> position among the representatives
-    rows = np.array([first.setdefault(key, len(first)) for key in zip(*keys)],
-                    dtype=np.intp)
+    rows = np.array([first.setdefault(data[a:b], len(first))
+                     for a, b in zip(bounds, bounds[1:])], dtype=np.intp)
     representatives = np.unique(rows, return_index=True)[1]
     return representatives, rows, np.flatnonzero(
         flip != flip[representatives][rows])
@@ -733,26 +725,34 @@ class CompiledForm:
     def block_size(self):
         return prod(self.primary_dims)
 
-    @property
+    @cached_property
     def stacked(self):
         """A0 of every term over the G components it reads, side by side
-        in term order: CSR [block x K], built anew on each read."""
-        blocks = [scipy.sparse.csr_matrix(
-            (ct.matrix.data,
-             np.searchsorted(ct.used_components, ct.matrix.indices),
-             ct.matrix.indptr),
-            shape=(self.block_size, ct.used_components.size))
-            for ct in self.terms]
-        return scipy.sparse.hstack(
-            [scipy.sparse.csr_matrix((self.block_size, 0))] + blocks,
-            format="csr")
+        in term order: CSR [block x K], built once.  Stack columns of
+        different terms never coincide."""
+        n, width = self.block_size, 0
+        indptr = sum((ct.matrix.indptr for ct in self.terms),
+                     np.zeros(n + 1, dtype=np.int32))
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        start = indptr[:-1].copy()  # the next free slot in each row
+        for ct in self.terms:
+            m, used = ct.matrix, ct.used_components
+            counts = m.indptr[1:] - m.indptr[:-1]
+            at = np.arange(m.nnz) + np.repeat(start - m.indptr[:-1], counts)
+            indices[at] = width + np.searchsorted(used, m.indices)
+            data[at] = m.data
+            start += counts
+            width += used.size
+        return scipy.sparse.csr_matrix((data, indices, indptr),
+                                       shape=(n, width))
 
     @cached_property
     def row_plan(self):
-        """(representatives, rows, negated) of ``row_classes`` over the
-        terms' A0: the block rows equal, up to sign, to an earlier row.
+        """(representatives, rows, negated) of ``row_classes`` over
+        ``stacked``: the block rows equal, up to sign, to an earlier row.
         The numpy contraction and the emitted C both follow it."""
-        return row_classes([ct.matrix for ct in self.terms])
+        return row_classes(self.stacked)
 
     @cached_property
     def contraction(self):
@@ -763,8 +763,7 @@ class CompiledForm:
         block's rows, ``a0`` holds the distinct rows of ``stacked``, and
         ``rows`` and ``negated`` are those of ``row_plan``; otherwise
         ``a0`` is the stack and ``rows`` is None.  Built on the first
-        contraction, not by compile_form; the full stack is not kept
-        beside the distinct rows.
+        contraction, not by compile_form.
         """
         a0 = self.stacked
         representatives, rows, negated = self.row_plan

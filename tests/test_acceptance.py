@@ -306,6 +306,7 @@ def test_criterion_07_convergence(capfd):
     check(7, "second-order convergence on refinement", body, capfd, budget=60.0)
 
 
+@pytest.mark.slow
 def test_criterion_08_benchmark_speedups(capfd):
     def body():
         runs = (

@@ -227,6 +227,25 @@ def test_reread_form_emits_identical_text(text):
                                   getattr(theirs.matrix, name))
 
 
+@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("shape", ("interval", "triangle", "tetrahedron"))
+@pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
+                                  "elasticity"))
+def test_reread_shipped_forms_emit_and_contract_identically(name, shape, q,
+                                                            rng):
+    for form in shipped_forms(name, shape, q):
+        cf = compile_form(form)
+        again = read_raw(emit_raw(cf))
+        for emit in (emit_c, emit_raw, emit_latex):
+            assert emit(again) == emit(cf)
+        maps = [random_affine_map(rng, form.cell.dim) for _ in range(4)]
+        args = ([m.det for m in maps], [m.g for m in maps],
+                [rng.uniform(-1, 1, (4, el.space_dim))
+                 for el in form.coefficients])
+        assert np.array_equal(again.element_tensors(*args),
+                              cf.element_tensors(*args))
+
+
 def test_raw_round_trip_empty_form(rng):
     form = parse_one(
         'element = FiniteElement("Lagrange", "triangle", 1)\n'

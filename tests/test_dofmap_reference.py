@@ -91,7 +91,13 @@ def reference_dofmap(mesh, element):
     """(global_dim, cell_dofs) by a per-cell walk over dof entities."""
     ns = element.scalar_dim
     ncells = mesh.num_cells
-    scalar_entities = [entry[:3] for entry in element.dof_entities[:ns]]
+    # (dim, entity, bary) per scalar dof: the support of its lattice row
+    # and the row on the support
+    scalar_entities = []
+    for beta in element.lattice.tolist():
+        entity = tuple(v for v, b in enumerate(beta) if b > 0)
+        scalar_entities.append((len(entity) - 1, entity,
+                                tuple(beta[v] for v in entity)))
     if element.continuity == "discontinuous":
         scalar_global = ncells * ns
         scalar_dofs = (np.arange(ncells)[:, None] * ns +

@@ -332,7 +332,6 @@ def test_elements_are_cached_and_read_only():
     assert make_lagrange("tetrahedron", 3) is make_lagrange(
         "tetrahedron", 3, "continuous")
     assert make_lagrange("tetrahedron", 3) is not first
-    assert isinstance(first.dof_entities, tuple)
     for array in (first.nodes, first.lattice, first.cell.vertices):
         assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -755,6 +755,26 @@ def test_apply_dirichlet_shapes():
     assert np.allclose(lifted, [9.0, 5.0, 8.0, 6.0])
 
 
+@pytest.mark.parametrize("dofs,values", (
+    ([2, 2], [1.0, 1.0]),  # a repeated id would lift its column twice
+    ([-1], [1.0]),  # would wrap around to the last dof
+    ([0.5], [1.0]),  # would be truncated to dof 0
+    ([3], [1.0]),  # past the end
+    ([[0], [2]], [[1.0], [1.0]]),
+    ([0, 2], [1.0]),
+    ([0], 1.0),
+))
+def test_apply_dirichlet_rejects_bad_dofs(dofs, values):
+    matrix = scipy.sparse.csr_matrix(
+        np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    with pytest.raises(DimensionMismatch):
+        apply_dirichlet(matrix, np.zeros(3), dofs, values)
+    # no prescribed dofs leave the system as it is
+    reduced, rhs, free = apply_dirichlet(matrix, np.ones(3), [], [])
+    assert (reduced != matrix).nnz == 0 and free.tolist() == [0, 1, 2]
+    assert rhs.tolist() == [1.0, 1.0, 1.0]
+
+
 def test_apply_dirichlet_matches_two_selections(rng):
     # P2 diffusion plus advection along x: a nonsymmetric matrix whose
     # eliminated columns move to the right-hand side

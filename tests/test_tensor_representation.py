@@ -566,25 +566,19 @@ def test_contraction_row_map(rng, name, shape, q, form_name, distinct,
 
 
 def test_row_classes():
-    # rows of two terms as {column: value}; row 5 holds in term 1 what
-    # row 4 holds in term 0, so joining a row's per-term bytes would
-    # make the two equal
-    rows = [({1: 2.0, 3: -1.0}, {}), ({1: 2.0, 3: -1.0}, {}),
-            ({1: -2.0, 3: 1.0}, {}), ({}, {}), ({3: 7.0}, {}),
-            ({}, {3: 7.0}), ({}, {}), ({}, {3: -7.0}),
-            ({1: 2.0, 3: -1.0}, {3: 7.0})]
-    matrices = []
-    for t in range(2):
-        dense = np.zeros((len(rows), 5))
-        for r, row in enumerate(rows):
-            dense[r, list(row[t])] = list(row[t].values())
-        matrices.append(csr_matrix(dense))
-    representatives, rep, negated = row_classes(matrices)
+    # rows of one stacked CSR as {column: value}: repeated, negated and
+    # empty rows, and rows that hold the same values in other columns
+    rows = [{1: 2.0, 3: -1.0}, {1: 2.0, 3: -1.0}, {1: -2.0, 3: 1.0}, {},
+            {3: 7.0}, {8: 7.0}, {}, {8: -7.0}, {1: 2.0, 3: -1.0, 8: 7.0}]
+    dense = np.zeros((len(rows), 10))
+    for r, row in enumerate(rows):
+        dense[r, list(row)] = list(row.values())
+    representatives, rep, negated = row_classes(csr_matrix(dense))
     assert representatives.tolist() == [0, 3, 4, 5, 8]
     assert rep.tolist() == [0, 0, 0, 1, 2, 3, 1, 3, 4]
     assert negated.tolist() == [2, 7]
-    # no terms, no rows
-    assert row_classes([])[0].tolist() == []
+    # no rows, no classes
+    assert row_classes(csr_matrix((0, 0)))[0].tolist() == []
 
 
 @pytest.mark.parametrize("kind,shape", (
