@@ -139,16 +139,17 @@ def _random_cells(rng, n, d):
     return dets, np.linalg.inv(B)
 
 
-def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
+def run_benchmark(text, q_values, n_elements=DEFAULT_ELEMENTS,
                   repetitions=DEFAULT_REPETITIONS, seed=None):
     """Time tensor contraction against direct quadrature.
 
-    ``form_source`` is a form file path or its text; every form in the file
-    is benchmarked at each degree in ``q_values`` on ``n_elements`` random
-    positively oriented cells.  Reported times are the minimum over
-    ``repetitions`` timed passes after one untimed warm-up, normalized per
-    element-tensor entry.  Both paths run on identical inputs and are
-    compared first; disagreement raises ValueMismatch.
+    ``text`` is the text of a form file (``formc bench`` reads the file);
+    every form in it is benchmarked at each degree in ``q_values`` on
+    ``n_elements`` random positively oriented cells.  Reported times are
+    the minimum over ``repetitions`` timed passes after one untimed
+    warm-up, normalized per element-tensor entry.  Both paths run on
+    identical inputs and are compared first; disagreement raises
+    ValueMismatch.
     """
     if repetitions < 1:
         raise ValueError("benchmark needs at least one repetition")
@@ -157,25 +158,19 @@ def run_benchmark(form_source, q_values, n_elements=DEFAULT_ELEMENTS,
     q_values = list(q_values)
     if not q_values:
         raise ValueError("benchmark needs at least one degree")
-    if os.path.exists(form_source):
-        with open(form_source) as fh:
-            text = fh.read()
-        source = form_source
-    else:
-        text, source = form_source, "the form text"
 
     rng = np.random.default_rng(_seed_from_env(seed))
     results = []
     for q in q_values:
         forms = parse_form_file(form_text_with(text, degree=q))
         if not forms:
-            raise ValueError("%s defines no form" % source)
+            raise ValueError("the form text defines no form")
         for form in forms:
             d = form.cell.dim
             cf = compile_form(form)
             dets, gs = _random_cells(rng, n_elements, d)
-            coeffs = [rng.normal(size=(n_elements, el.space_dim))
-                      for el in form.coefficients]
+            coeffs = [rng.normal(size=(n_elements, n))
+                      for n in form.coefficient_dims]
 
             ncheck = min(20, n_elements)
             a = cf.element_tensors(dets[:ncheck], gs[:ncheck],
@@ -241,16 +236,18 @@ def results_tsv(results):
 
 
 def _read_forms(path):
-    """The forms of a form file; a file that defines none is an error."""
+    """The text and forms of a form file; a file that defines none is an
+    error."""
     with open(path) as fh:
-        forms = parse_form_file(fh.read())
+        text = fh.read()
+    forms = parse_form_file(text)
     if not forms:
         raise FormcError("%s defines no form" % path)
-    return forms
+    return text, forms
 
 
 def _cmd_compile(args):
-    forms = _read_forms(args.form_file)
+    _, forms = _read_forms(args.form_file)
     emit = {"c": codegen.emit_c, "raw": codegen.emit_raw,
             "latex": codegen.emit_latex}[args.format]
     ext = {"c": ".c", "raw": ".raw", "latex": ".tex"}[args.format]
@@ -295,7 +292,7 @@ def _cmd_tabulate(args):
 
 
 def _cmd_assemble(args):
-    forms = _read_forms(args.form_file)
+    _, forms = _read_forms(args.form_file)
     if args.form:
         matches = [f for f in forms if f.name == args.form]
         if not matches:
@@ -323,15 +320,16 @@ def _cmd_assemble(args):
 
 def _cmd_bench(args):
     qs = list(range(args.qmin, args.qmax + 1))
-    results = run_benchmark(args.form_file, qs, n_elements=args.elements,
+    text, _ = _read_forms(args.form_file)
+    results = run_benchmark(text, qs, n_elements=args.elements,
                             repetitions=args.reps, seed=args.seed)
-    text = results_tsv(results)
+    tsv = results_tsv(results)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.write(tsv)
         print("wrote %s" % args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(tsv)
     return 0
 
 

@@ -392,7 +392,8 @@ class Form:
     is kept as its collected ``monomials``: terms with the same factors,
     up to their order, are one monomial with their scalars summed in term
     order and the factors of the first; monomials that cancel exactly are
-    dropped.
+    dropped.  ``primary_dims`` and ``coefficient_dims`` hold the space
+    dimensions of the arguments and coefficients, as in a CompiledForm.
     """
 
     def __init__(self, integrand, name=None):
@@ -463,6 +464,8 @@ class Form:
         self.arity = len(slots)
         self.arguments = arguments
         self.coefficients = coefficients
+        self.primary_dims = tuple(el.space_dim for el in arguments)
+        self.coefficient_dims = tuple(el.space_dim for el in coefficients)
         self.monomials = list(collected.values())
         self.cell = arguments[0].cell
 

@@ -318,13 +318,3 @@ def make_vector_lagrange(shape, degree, continuity="continuous"):
     cached like make_lagrange."""
     return _cached_lagrange(shape, degree, continuity, 1)
 
-
-@lru_cache(maxsize=256)
-def quadrature_tabulation(element, degree):
-    """Scalar basis of ``element`` (per-component profile of a vector one)
-    at the points of make_quadrature(cell, degree), cached for the
-    quadrature oracle."""
-    if element.value_rank:
-        element = make_lagrange(element.cell.shape, element.degree,
-                                element.continuity)
-    return element.tabulate(make_quadrature(element.cell.shape, degree).points)

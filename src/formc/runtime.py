@@ -7,13 +7,15 @@ quadrature, compare the two, and run small boundary value problems end to
 end.  Work around the kernel is done on whole-mesh arrays: the mesh checks
 every cell at once, the dof map numbers shared entities with one sort,
 and assembly scatters the stacked element tensors of all cells as one
-triplet set, summed by one bincount or one COO to CSR conversion.  The
-quadrature oracle is batched too: it evaluates CHUNK cells per call, and
-a single cell is a batch of one.
+triplet set, summed by one bincount or one COO to CSR conversion.
+Both evaluators take the same batch, read through ``batch_arrays``:
+``assemble`` makes one call for either.  The quadrature oracle batches
+itself, CHUNK cells at a time, and tabulates its own basis; a single
+cell is a batch of one.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from itertools import product as iter_product
 
@@ -31,8 +33,7 @@ from .errors import (
     UnsupportedDerivative,
 )
 from .form_language import BasisFunction, Form, expand_to_monomials
-from .reference_elements import (CELL_SHAPES, make_quadrature,
-                                 quadrature_tabulation)
+from .reference_elements import CELL_SHAPES, make_lagrange, make_quadrature
 from .tensor_representation import CompiledForm, batch_arrays
 
 __all__ = [
@@ -436,8 +437,9 @@ def build_dofmap(mesh, element):
 @lru_cache(maxsize=64)
 def _quadrature_plan(form):
     """Per monomial of a form: the rule exact for its reference integrand
-    degree p = sum(q_factor - #derivs), each factor's scalar tabulation at
-    the rule's points, and the ids of its free indices."""
+    degree p = sum(q_factor - #derivs), each factor's scalar element (the
+    per-component profile of a vector one) tabulated at the rule's points,
+    and the ids of its free indices."""
     plans = []
     for monomial in expand_to_monomials(form):
         if any(len(f.derivatives) > 1 for f in monomial.factors):
@@ -446,7 +448,8 @@ def _quadrature_plan(form):
         p = sum(max(f.element.degree - len(f.derivatives), 0)
                 for f in monomial.factors)
         rule = make_quadrature(form.cell.shape, p)
-        tabs = [(f, quadrature_tabulation(f.element, p))
+        tabs = [(f, make_lagrange(form.cell.shape, f.element.degree,
+                                  f.element.continuity).tabulate(rule.points))
                 for f in monomial.factors]
         free = []
         for f in monomial.factors:
@@ -470,13 +473,16 @@ def quadrature_element_tensors(form, dets, gs, coeffs=()):
     at quadrature points and scattered into component blocks, derivatives
     become physical through each cell's dX/dx, and free indices are summed
     by explicit enumeration, at a cost of order n^2 N per cell and block.
+    A batch of more than CHUNK cells is evaluated CHUNK cells at a time.
     Returns [ncells x n1 x ... x nr].
     """
-    d = form.cell.dim
-    dets, gs, coeffs = batch_arrays(
-        d, [el.space_dim for el in form.coefficients], dets, gs, coeffs)
+    dets, gs, coeffs = batch_arrays(form, dets, gs, coeffs)
     ncells = dets.shape[0]
-    primary_dims = tuple(el.space_dim for el in form.arguments)
+    if ncells > CHUNK:
+        return np.concatenate([quadrature_element_tensors(
+            form, dets[s:s + CHUNK], gs[s:s + CHUNK],
+            [w[s:s + CHUNK] for w in coeffs]) for s in range(0, ncells, CHUNK)])
+    d, primary_dims = form.cell.dim, form.primary_dims
     out = np.zeros((ncells,) + primary_dims)
     scale = np.abs(dets)
     for monomial, rule, tabs, free in _quadrature_plan(form):
@@ -563,22 +569,21 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
     """Global matrix (arity 2) or vector (arity 1) over all cells.
 
     ``evaluator`` is a CompiledForm, compiled or reread from raw text
-    (tensor contraction path), or a Form (quadrature oracle path, batched
-    over CHUNK cells at a time); ``coefficients`` pairs each slot's global
-    coefficient vector with its dof map: [(vector, dofmap), ...].
+    (tensor contraction path), or a Form (quadrature oracle path);
+    ``coefficients`` pairs each slot's global coefficient vector with its
+    dof map: [(vector, dofmap), ...].
     """
     if isinstance(evaluator, CompiledForm):
-        cell, primary_dims = evaluator.cell, evaluator.primary_dims
-        coefficient_dims = evaluator.coefficient_dims
+        evaluate = evaluator.element_tensors
     elif isinstance(evaluator, Form):
-        cell = evaluator.cell
-        primary_dims = [el.space_dim for el in evaluator.arguments]
-        coefficient_dims = [el.space_dim for el in evaluator.coefficients]
+        evaluate = partial(quadrature_element_tensors, evaluator)
     else:
         raise TypeError("evaluator must be a CompiledForm or a Form")
-    if cell.shape != mesh.cell_shape:
+    primary_dims = evaluator.primary_dims
+    coefficient_dims = evaluator.coefficient_dims
+    if evaluator.cell.shape != mesh.cell_shape:
         raise DimensionMismatch("form cell %r does not match mesh %r"
-                                % (cell.shape, mesh.cell_shape))
+                                % (evaluator.cell.shape, mesh.cell_shape))
     if len(dofmaps) != len(primary_dims):
         raise DimensionMismatch("form needs %d dof maps, got %d"
                                 % (len(primary_dims), len(dofmaps)))
@@ -610,18 +615,7 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
                                  "entries" % num)
         locals_.append(vec[dmap.cell_dofs])
 
-    dets, gs = mesh.dets, mesh.gs
-    if isinstance(evaluator, CompiledForm):
-        blocks = evaluator.element_tensors(dets, gs, locals_)
-    else:
-        # at least one batch, so that a mesh without cells stacks too
-        blocks = np.concatenate([
-            quadrature_element_tensors(evaluator, dets[s:s + CHUNK],
-                                       gs[s:s + CHUNK],
-                                       [w[s:s + CHUNK] for w in locals_])
-            for s in range(0, max(mesh.num_cells, 1), CHUNK)])
-
-    return _scatter(blocks, dofmaps)
+    return _scatter(evaluate(mesh.dets, mesh.gs, locals_), dofmaps)
 
 
 # --- solver and boundary conditions ------------------------------------------------
@@ -679,10 +673,14 @@ def apply_dirichlet(matrix, rhs, dofs, values):
 
     Returns (reduced matrix, reduced rhs, free dof ids); the eliminated
     columns move to the right-hand side so symmetry is preserved.  The
-    dof ids must be distinct integers in [0, n), one value each, or
-    DimensionMismatch is raised.
+    matrix must be n x n for n = rhs.size, and the dof ids distinct
+    integers in [0, n), one value each, or DimensionMismatch is raised.
     """
     n = rhs.size
+    A = matrix.tocsr() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
+    if A.shape != (n, n):
+        raise DimensionMismatch("matrix is %s, rhs needs %d x %d"
+                                % (" x ".join(map(str, A.shape)), n, n))
     dofs = np.asarray(dofs)
     values = np.asarray(values, dtype=float)
     if (dofs.ndim != 1 or values.shape != dofs.shape
@@ -695,7 +693,6 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     mask = np.ones(n, dtype=bool)
     mask[dofs] = False
     free = np.nonzero(mask)[0]
-    A = matrix.tocsr() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
     Af = A[free]  # the free rows, selected once
     reduced_rhs = rhs[free] - Af[:, dofs] @ values
     return Af[:, free], reduced_rhs, free

@@ -625,11 +625,12 @@ class CompiledTerm:
         return used
 
 
-def batch_arrays(dim, coefficient_dims, dets, gs, coeffs):
-    """A batch of n affine maps and coefficient dofs as float arrays: dets
-    [n], gs [n x dim x dim] (an empty gs holds no maps) and one [n x n_e]
-    array per coefficient, or DimensionMismatch.  Float input is not
-    copied."""
+def batch_arrays(evaluator, dets, gs, coeffs):
+    """A batch of n affine maps and coefficient dofs for a Form or a
+    CompiledForm, as float arrays: dets [n], gs [n x dim x dim] (an empty
+    gs holds no maps) and one [n x n_e] array per coefficient, or
+    DimensionMismatch.  Float input is not copied."""
+    dim, coefficient_dims = evaluator.cell.dim, evaluator.coefficient_dims
     dets, gs = np.asarray(dets, dtype=float), np.asarray(gs, dtype=float)
     gs = gs if gs.size else gs.reshape(0, dim, dim)
     coeffs = [np.asarray(c, dtype=float) for c in coeffs]
@@ -656,8 +657,7 @@ def contract_terms(cf, dets, gs, coeffs=()):
     Returns [ncells x n1 x ... x nr] with the primary multiindex laid out
     row-major.
     """
-    dets, gs, coeffs = batch_arrays(cf.dim, cf.coefficient_dims, dets, gs,
-                                    coeffs)
+    dets, gs, coeffs = batch_arrays(cf, dets, gs, coeffs)
     ncells = dets.shape[0]
     a0, rows, negated = cf.contraction
     g = np.empty((a0.shape[1], ncells)).T  # G.T is contiguous for scipy
@@ -819,7 +819,6 @@ def compile_form(form):
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
-    primary_dims = tuple(el.space_dim for el in form.arguments)
     groups = {}  # geometry key -> [geometry, summed numerators, denominator]
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
@@ -832,7 +831,8 @@ def compile_form(form):
             group[1:] = _exact_sum(group[1], group[2], numerators, denominator)
     terms = []
     for geometry, numerators, denominator in groups.values():
-        flat = numerators.reshape(prod(primary_dims), geometry.n_components)
+        flat = numerators.reshape(prod(form.primary_dims),
+                                  geometry.n_components)
         rep = geometry.representatives
         _checked(_magnitude(flat) * int(np.bincount(rep).max()))
         for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
@@ -845,7 +845,6 @@ def compile_form(form):
         matrix = scipy.sparse.csr_matrix(
             (_rounded(flat[rows, cols], denominator), cols.astype(np.int32),
              indptr), shape=flat.shape)
-        terms.append(CompiledTerm(geometry, primary_dims, matrix))
-    return CompiledForm(
-        form.name, form.cell, form.arity, primary_dims,
-        [el.space_dim for el in form.coefficients], terms, form=form)
+        terms.append(CompiledTerm(geometry, form.primary_dims, matrix))
+    return CompiledForm(form.name, form.cell, form.arity, form.primary_dims,
+                        form.coefficient_dims, terms, form=form)

@@ -253,6 +253,15 @@ def test_cli_assemble_second_derivatives_fails_on_both_paths(
         assert not out.exists()
 
 
+def test_cli_bench_reports_a_missing_file_like_compile(tmp_path, capsys):
+    missing = str(tmp_path / "no_such_file.form")
+    assert cli(["compile", missing]) == 1
+    want = capsys.readouterr().err
+    assert "No such file" in want and missing in want
+    assert cli(["bench", missing]) == 1
+    assert capsys.readouterr().err == want
+
+
 def test_form_file_without_forms_is_an_error(tmp_path, capsys, monkeypatch):
     from formc.runtime import save_mesh, unit_square_mesh
 
@@ -261,8 +270,8 @@ def test_form_file_without_forms_is_an_error(tmp_path, capsys, monkeypatch):
     meshfile = tmp_path / "mesh.txt"
     save_mesh(unit_square_mesh(2), meshfile)
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(ValueError, match="none.form defines no form"):
-        run_benchmark(str(src), [1])
+    with pytest.raises(ValueError, match="the form text defines no form"):
+        run_benchmark(src.read_text(), [1])
     for argv in (["compile", str(src)],
                  ["compile", str(src), "-o", "out.c"],
                  ["assemble", str(src), str(meshfile), "-o", "out.mtx"],

@@ -494,6 +494,21 @@ def test_quadrature_batch_matches_single_cells(rng):
         quadrature_element_tensor(compile_form(form), maps[0], [w[0]])
 
 
+@pytest.mark.parametrize("n", (0, 1, formc.runtime.CHUNK,
+                               formc.runtime.CHUNK + 1))
+def test_quadrature_oracle_batches_itself(n):
+    rng = np.random.default_rng(n)
+    form = form_of("navierstokes", "tetrahedron", 1)
+    maps = [random_affine_map(rng, 3) for _ in range(n)]
+    dets, gs = [m.det for m in maps], [m.g for m in maps]
+    w = rng.uniform(-1, 1, (n,) + form.coefficient_dims)
+    got = quadrature_element_tensors(form, dets, gs, [w])
+    assert got.shape == (n,) + form.primary_dims
+    want = compile_form(form).element_tensors(dets, gs, [w])
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(
+        want).max(initial=1.0)
+
+
 @pytest.mark.parametrize("compiled", (True, False))
 def test_batch_evaluators_check_their_arrays(compiled, rng):
     form = form_of("navierstokes")  # P1 on a triangle: 6 coefficient dofs
@@ -567,6 +582,23 @@ def test_assemble_tensor_matches_quadrature(kind, degree, rng):
     diff = np.abs((tensor - quad).toarray()).max()
     scale = max(np.abs(quad.toarray()).max(), 1e-12)
     assert diff / scale < 1e-10
+
+
+@pytest.mark.parametrize("mesh", (
+    Mesh(TWO_TRIANGLES.vertices, np.empty((0, 3), dtype=int)),
+    perturb_mesh(unit_square_mesh(12), seed=5),  # more than CHUNK cells
+), ids=("no-cells", "chunks"))
+def test_assemble_form_and_compiled_form_agree(mesh, rng):
+    assert mesh.num_cells == 0 or mesh.num_cells > formc.runtime.CHUNK
+    form = form_of("navierstokes")
+    dmap = build_dofmap(mesh, form.arguments[0])
+    coefficients = [(rng.uniform(-1, 1, dmap.global_dim), dmap)]
+    quad = assemble(form, mesh, [dmap, dmap], coefficients).toarray()
+    tensor = assemble(compile_form(form), mesh, [dmap, dmap],
+                      coefficients).toarray()
+    assert quad.shape == tensor.shape == (dmap.global_dim,) * 2
+    assert np.abs(quad - tensor).max() <= 1e-12 * np.abs(tensor).max(
+        initial=1.0)
 
 
 def test_assemble_load_vector(rng):
@@ -773,6 +805,10 @@ def test_apply_dirichlet_rejects_bad_dofs(dofs, values):
     reduced, rhs, free = apply_dirichlet(matrix, np.ones(3), [], [])
     assert (reduced != matrix).nnz == 0 and free.tolist() == [0, 1, 2]
     assert rhs.tolist() == [1.0, 1.0, 1.0]
+    # the matrix must be n x n for n = rhs.size, sparse or dense
+    for wrong in (scipy.sparse.eye(4, format="csr"), np.ones((3, 4))):
+        with pytest.raises(DimensionMismatch, match="rhs needs 3 x 3"):
+            apply_dirichlet(wrong, np.zeros(3), [0], [1.0])
 
 
 def test_apply_dirichlet_matches_two_selections(rng):
