@@ -184,6 +184,8 @@ def run_benchmark(text, q_values, n_elements=DEFAULT_ELEMENTS,
                     "benchmark paths disagree for form %r at q=%d "
                     "(relative error %.3e)" % (form.name, q, worst))
 
+            # CHUNK cells at a time: the element tensors of 10,000
+            # Navier-Stokes q3 tetrahedra at once would take 288 MB
             chunk = runtime.CHUNK
             starts = range(0, n_elements, chunk)
 

@@ -7,7 +7,9 @@ s-expressions for the geometry tensors, and LaTeX for inspection.
 emits, contracts and assembles like the compiled one.  A raw ``monomial k``
 block is one term of the compiled form: one geometry expression, shared by
 every monomial whose expression is equal to it, with their A0 blocks
-summed.  A listing with one block per monomial reads just as well.
+summed, each scaled by its monomial's constant; the geometry, ``(* det
+...)``, holds no constant.  A listing with one block per monomial reads
+just as well.
 
 The C declares the G components that some A0 nonzero reads.  A block entry
 whose A0 row repeats an earlier row, or its negation, copies that entry
@@ -54,7 +56,7 @@ __all__ = [
     "count_code_lines",
 ]
 
-RAW_HEADER = "formc-raw 1"
+RAW_HEADER = "formc-raw 2"
 
 
 def _fmt(x):
@@ -108,24 +110,15 @@ def _g_name(k, alpha):
 def _c_geometry_exprs(geometry, components, offsets):
     """C expression of each of the given flat G components."""
     reads = [offsets[c] for c, _ in geometry.coeff_reads]
-    if geometry.scalar == 1.0:
-        prefix = ""
-    elif geometry.scalar == -1.0:
-        prefix = "-"
-    else:
-        prefix = _fmt(geometry.scalar) + "*"
     out = []
     for rows, cols, dofs in zip(*(a[:, components].swapaxes(0, 1).tolist()
                                   for a in geometry.expansion)):
         products = ["*".join(["map->g%d%d" % g for g in zip(r, c)]
                              + ["w[%d]" % (o + v) for o, v in zip(reads, w)])
                     for r, c, w in zip(rows, cols, dofs)]
-        if len(products) == 1 and not products[0]:
-            out.append(prefix + "map->det")
-        elif len(products) == 1:
-            out.append(prefix + "map->det*" + products[0])
-        else:
-            out.append(prefix + "map->det*(" + " + ".join(products) + ")")
+        text = " + ".join(products)
+        text = "(%s)" % text if len(products) > 1 else text
+        out.append("map->det*" + text if text else "map->det")
     return out
 
 
@@ -229,15 +222,12 @@ def _geometry_sexpr(geometry):
     atoms = ["(dXdx s%d %s)" % (ref, _sym(x))
              for ref, x in geometry.transforms]
     atoms += ["(coeff %d s%d)" % read for read in geometry.coeff_reads]
-    parts = [repr(float(geometry.scalar)), "det"]
     if geometry.aux_dims:
         inner = "(* %s)" % " ".join(atoms) if len(atoms) != 1 else atoms[0]
         for k in range(len(geometry.aux_dims) - 1, -1, -1):
             inner = "(sum b%d %s)" % (k, inner)
-        parts.append(inner)
-    else:
-        parts.extend(atoms)
-    return "(* %s)" % " ".join(parts)
+        atoms = [inner]
+    return "(* %s)" % " ".join(["det"] + atoms)
 
 
 def emit_raw(cf):
@@ -279,9 +269,9 @@ def _parse_sexpr(tokens, pos=0):
 
 
 def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
-    """Geometry expression of a parsed s-expression.  Malformed input raises
-    ValueError, IndexError, KeyError or TypeError."""
-    scalar = 1.0
+    """Geometry expression of a parsed s-expression: a product led by one
+    det.  Malformed input raises ValueError, IndexError, KeyError or
+    TypeError."""
     aux = {}  # sum variable -> auxiliary slot
     read = set()  # auxiliary slots some transform reads
     transforms = []
@@ -304,38 +294,34 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
         return slot
 
     def walk(n):
-        nonlocal scalar
-        if isinstance(n, list):
-            head = n[0]
-            if head == "*":
-                for child in n[1:]:
-                    walk(child)
-            elif head == "sum" and n[1] not in aux:
-                aux[n[1]] = len(aux)
-                for child in n[2:]:
-                    walk(child)
-            elif head == "dXdx" and len(n) == 3:
-                transforms.append((resolve(n[1], dim, fixed_ok=False)[1],
-                                   resolve(n[2], dim)))
-            elif head == "coeff" and len(n) == 3:
-                number = int(n[1])
-                if not 0 <= number < len(coefficient_dims):
-                    raise ValueError("no coefficient %d" % number)
-                reads.append((number, resolve(
-                    n[2], coefficient_dims[number], fixed_ok=False)[1]))
-            else:
-                raise ValueError("bad geometry operator %r" % (head,))
-        elif n != "det":
-            scalar *= float(n)
+        head = n[0] if isinstance(n, list) else None  # an atom has none
+        if head == "*":
+            for child in n[1:]:
+                walk(child)
+        elif head == "sum" and n[1] not in aux:
+            aux[n[1]] = len(aux)
+            for child in n[2:]:
+                walk(child)
+        elif head == "dXdx" and len(n) == 3:
+            transforms.append((resolve(n[1], dim, fixed_ok=False)[1],
+                               resolve(n[2], dim)))
+        elif head == "coeff" and len(n) == 3:
+            number = int(n[1])
+            if not 0 <= number < len(coefficient_dims):
+                raise ValueError("no coefficient %d" % number)
+            reads.append((number, resolve(
+                n[2], coefficient_dims[number], fixed_ok=False)[1]))
+        else:
+            raise ValueError("bad geometry factor %r" % (n,))
 
-    walk(node)
-    if not np.isfinite(scalar):
-        raise ValueError("non-finite scalar")
+    if node[:2] != ["*", "det"]:
+        raise ValueError("a geometry expression is (* det ...)")
+    for child in node[2:]:
+        walk(child)
     if len(read) != len(aux):
         raise ValueError("a sum variable that nothing reads")
-    return GeometryTensorExpr(
-        scalar, secondary_dims, [dim] * len(aux), transforms, reads
-    )
+    return GeometryTensorExpr(secondary_dims, [dim] * len(aux), transforms,
+                              reads)
 
 
 # Largest dense A0 a listing may declare per term (512 MB of doubles):
@@ -485,10 +471,7 @@ def _latex_geometry(geometry):
     if geometry.rank:
         lhs = "G_K^{%s}" % " ".join(
             r"\alpha_{%d}" % (j + 1) for j in range(geometry.rank))
-    parts = []
-    if geometry.scalar != 1.0:
-        parts.append(_fmt(geometry.scalar) + r" \,")
-    parts.append(r"\det F_K'")
+    parts = [r"\det F_K'"]
     if geometry.aux_dims:
         parts.append(r"\sum_{%s}" % ", ".join(
             r"\beta_{%d}" % (j + 1) for j in range(len(geometry.aux_dims))))

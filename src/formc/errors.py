@@ -101,6 +101,10 @@ class NotSymmetric(FormcError):
     """Matrix handed to the CG solver fails the symmetry spot check."""
 
 
+class NotPositiveDefinite(FormcError):
+    """The CG solver met a search direction p with p.Ap <= 0."""
+
+
 # --- benchmarking ----------------------------------------------------------
 
 

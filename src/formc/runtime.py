@@ -29,6 +29,7 @@ from .errors import (
     DuplicateCell,
     MaxIterations,
     NonFiniteValue,
+    NotPositiveDefinite,
     NotSymmetric,
     UnsupportedDerivative,
 )
@@ -625,7 +626,8 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, check_symmetric=True,
              return_iterations=False):
     """Plain conjugate gradients with a symmetry spot check.
 
-    Raises NotSymmetric when one of 10 random entry pairs disagrees, and
+    Raises NotSymmetric when one of 10 random entry pairs disagrees,
+    NotPositiveDefinite when a search direction p has p.Ap <= 0, and
     MaxIterations when the relative residual fails to reach ``tol``.
     """
     b = np.asarray(rhs, dtype=float)
@@ -655,7 +657,10 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, check_symmetric=True,
     rr = float(r @ r)
     for k in range(1, max_iter + 1):
         Ap = A @ p
-        alpha = rr / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            raise NotPositiveDefinite("p.Ap = %r at iteration %d" % (pAp, k))
+        alpha = rr / pAp
         x += alpha * p
         r -= alpha * Ap
         rr_next = float(r @ r)

@@ -8,19 +8,19 @@ reference tensor
 
 integrated once, exactly, and a geometry tensor expression
 
-    G[alpha] = c * det * (products of dX/dx entries and coefficient dofs)
+    G[alpha] = det * (products of dX/dx entries and coefficient dofs)
 
 evaluated per element, so that the element tensor is the contraction
-A[i] = sum_alpha A0[i, alpha] * G[alpha].  Monomials with equal geometry
-tensor expressions share one G, and their A0 are summed.
+A[i] = sum_alpha A0[i, alpha] * G[alpha].  A monomial's constant scales
+its A0.  Monomials with equal G share one G, and their A0 are summed.
 
 Every A0 entry of a Lagrange form on a simplex is a rational number.  The
 basis functions are integer polynomials in barycentric coordinates
 (Silvester's product formula), their products integrate to integers over
-a common denominator, and the monomial sums and component folds stay in
-integers; only then is each nonzero rounded to the double nearest its
-rational.  So equal rationals are equal doubles, and only exact zeros are
-dropped.  No quadrature is involved.
+a common denominator, and the sums of monomials with one constant and the
+component folds stay in integers; only then is each nonzero rounded to
+the double nearest its rational times the constant.  So equal values are
+equal doubles, and only exact zeros are dropped.  No quadrature is used.
 
 A compiled form contracts a batch of cells in one step.  Each term
 evaluates only the G components that some A0 nonzero reads, one
@@ -56,7 +56,7 @@ monomial's secondary indices, or among its auxiliary indices of one side.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isfinite, lcm, prod
 
 import numpy as np
 import scipy.sparse
@@ -65,6 +65,7 @@ from .errors import (
     DimensionMismatch,
     IndexOccursOnce,
     IndexOccursThrice,
+    NonFiniteValue,
     UnsupportedDegree,
     UnsupportedDerivative,
 )
@@ -104,9 +105,8 @@ class MonomialTerm:
     tensor.
     """
 
-    def __init__(self, scalar, cell, factors, secondary, aux_a0, aux_g,
-                 transforms, coeff_reads):
-        self.scalar = scalar
+    def __init__(self, cell, factors, secondary, aux_a0, aux_g, transforms,
+                 coeff_reads):
         self.cell = cell
         self.factors = tuple(factors)
         self.secondary = tuple(secondary)
@@ -140,7 +140,8 @@ def classify_indices(monomial):
     Returns a MonomialTerm with fresh classified index objects; the free
     indices of the input keep their pairing but are rebound to secondary or
     auxiliary copies.  Each classified index gets its slot as ``value``:
-    its position in term.secondary, term.aux_a0 or term.aux_g.  Raises
+    its position in term.secondary, term.aux_a0 or term.aux_g; on an
+    interval, free indices become the fixed index 0.  Raises
     IndexOccursOnce / IndexOccursThrice when a free index is not repeated
     exactly twice, and DimensionMismatch when a vector-valued factor lacks
     a component.
@@ -189,7 +190,9 @@ def classify_indices(monomial):
                 "index occurs %d times in a monomial; free indices must "
                 "be repeated exactly twice" % len(sides)
             )
-        if sides == ["a0", "a0"]:
+        if d == 1:
+            rebound[index_id] = Index.fixed(0)
+        elif sides == ["a0", "a0"]:
             rebound[index_id] = _slotted("auxiliary", aux_a0, d)
         elif sides == ["g", "g"]:
             rebound[index_id] = _slotted("auxiliary", aux_g, d)
@@ -229,16 +232,8 @@ def classify_indices(monomial):
             expansion=expansion,
         ))
 
-    return MonomialTerm(
-        scalar=monomial.scalar,
-        cell=cell,
-        factors=classified,
-        secondary=secondary,
-        aux_a0=aux_a0,
-        aux_g=aux_g,
-        transforms=transforms,
-        coeff_reads=coeff_reads,
-    )
+    return MonomialTerm(cell, classified, secondary, aux_a0, aux_g,
+                        transforms, coeff_reads)
 
 
 # --- reference tensor ---------------------------------------------------------
@@ -452,7 +447,7 @@ class GeometryTensorExpr:
 
     For a fixed secondary multiindex alpha the component is
 
-        scalar * det * sum over auxiliary assignments beta of
+        det * sum over auxiliary assignments beta of
                        prod dXdx[alpha[ref], x] * prod w[coeff][alpha[k]]
 
     over the transforms (ref, x) and coefficient reads (coeff, k).  ref and
@@ -463,8 +458,7 @@ class GeometryTensorExpr:
     transform slot.
     """
 
-    def __init__(self, scalar, dims, aux_dims, transforms, coeff_reads):
-        self.scalar = scalar
+    def __init__(self, dims, aux_dims, transforms, coeff_reads):
         self.dims = tuple(dims)
         self.rank = len(self.dims)
         self.aux_dims = tuple(aux_dims)
@@ -530,7 +524,7 @@ class GeometryTensorExpr:
     @cached_property
     def key(self):
         """Equal keys mean equal expressions, component by component."""
-        return (self.scalar, self.dims, tuple(c for c, _ in self.coeff_reads),
+        return (self.dims, tuple(c for c, _ in self.coeff_reads),
                 self.expansion[0].shape) + tuple(
                     a.tobytes() for a in self.expansion)
 
@@ -545,11 +539,10 @@ class GeometryTensorExpr:
         running product starts from the first and the others are
         multiplied in one at a time, so that at most two
         [ncells x S x n_selected] arrays are live.  The S auxiliary
-        assignments are then added in order, and ``scalar * |det|``
-        multiplies last, written into ``out`` ([ncells x n_selected],
-        any strides; a new array by default), which is returned.  The
-        determinant enters through its absolute value so that negatively
-        oriented cells integrate correctly.
+        assignments are then added in order, and ``|det|`` multiplies
+        last, written into ``out`` ([ncells x n_selected], any strides; a
+        new array by default), which is returned.  The absolute value lets
+        negatively oriented cells integrate correctly.
         """
         dets = np.atleast_1d(np.asarray(dets, dtype=float))
         gs = np.asarray(gs, dtype=float)
@@ -557,13 +550,13 @@ class GeometryTensorExpr:
                             (a[:, components] for a in self.expansion))
         if out is None:
             out = np.empty((len(dets), rows.shape[1]))
-        scale = (self.scalar * np.abs(dets))[:, None]
+        scale = np.abs(dets)[:, None]
         # (array, index) of each factor's gather
         reads = ([(gs, (slice(None), rows[..., t], cols[..., t]))
                   for t in range(rows.shape[2])]
                  + [(coeffs[c], (slice(None), dofs[..., k]))
                     for k, (c, _) in enumerate(self.coeff_reads)])
-        if not reads:  # every component is scalar * |det|
+        if not reads:  # every component is |det|
             out[...] = scale
             return out
         source, index = reads[0]
@@ -596,7 +589,7 @@ def derive_geometry_expr(term):
     classified index becomes the slot its value holds, tagged by kind."""
     tag = {"secondary": "s", "auxiliary": "b", "fixed": "f"}
     return GeometryTensorExpr(
-        term.scalar, term.secondary_dims, [i.range for i in term.aux_g],
+        term.secondary_dims, [i.range for i in term.aux_g],
         [(ref.value, (tag[x.kind], x.value)) for ref, x in term.transforms],
         [(c, e.value) for c, e in term.coeff_reads],
     )
@@ -792,59 +785,71 @@ def _exact_sum(total, denominator, numerators, d):
     return total, common
 
 
-def _rounded(numerators, denominator):
-    """The double nearest each numerator / denominator.  Integers up to
-    2**53 are exact doubles, and one IEEE division of exact doubles rounds
-    correctly; beyond that, Python's int division, which rounds correctly
-    too, runs once per distinct numerator."""
-    if max(denominator, _magnitude(numerators)) <= 2 ** 53:
-        return numerators / denominator
+def _rounded(numerators, denominator, constant):
+    """The double nearest constant * numerator / denominator, the constant
+    being p / q.  Integers up to 2**53 are exact doubles, and one IEEE
+    division of exact doubles rounds correctly; beyond that, Python's int
+    division, which rounds correctly too, runs once per distinct value."""
+    p, q = constant.as_integer_ratio()
+    denominator *= q
+    if max(denominator, _magnitude(numerators) * abs(p)) <= 2 ** 53:
+        return (numerators if p == 1 else numerators * p) / denominator
     distinct, inverse = np.unique(numerators, return_inverse=True)
-    return np.array([n / denominator for n in distinct.tolist()],
-                    dtype=float)[inverse]
+    try:
+        values = [n * p / denominator for n in distinct.tolist()]
+    except OverflowError:
+        raise NonFiniteValue("a reference tensor value overflows") from None
+    return np.array(values, dtype=float)[inverse]
 
 
 def compile_form(form):
     """Compile a language form into its tensor representation.
 
-    Monomials whose geometry expressions have equal keys share one term:
-    their exact A0 blocks are summed over a common denominator, in
-    first-occurrence order.  Monomials with equal (element, derivative)
-    factors share one integration in ``_scalar_integrals``.  The A0 column
-    of each G component that equals an earlier one (``representatives``)
-    is then added to that component's column and zeroed.  Only then is
-    each nonzero rounded, to the double nearest its rational value, so
-    that equal values give equal doubles; exact zeros are dropped.  A
-    numerator that does not fit in int64 raises UnsupportedDegree.
+    Monomials with equal geometry keys share one term.  Per constant,
+    their exact A0 blocks are summed over a common denominator in
+    first-occurrence order (equal (element, derivative) factors share one
+    integration in ``_scalar_integrals``), the A0 column of each G
+    component equal to an earlier one (``representatives``) is added to
+    that column and zeroed, and only then is each nonzero rounded to the
+    double nearest its rational times the constant, so equal values are
+    equal doubles.  The constants' CSRs are then added, dropping exact
+    zeros and a term left empty.  A numerator beyond int64 raises
+    UnsupportedDegree, and a non-finite constant or value NonFiniteValue.
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
-    groups = {}  # geometry key -> [geometry, summed numerators, denominator]
+    groups = {}  # geometry key -> (geometry, {constant: [numerators, den]})
     for monomial in expand_to_monomials(form):
+        if not isfinite(monomial.scalar):
+            raise NonFiniteValue("a monomial's constant is not finite")
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
         numerators, denominator = compute_reference_tensor(term)
-        group = groups.get(geometry.key)
-        if group is None:
-            groups[geometry.key] = [geometry, numerators.copy(), denominator]
+        sums = groups.setdefault(geometry.key, (geometry, {}))[1]
+        total = sums.get(monomial.scalar)
+        if total is None:
+            sums[monomial.scalar] = [numerators.copy(), denominator]
         else:
-            group[1:] = _exact_sum(group[1], group[2], numerators, denominator)
+            total[:] = _exact_sum(*total, numerators, denominator)
     terms = []
-    for geometry, numerators, denominator in groups.values():
-        flat = numerators.reshape(prod(form.primary_dims),
-                                  geometry.n_components)
-        rep = geometry.representatives
-        _checked(_magnitude(flat) * int(np.bincount(rep).max()))
-        for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
-            flat[:, rep[n]] += flat[:, n]
-            flat[:, n] = 0
-        nonzero = flat != 0
-        indptr = np.zeros(flat.shape[0] + 1, dtype=np.int32)
-        nonzero.sum(axis=1).cumsum(out=indptr[1:])
-        rows, cols = nonzero.nonzero()
-        matrix = scipy.sparse.csr_matrix(
-            (_rounded(flat[rows, cols], denominator), cols.astype(np.int32),
-             indptr), shape=flat.shape)
-        terms.append(CompiledTerm(geometry, form.primary_dims, matrix))
+    for geometry, sums in groups.values():
+        rep, matrix = geometry.representatives, None
+        for constant, (numerators, denominator) in sums.items():
+            flat = numerators.reshape(-1, geometry.n_components)
+            _checked(_magnitude(flat) * int(np.bincount(rep).max()))
+            for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
+                flat[:, rep[n]] += flat[:, n]
+                flat[:, n] = 0
+            nonzero = flat != 0
+            indptr = np.zeros(flat.shape[0] + 1, dtype=np.int32)
+            nonzero.sum(axis=1).cumsum(out=indptr[1:])
+            rows, cols = nonzero.nonzero()
+            scaled = scipy.sparse.csr_matrix(
+                (_rounded(flat[rows, cols], denominator, constant),
+                 cols.astype(np.int32), indptr), shape=flat.shape)
+            # scipy's sum drops the exact zeros
+            matrix = scaled if matrix is None else matrix + scaled
+        if matrix.nnz:
+            terms.append(CompiledTerm(geometry, form.primary_dims, matrix))
     return CompiledForm(form.name, form.cell, form.arity, form.primary_dims,
                         form.coefficient_dims, terms, form=form)

@@ -176,7 +176,7 @@ def test_raw_mass_contents():
     assert "cell triangle 2" in lines
     assert "arity 2" in lines
     assert "primary 3 3" in lines
-    assert "geometry (* 1.0 det)" in lines
+    assert "geometry (* det)" in lines
     assert "entries 9" in lines
     assert lines[-1] == "end"
     values = sorted(
@@ -274,8 +274,8 @@ def test_raw_reader_rejects_malformed_input():
     (12, "0 9 0.5", 12),  # index out of range
     (12, "0 0.5", 12),  # too few indices
     (7, "monomials x", 7),
-    (10, "geometry (* 1.0 det", 10),  # unclosed
-    (10, "geometry (* 1.0 det (dXdx s0 0))", 10),  # no secondary index
+    (10, "geometry (* det", 10),  # unclosed
+    (10, "geometry (* det (dXdx s0 0))", 10),  # no secondary index
     (12, "0 0 nan", 12),
     (3, "cell hexagon 2", 3),
     (3, "cell triangle 3", 3),
@@ -301,24 +301,45 @@ def test_raw_reader_renames_sum_variables():
 
 @pytest.mark.parametrize("changes", (
     # a summed index as the reference direction
-    {10: "geometry (* 1.0 det (sum b0 (* (dXdx b0 s0) (dXdx s1 b0))))"},
+    {10: "geometry (* det (sum b0 (* (dXdx b0 s0) (dXdx s1 b0))))"},
     # a fixed direction outside the triangle
-    {10: "geometry (* 1.0 det (dXdx s0 2) (dXdx s1 0))"},
+    {10: "geometry (* det (dXdx s0 2) (dXdx s1 0))"},
     # a summed index as a coefficient dof
     {6: "coefficients 2",
-     10: "geometry (* 1.0 det (sum b0 (* (dXdx s0 b0) (dXdx s1 b0) "
+     10: "geometry (* det (sum b0 (* (dXdx s0 b0) (dXdx s1 b0) "
          "(coeff 0 b0))))"},
     # a sum variable that nothing reads
-    {10: "geometry (* 1.0 det (sum b0 (* (dXdx s0 0) (dXdx s1 1))))"},
-    {10: "geometry (* 1.0 det (sum b0 det) (dXdx s0 0) (dXdx s1 1))"},
+    {10: "geometry (* det (sum b0 (* (dXdx s0 0) (dXdx s1 1))))"},
+    {10: "geometry (* det (sum b0) (dXdx s0 0) (dXdx s1 1))"},
     # a coefficient-dof slot of extent 3 as a space direction
     {6: "coefficients 3", 9: "secondary 2 3",
-     10: "geometry (* 1.0 det (dXdx s0 s1) (coeff 0 s1))"},
+     10: "geometry (* det (dXdx s0 s1) (coeff 0 s1))"},
 ))
 def test_raw_reader_rejects_misused_slots(changes):
     lines = emit_raw(compile_form(parse_one(POISSON_P1))).splitlines()
     for number, text in changes.items():
         lines[number - 1] = text
+    with pytest.raises(FormSyntaxError) as err:
+        read_raw("\n".join(lines) + "\n")
+    assert err.value.line == 10
+
+
+POISSON_SUM = "(sum b0 (* (dXdx s0 b0) (dXdx s1 b0)))"
+
+
+@pytest.mark.parametrize("geometry", (
+    "(* 1.0 det %s)" % POISSON_SUM,  # a constant
+    "(* det 2 %s)" % POISSON_SUM,  # a constant after det
+    "(* det det %s)" % POISSON_SUM,  # det squared
+    "(* %s)" % POISSON_SUM,  # no det
+    "(* %s det)" % POISSON_SUM,  # det not leading
+    "(* det (sum b0 (* det (dXdx s0 b0) (dXdx s1 b0))))",
+    "det",  # not a product
+))
+def test_raw_reader_requires_one_leading_det(geometry):
+    lines = emit_raw(compile_form(parse_one(POISSON_P1))).splitlines()
+    assert lines[9] == "geometry (* det %s)" % POISSON_SUM
+    lines[9] = "geometry " + geometry
     with pytest.raises(FormSyntaxError) as err:
         read_raw("\n".join(lines) + "\n")
     assert err.value.line == 10

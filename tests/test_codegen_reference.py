@@ -256,7 +256,19 @@ def test_negative_leading_entry_matches_reference():
 def test_non_unit_geometry_scalar_matches_reference():
     cf = compile_form(parse_one(HEADER + "a = 2.5*v[i]*u[i]*dx - "
                                 "0.125*f*v[i].dx(j)*u[i].dx(j)*dx\n"))
-    assert {ct.geometry.scalar for ct in cf.terms} - {1.0, -1.0}
+    # the constants scale the stack values: -0.125 exactly, 2.5 to within
+    # the rounding of each value
+    units = [compile_form(parse_one(HEADER + "a = %s*dx\n" % text)).stacked
+             for text in ("v[i]*u[i]", "f*v[i].dx(j)*u[i].dx(j)")]
+    stacked = cf.stacked.toarray()
+    width = units[0].shape[1]
+    assert stacked.shape[1] == width + units[1].shape[1]
+    assert np.allclose(stacked[:, :width], 2.5 * units[0].toarray(),
+                       rtol=1e-15, atol=0)
+    assert np.array_equal(stacked[:, width:], -0.125 * units[1].toarray())
+    assert all(ln.split(" = ")[1].startswith("map->det")
+               for ln in emit_c(cf).splitlines()
+               if ln.startswith("    const double G"))
     assert_emitters_match(cf)
 
 

@@ -16,6 +16,7 @@ from formc.errors import (
     DuplicateCell,
     MaxIterations,
     NonFiniteValue,
+    NotPositiveDefinite,
     NotSymmetric,
 )
 from formc.reference_elements import make_lagrange, make_vector_lagrange
@@ -743,6 +744,16 @@ def test_cg_rejects_nonsymmetric():
         cg_solve(matrix, np.ones(2))
     # the check can be disabled
     cg_solve(matrix + matrix.T, np.ones(2), check_symmetric=False)
+
+
+@pytest.mark.parametrize("dense", (
+    [[0.0, 0.0], [0.0, 0.0]],  # p.Ap = 0
+    [[1.0, 0.0], [0.0, -1.0]],  # p.Ap = 0 for rhs [1, 1]
+    [[-2.0, 0.0], [0.0, -1.0]],  # p.Ap < 0
+))
+def test_cg_rejects_a_matrix_that_is_not_positive_definite(dense):
+    with pytest.raises(NotPositiveDefinite):
+        cg_solve(scipy.sparse.csr_matrix(np.array(dense)), np.ones(2))
 
 
 def test_cg_max_iterations(rng):

@@ -22,6 +22,7 @@ from formc.errors import (
     FormcError,
     IndexOccursOnce,
     IndexOccursThrice,
+    NonFiniteValue,
 )
 from formc.form_language import (
     BasisFunction,
@@ -155,9 +156,13 @@ def test_navierstokes_classification():
 
 
 def test_elasticity_classification():
-    terms = terms_of("elasticity", "triangle", 1)
-    assert len(terms) == 4
-    assert all(t.scalar == 0.25 for t in terms)
+    form = parse_one(form_text("elasticity", "triangle", 1))
+    monomials = expand_to_monomials(form)
+    assert [m.scalar for m in monomials] == [0.25] * 4
+    # the constant scales A0; the classified term and its G do not hold it
+    terms = [classify_indices(m) for m in monomials]
+    assert not hasattr(terms[0], "scalar")
+    assert not hasattr(derive_geometry_expr(terms[0]), "scalar")
     geo_ranks = sorted(len(t.secondary) for t in terms)
     assert geo_ranks == [2, 2, 4, 4]
     aux = sorted((len(t.aux_a0), len(t.aux_g)) for t in terms)
@@ -355,7 +360,7 @@ def test_geometry_expr_atoms_match_evaluate(rng):
                     for c, slot in geo.coeff_reads:
                         piece *= coeffs[c][0, alpha[slot]]
                     manual += piece
-                manual *= geo.scalar * abs(amap.det)
+                manual *= abs(amap.det)  # no constant: it scales A0
                 assert got[k] == pytest.approx(manual, rel=1e-13, abs=1e-15)
 
 
@@ -525,9 +530,9 @@ def test_evaluate_gathers_one_factor_at_a_time(rng):
     ("navierstokes", "tetrahedron", 1, "a", 17, 0),
     ("navierstokes", "tetrahedron", 2, "a", 101, 0),
     ("navierstokes", "tetrahedron", 3, "a", 401, 0),
-    ("elasticity", "interval", 1, "a", 1, 2),
     ("poisson", "tetrahedron", 3, "a", 168, 0),
     # the direct product: too few nonzeros repeat
+    ("elasticity", "interval", 1, "a", None, None),
     ("poisson", "interval", 1, "L", None, None),
     ("poisson", "triangle", 2, "L", None, None),
     ("poisson", "tetrahedron", 3, "L", None, None),
@@ -630,16 +635,31 @@ def test_drop_tolerance_does_not_change_values(rng):
 
 
 @pytest.mark.parametrize("numerators,denominator", (
-    ([1, -7, 2 ** 53, 12345678901], 3 ** 33),  # IEEE division
+    ([1, -7, 2 ** 53, 12345678901], 3 ** 33),  # IEEE division at 1.0
     ([2 ** 62 + 1, -(2 ** 60) - 3, 3, 3], 3 ** 40),  # int division
     ([2 ** 53 + 1, 1], 10),
+    ([1, -3, 5], 7),  # IEEE division at 1.0, -0.25 and 2.5
 ))
 def test_nonzeros_round_to_the_nearest_double(numerators, denominator):
     import formc.tensor_representation as tr
 
-    got = tr._rounded(np.array(numerators, dtype=np.int64), denominator)
-    want = [float(Fraction(n, denominator)) for n in numerators]
-    assert got.tolist() == want
+    for constant in (1.0, -0.25, 2.5, 0.1, 3e-300, 7e250):
+        got = tr._rounded(np.array(numerators, dtype=np.int64), denominator,
+                          constant)
+        want = [float(Fraction(constant) * Fraction(n, denominator))
+                for n in numerators]
+        assert got.view(np.int64).tolist() == np.array(want).view(
+            np.int64).tolist(), constant
+
+
+def test_a_value_beyond_the_doubles_raises():
+    import formc.tensor_representation as tr
+
+    with pytest.raises(NonFiniteValue):
+        tr._rounded(np.array([3]), 1, 1e308)
+    text = form_text("mass").replace("a = v*u*dx", "a = 1e200*1e200*v*u*dx")
+    with pytest.raises(NonFiniteValue):
+        compile_form(parse_one(text))
 
 
 def test_numerators_beyond_int64_raise(monkeypatch):
@@ -698,7 +718,8 @@ def test_per_monomial_listing_rereads_like_merged_compile(rng):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
         terms.append(CompiledTerm(geometry, (30, 30), csr_matrix(
-            a0_values(term).reshape(-1, geometry.n_components))))
+            monomial.scalar * a0_values(term).reshape(
+                -1, geometry.n_components))))
     per_monomial = CompiledForm("a", form.cell, 2, (30, 30), (), terms)
     reread = read_raw(emit_raw(per_monomial))
     assert len(reread.terms) == 4
@@ -711,15 +732,16 @@ def test_per_monomial_listing_rereads_like_merged_compile(rng):
 # Vector-valued monomials with the geometry class each one belongs to.  A
 # collects an index renaming (v[i].dx(j)*u[i].dx(j) and its i <-> j swap)
 # and two monomials with equal geometry that are not renamings of each other
-# (v[0].dx(i)*u[0].dx(i) and v[1].dx(i)*u[1].dx(i)); B and C have equal
-# geometry but unequal scalars; D reads a coefficient.
+# (v[0].dx(i)*u[0].dx(i) and v[1].dx(i)*u[1].dx(i)); the two of B have equal
+# geometry and unequal constants, which scale A0, not G; D reads a
+# coefficient.
 MERGE_POOL = (
     ("v[0].dx(i)*u[0].dx(i)", "A"),
     ("v[1].dx(i)*u[1].dx(i)", "A"),
     ("v[i].dx(j)*u[i].dx(j)", "A"),
     ("v[j].dx(i)*u[j].dx(i)", "A"),
     ("0.5*v[i].dx(j)*u[j].dx(i)", "B"),
-    ("v[j].dx(i)*u[i].dx(j)", "C"),
+    ("v[j].dx(i)*u[i].dx(j)", "B"),
     ("w[i]*v[j]*u[j].dx(i)", "D"),
     ("w[j]*v[i]*u[i].dx(j)", "D"),
     ("v[i]*u[i]", "E"),
@@ -754,6 +776,43 @@ def test_equal_geometries_merge(picks, shape, q, seed):
     assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
 
 
+VECTOR_P2_TET = ('element = VectorElement("Lagrange", "tetrahedron", 2)\n'
+                 "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+                 "i = Index()\nj = Index()\n")
+
+
+def test_unequal_constants_share_one_geometry(rng):
+    form = parse_one(VECTOR_P2_TET + "a = 0.5*v[i].dx(j)*u[j].dx(i)*dx + "
+                     "v[j].dx(i)*u[i].dx(j)*dx\n")
+    cf = compile_form(form)
+    assert len(cf.terms) == 1
+    assert cf.stacked.shape == (900, 45) and cf.stacked.nnz == 3240
+    dets, gs, _ = random_cells(rng, form)
+    want = quadrature_element_tensors(form, dets, gs, [])
+    got = cf.element_tensors(dets, gs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("text", (
+    VECTOR_P2_TET + "a = v[i].dx(j)*u[i].dx(j)*dx - v[j].dx(i)*u[j].dx(i)*dx\n",
+    # on an interval every free index is the fixed index 0
+    'P1 = VectorElement("Lagrange", "interval", 1)\n'
+    'P2 = VectorElement("Lagrange", "interval", 2)\n'
+    "v0 = BasisFunction(P1)\nv1 = BasisFunction(P1)\nw0 = Function(P2)\n"
+    "i = Index()\n"
+    "a = 3*v1[0].dx(0)*w0[0].dx(0)*v0[0]*dx"
+    " - 3*v1[0].dx(0)*w0[0].dx(i)*v0[i]*dx\n",
+), ids=("tetrahedron", "interval"))
+def test_renamed_difference_cancels_exactly(rng, text):
+    form = parse_one(text)
+    cf = compile_form(form)
+    assert cf.terms == []
+    dets, gs, coeffs = random_cells(rng, form, 8)
+    got = cf.element_tensors(dets, gs, coeffs)
+    assert got.shape == (8,) + cf.primary_dims
+    assert not got.any()
+
+
 # --- equal G components and shared integrations ---------------------------------
 
 
@@ -776,19 +835,22 @@ def equal_components(geometry):
 def per_monomial_matrices(form):
     """Dense A0 per term, integrating every monomial on its own: the exact
     sums over a common denominator, folded, each nonzero rounded as
-    float(Fraction)."""
+    float(Fraction(constant) * Fraction).  Every shipped term has one
+    constant."""
     groups = {}
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
         numerators, denominator = compute_reference_tensor(term)
-        group = groups.setdefault(geometry.key, [geometry, 0, 1])
+        group = groups.setdefault(geometry.key,
+                                  [geometry, 0, 1, monomial.scalar])
+        assert group[3] == monomial.scalar
         common = math.lcm(group[2], denominator)
         group[1] = (group[1] * (common // group[2])
                     + numerators * (common // denominator))
         group[2] = common
     out = []
-    for geometry, entries, denominator in groups.values():
+    for geometry, entries, denominator, constant in groups.values():
         flat = entries.reshape(-1, geometry.n_components)
         for n, rep in enumerate(equal_components(geometry)):
             if rep != n:
@@ -796,7 +858,8 @@ def per_monomial_matrices(form):
                 flat[:, n] = 0
         dense = np.zeros(flat.shape)
         for r, c in zip(*flat.nonzero()):
-            dense[r, c] = float(Fraction(int(flat[r, c]), denominator))
+            dense[r, c] = float(Fraction(constant)
+                                * Fraction(int(flat[r, c]), denominator))
         out.append(dense)
     return out
 
@@ -903,12 +966,17 @@ def fraction_reference_tensor(term):
 
 def fraction_terms(form):
     """Per compiled term: its folded A0 as (numerators [block x N],
-    denominator), the monomials of equal geometry summed exactly."""
+    denominator), the monomials of equal geometry, each times its
+    constant, summed exactly.  Terms whose monomials have one constant
+    are stored as these rationals rounded."""
     groups = {}
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
         numerators, denominator = fraction_reference_tensor(term)
+        constant = Fraction(monomial.scalar)
+        numerators = numerators * constant.numerator
+        denominator *= constant.denominator
         group = groups.setdefault(geometry.key, [geometry, 0, 1])
         common = math.lcm(group[2], denominator)
         group[1] = (group[1] * (common // group[2])
