@@ -17,8 +17,9 @@ whose A0 row repeats an earlier row, or its negation, copies that entry
 nonzeros with the row's own constants.  The rows to copy are those of
 ``CompiledForm.row_plan``, the plan the numpy contraction follows.
 
-The emitters work on A0 nonzeros as whole CSR arrays: the C on the form's
-one stack (``CompiledForm.stacked``), the listings on each term's own.  An
+The emitters work on A0 nonzeros as whole CSR arrays, all read from the
+form's one store (``CompiledForm.stacked``): the C on the whole stack,
+the listings on each term's ``matrix``, decoded from its columns.  An
 A0 has few distinct values, each the double nearest a rational (P3
 Navier-Stokes on a tetrahedron: 167,238 nonzeros, 340 distinct values), so
 a value table formats each distinct value once, told apart by its bits,
@@ -38,15 +39,10 @@ simplest and the fastest form.
 from math import prod
 
 import numpy as np
-import scipy.sparse
 
 from .errors import FormcError, FormSyntaxError
 from .reference_elements import ReferenceCell
-from .tensor_representation import (
-    CompiledForm,
-    CompiledTerm,
-    GeometryTensorExpr,
-)
+from .tensor_representation import CompiledForm, GeometryTensorExpr
 
 __all__ = [
     "emit_c",
@@ -92,15 +88,15 @@ def _labels(flat, dims, sep):
         zip(*(i.tolist() for i in np.unravel_index(distinct, dims)))])
 
 
-def _entry_labels(ct, sep):
-    """sep-joined multi-index of each A0 nonzero of a term, in CSR order."""
-    m = ct.matrix
+def _entries(ct, m, sep, fmt):
+    """(sep-joined multi-index, value formatted by fmt) of each nonzero of
+    m, the A0 of term ct, in CSR order."""
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     labels = _labels(rows, ct.primary_dims, sep)
-    if not ct.secondary_dims:
-        return labels
-    return list(map(sep.join, zip(
-        labels, _labels(m.indices, ct.secondary_dims, sep))))
+    if ct.secondary_dims:
+        labels = map(sep.join, zip(
+            labels, _labels(m.indices, ct.secondary_dims, sep)))
+    return zip(labels, _formatted(m.data, fmt))
 
 
 def _g_name(k, alpha):
@@ -246,9 +242,9 @@ def emit_raw(cf):
         lines.append("secondary" + "".join(
             " %d" % n for n in ct.secondary_dims))
         lines.append("geometry %s" % _geometry_sexpr(ct.geometry))
-        lines.append("entries %d" % ct.matrix.nnz)
-        lines.extend(map(" ".join, zip(_entry_labels(ct, " "),
-                                       _formatted(ct.matrix.data, repr))))
+        m = ct.matrix
+        lines.append("entries %d" % m.nnz)
+        lines.extend(map(" ".join, _entries(ct, m, " ", repr)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -415,7 +411,7 @@ def read_raw(text):
     coefficient_dims = numbers("coefficients", least=1)
     (n_monomials,) = numbers("monomials", 1)
 
-    terms = []
+    entries = []
     for k in range(n_monomials):
         if numbers("monomial", 1) != [k]:
             raise FormSyntaxError("monomial out of order", line=i)
@@ -446,16 +442,12 @@ def read_raw(text):
             raise FormSyntaxError(
                 "entry out of range, out of row-major order or not finite",
                 line=first + int(np.argmax(bad)))
-        rows, cols = np.divmod(flat, prod(secondary_dims))
-        matrix = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(prod(primary_dims), prod(secondary_dims)))
-        terms.append(CompiledTerm(geometry, primary_dims, matrix))
+        entries.append((geometry, flat, vals))
     take("end")
     if any(ln.strip() for ln in lines[i:]):
         raise FormSyntaxError("text after 'end'", line=i + 1)
     return CompiledForm(name, cell, arity, primary_dims, coefficient_dims,
-                        terms)
+                        entries)
 
 
 # --- LaTeX ----------------------------------------------------------------------
@@ -498,8 +490,8 @@ def emit_latex(cf):
         lines.append(r"\[ %s \]" % _latex_geometry(ct.geometry))
         lines.append("Nonzero reference tensor entries:")
         lines.append(r"\begin{eqnarray*}")
-        lines.extend(map(r"A^0_{%s} &=& %s \\".__mod__, zip(
-            _entry_labels(ct, r"\,"), _formatted(ct.matrix.data, _fmt))))
+        lines.extend(map(r"A^0_{%s} &=& %s \\".__mod__,
+                         _entries(ct, ct.matrix, r"\,", _fmt)))
         lines.append(r"\end{eqnarray*}")
     lines.append(r"\end{document}")
     return "\n".join(lines) + "\n"

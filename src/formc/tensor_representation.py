@@ -20,20 +20,22 @@ basis functions are integer polynomials in barycentric coordinates
 a common denominator, and the sums of monomials with one constant and the
 component folds stay in integers; only then is each nonzero rounded to
 the double nearest its rational times the constant.  So equal values are
-equal doubles, and only exact zeros are dropped.  No quadrature is used.
+equal doubles; a value is dropped only if it rounds to zero.  No
+quadrature is used.
 
 A compiled form contracts a batch of cells in one step.  Each term
-evaluates only the G components that some A0 nonzero reads, one
-gathered factor at a time, straight into its columns of one
-[ncells x K] array; the A0 columns of all terms, restricted the same
-way, lie side by side in one CSR over K columns (``stacked``), the one
-A0 matrix, built once, that the row plan, the numpy contraction and the
-C read.  Many of its rows repeat an earlier row exactly, or its negation;
+evaluates only the G components that some A0 nonzero reads, one gathered
+factor at a time, straight into its columns of one [ncells x K] array;
+the A0 columns of all terms, restricted the same way, lie side by side in
+one CSR over K columns (``stacked``), the one store of A0 nonzeros: the
+CompiledForm constructor builds it, the row plan, the contraction and the
+C read it, and the listings read each term's ``matrix``, decoded from it.
+Many of its rows repeat an earlier row exactly, or its negation;
 ``row_plan`` finds them by their bits (P3 on a tetrahedron: Navier-Stokes
-401, elasticity 1,458 and Poisson 168 distinct of 3,600, 3,600 and 400 rows).
-When contracting only the distinct rows saves more multiply-adds than the
-block has rows to copy, one sparse product A0_distinct @ G^T gives
-[U x ncells], a row map gathers it out to [block x ncells], and the
+401, elasticity 1,458 and Poisson 168 distinct of 3,600, 3,600 and 400
+rows).  When contracting only the distinct rows saves more multiply-adds
+than the block has rows to copy, one sparse product A0_distinct @ G^T
+gives [U x ncells], a row map gathers it out to [block x ncells], and the
 negated rows change sign; otherwise the whole stack is multiplied.  The
 emitted C copies the same rows.  The sparse product adds each entry in
 the fixed order of its A0 row, so a cell's block is bitwise the same in
@@ -54,7 +56,7 @@ monomial's secondary indices, or among its auxiliary indices of one side.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iter_product
 from math import factorial, gcd, isfinite, lcm, prod
 
@@ -599,23 +601,25 @@ def derive_geometry_expr(term):
 
 
 class CompiledTerm:
-    """One geometry expression and the A0 nonzeros it contracts with, as
-    ``matrix`` (CSR, flat primary index by flat secondary index)."""
+    """One geometry expression and its ``columns`` of the form's A0 stack;
+    column ``columns.start + k`` reads G component ``used_components[k]``."""
 
-    def __init__(self, geometry, primary_dims, matrix):
+    def __init__(self, stacked, primary_dims, geometry, used, columns):
+        self.stacked = stacked
         self.geometry = geometry
-        self.primary_dims = tuple(primary_dims)
+        self.primary_dims = primary_dims
         self.secondary_dims = geometry.dims
-        self.matrix = matrix
+        self.used_components = used
+        self.columns = columns
 
-    @cached_property
-    def used_components(self):
-        """Ascending flat indices of the G components some A0 nonzero
-        reads, read-only."""
-        used = np.flatnonzero(np.bincount(self.matrix.indices,
-                                          minlength=self.matrix.shape[1]))
-        used.flags.writeable = False
-        return used
+    @property
+    def matrix(self):
+        """The term's A0 as a CSR, flat primary index by flat secondary
+        index, decoded from its stack columns on each access."""
+        m = self.stacked[:, self.columns]
+        return scipy.sparse.csr_matrix(
+            (m.data, self.used_components[m.indices], m.indptr),
+            shape=(m.shape[0], self.geometry.n_components))
 
 
 def batch_arrays(evaluator, dets, gs, coeffs):
@@ -654,11 +658,9 @@ def contract_terms(cf, dets, gs, coeffs=()):
     ncells = dets.shape[0]
     a0, rows, negated = cf.contraction
     g = np.empty((a0.shape[1], ncells)).T  # G.T is contiguous for scipy
-    stop = 0
     for ct in cf.terms:
-        start, stop = stop, stop + ct.used_components.size
         ct.geometry.evaluate(dets, gs, coeffs, ct.used_components,
-                             out=g[:, start:stop])
+                             out=g[:, ct.columns])
     out = a0 @ g.T
     if rows is not None:
         out = out[rows]
@@ -695,6 +697,12 @@ def row_classes(m):
 class CompiledForm:
     """A form in tensor representation, compiled or reread from raw text.
 
+    ``entries`` holds each term's (geometry, positions, values): its A0
+    values and their ascending flat positions in [block x n_components].
+    The constructor drops 0.0 and -0.0, and a term left with none, and
+    stores the rest once in ``stacked``, CSR [block x K]: every term's A0
+    over the G components it reads, side by side in term order.
+
     ``element_tensors(dets, gs, coeffs)`` contracts every term for a
     batch of affine maps and returns [ncells x n1 x ... x nr]; primary
     multiindices are flattened row-major into the output block.  ``form``,
@@ -702,43 +710,42 @@ class CompiledForm:
     """
 
     def __init__(self, name, cell, arity, primary_dims, coefficient_dims,
-                 terms, form=None):
+                 entries, form=None):
         self.name = name
         self.cell = cell
         self.dim = cell.dim
         self.arity = arity
         self.primary_dims = tuple(primary_dims)
         self.coefficient_dims = tuple(coefficient_dims)
-        self.terms = list(terms)
         self.form = form
         self.arguments = form.arguments if form else None
         self.coefficients = form.coefficients if form else None
+        spans, width = [], 0  # (geometry, used components, columns)
+        pieces = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+        for geometry, positions, values in entries:
+            keep = values != 0.0  # -0.0 too
+            rows, components = np.divmod(positions[keep],
+                                         geometry.n_components)
+            used = np.flatnonzero(np.bincount(
+                components, minlength=geometry.n_components))
+            if used.size:
+                used.flags.writeable = False
+                pieces.append((rows, width + np.searchsorted(used, components),
+                               values[keep]))
+                spans.append((geometry, used, slice(width, width + used.size)))
+                width += used.size
+        rows, columns, values = map(np.concatenate, zip(*pieces))
+        order = np.argsort(rows, kind="stable")  # terms stay in order
+        indptr = np.searchsorted(rows[order], np.arange(self.block_size + 1))
+        self.stacked = scipy.sparse.csr_matrix(
+            (values[order], columns[order], indptr),
+            shape=(self.block_size, width))
+        self.terms = [CompiledTerm(self.stacked, self.primary_dims, *span)
+                      for span in spans]
 
     @property
     def block_size(self):
         return prod(self.primary_dims)
-
-    @cached_property
-    def stacked(self):
-        """A0 of every term over the G components it reads, side by side
-        in term order: CSR [block x K], built once.  Stack columns of
-        different terms never coincide."""
-        n, width = self.block_size, 0
-        indptr = sum((ct.matrix.indptr for ct in self.terms),
-                     np.zeros(n + 1, dtype=np.int32))
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1])
-        start = indptr[:-1].copy()  # the next free slot in each row
-        for ct in self.terms:
-            m, used = ct.matrix, ct.used_components
-            counts = m.indptr[1:] - m.indptr[:-1]
-            at = np.arange(m.nnz) + np.repeat(start - m.indptr[:-1], counts)
-            indices[at] = width + np.searchsorted(used, m.indices)
-            data[at] = m.data
-            start += counts
-            width += used.size
-        return scipy.sparse.csr_matrix((data, indices, indptr),
-                                       shape=(n, width))
 
     @cached_property
     def row_plan(self):
@@ -812,9 +819,10 @@ def compile_form(form):
     component equal to an earlier one (``representatives``) is added to
     that column and zeroed, and only then is each nonzero rounded to the
     double nearest its rational times the constant, so equal values are
-    equal doubles.  The constants' CSRs are then added, dropping exact
-    zeros and a term left empty.  A numerator beyond int64 raises
-    UnsupportedDegree, and a non-finite constant or value NonFiniteValue.
+    equal doubles.  The constants' values are then added, in order, where
+    any of them is nonzero, for the CompiledForm constructor to store.  A
+    numerator beyond int64 raises UnsupportedDegree, and a non-finite
+    constant or value NonFiniteValue.
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
@@ -831,25 +839,24 @@ def compile_form(form):
             sums[monomial.scalar] = [numerators.copy(), denominator]
         else:
             total[:] = _exact_sum(*total, numerators, denominator)
-    terms = []
+    numerators = None  # frees the last monomial's A0; groups holds a copy
+    entries = []
     for geometry, sums in groups.values():
-        rep, matrix = geometry.representatives, None
-        for constant, (numerators, denominator) in sums.items():
-            flat = numerators.reshape(-1, geometry.n_components)
+        rep = geometry.representatives
+        flats = [(numerators.reshape(-1, geometry.n_components), d, c)
+                 for c, (numerators, d) in sums.items()]
+        for flat, _, _ in flats:
             _checked(_magnitude(flat) * int(np.bincount(rep).max()))
             for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
                 flat[:, rep[n]] += flat[:, n]
                 flat[:, n] = 0
-            nonzero = flat != 0
-            indptr = np.zeros(flat.shape[0] + 1, dtype=np.int32)
-            nonzero.sum(axis=1).cumsum(out=indptr[1:])
-            rows, cols = nonzero.nonzero()
-            scaled = scipy.sparse.csr_matrix(
-                (_rounded(flat[rows, cols], denominator, constant),
-                 cols.astype(np.int32), indptr), shape=flat.shape)
-            # scipy's sum drops the exact zeros
-            matrix = scaled if matrix is None else matrix + scaled
-        if matrix.nnz:
-            terms.append(CompiledTerm(geometry, form.primary_dims, matrix))
+        positions = np.flatnonzero(reduce(np.logical_or,
+                                          [f != 0 for f, _, _ in flats]))
+        with np.errstate(over="ignore"):  # raised below
+            values = reduce(np.add, [_rounded(f.ravel()[positions], d, c)
+                                     for f, d, c in flats])
+        if not np.isfinite(values).all():
+            raise NonFiniteValue("a reference tensor value overflows")
+        entries.append((geometry, positions, values))
     return CompiledForm(form.name, form.cell, form.arity, form.primary_dims,
-                        form.coefficient_dims, terms, form=form)
+                        form.coefficient_dims, entries, form=form)

@@ -221,10 +221,37 @@ def test_reread_form_emits_identical_text(text):
     assert emit_raw(again) == raw
     assert emit_c(again) == emit_c(cf)
     assert emit_latex(again) == emit_latex(cf)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again.stacked, name),
+                              getattr(cf.stacked, name))
+    assert len(again.terms) == len(cf.terms)
     for mine, theirs in zip(again.terms, cf.terms):
+        assert np.array_equal(mine.used_components, theirs.used_components)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(mine.matrix, name),
                                   getattr(theirs.matrix, name))
+
+
+def test_raw_zero_entries_are_not_stored():
+    lines = emit_raw(compile_form(parse_one(MASS_P1))).splitlines()
+    start = lines.index("entries 9") + 1
+
+    def reread(values):
+        edited = list(lines)
+        for k, value in enumerate(values):
+            edited[start + k] = edited[start + k].rsplit(" ", 1)[0] + " " + value
+        return read_raw("\n".join(edited) + "\n")
+
+    cf = reread(["0.0", "-0.0"] * 4 + ["0.0"])
+    assert cf.terms == [] and cf.stacked.shape == (9, 0)
+    assert "monomials 0" in emit_raw(cf)
+    cf = reread(["0.0", "-0.0", "0.5", "-0.0"])
+    assert len(cf.terms) == 1 and cf.stacked.nnz == 6
+    assert cf.stacked.data[0] == 0.5 and cf.stacked.data.all()
+    listed = emit_raw(cf).splitlines()
+    values = listed[listed.index("entries 6") + 1:-1]
+    assert len(values) == 6
+    assert all(float(ln.split()[-1]) != 0.0 for ln in values)
 
 
 @pytest.mark.parametrize("q", (1, 2, 3))

@@ -125,6 +125,15 @@ def test_random_forms_match_the_oracle_and_reread(text):
     assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), scale,
                                                    1e-12)
     again = read_raw(emit_raw(cf))
+    # the stack stores no zero, every column and every term holds a
+    # nonzero, and a reread stack is the same, bit for bit
+    stack = cf.stacked
+    assert stack.data.all()
+    assert np.bincount(stack.indices, minlength=stack.shape[1]).all()
+    assert all(ct.columns.stop > ct.columns.start for ct in cf.terms)
+    assert again.stacked.data.tobytes() == stack.data.tobytes()
+    assert np.array_equal(again.stacked.indices, stack.indices)
+    assert np.array_equal(again.stacked.indptr, stack.indptr)
     assert np.array_equal(again.element_tensors(dets, gs, coeffs), got)
     for emit in (emit_c, emit_raw, emit_latex):
         assert emit(again) == emit(cf)

@@ -34,7 +34,6 @@ from formc.reference_elements import make_lagrange
 from formc.runtime import quadrature_element_tensor, quadrature_element_tensors
 from formc.tensor_representation import (
     CompiledForm,
-    CompiledTerm,
     GeometryTensorExpr,
     classify_indices,
     compile_form,
@@ -609,7 +608,9 @@ def test_evaluate_writes_into_a_strided_view(rng, kind, shape):
 def test_stacked_width_counts_only_read_components():
     (form,) = shipped_forms("navierstokes", "tetrahedron", 1)
     cf = compile_form(form)
-    assert "stacked" not in vars(cf)  # built on the first contraction
+    # the stack is built with the form; the contraction's plan waits for
+    # the first contraction
+    assert "stacked" in vars(cf) and "contraction" not in vars(cf)
     (ct,) = cf.terms
     assert ct.geometry.n_components == 108
     assert ct.used_components.size == cf.stacked.shape[1] == 36
@@ -660,6 +661,45 @@ def test_a_value_beyond_the_doubles_raises():
     text = form_text("mass").replace("a = v*u*dx", "a = 1e200*1e200*v*u*dx")
     with pytest.raises(NonFiniteValue):
         compile_form(parse_one(text))
+    # each constant's value is a double, but their sum is not: on an
+    # interval both monomials read dX/dx in the fixed direction 0
+    text = form_text("poisson", "interval").replace(
+        "a = v.dx(i)*u.dx(i)*dx",
+        "a = 1.7e308*v.dx(0)*u.dx(0)*dx + 1.6e308*v.dx(i)*u.dx(i)*dx")
+    with pytest.raises(NonFiniteValue):
+        compile_form(parse_one(text))
+
+
+@pytest.mark.parametrize("kind,text,n_terms,kept", (
+    # 1e-323 times 1/12 or 1/24 rounds to 0.0, and to -0.0 for -1e-323
+    ("mass", "1e-323*v*u*dx", 0, ()),
+    ("mass", "-1e-323*v*u*dx", 0, ()),
+    # 4e-323 / 12, on the diagonal, rounds to the least subnormal, and
+    # 4e-323 / 24 to 0.0
+    ("mass", "4e-323*v*u*dx", 1, (0, 4, 8)),
+    # the mass term is gone, the Poisson term is whole
+    ("poisson", "1e-323*v*u*dx + v.dx(i)*u.dx(i)*dx", 1, None),
+), ids=("underflow", "negative-underflow", "partial", "mixed"))
+def test_values_that_round_to_zero_are_not_stored(rng, kind, text, n_terms,
+                                                  kept):
+    decls = form_text(kind)
+    form = parse_one(decls[:decls.index("a = ")] + "a = %s\n" % text)
+    cf = compile_form(form)
+    assert len(cf.terms) == n_terms
+    assert cf.stacked.data.all()
+    entries = [ln for ln in emit_raw(cf).splitlines()
+               if ln[:1].isdigit() and len(ln.split()) == 3]
+    assert all(float(ln.split()[-1]) != 0.0 for ln in entries)
+    dets, gs, _ = random_cells(rng, form)
+    got = cf.element_tensors(dets, gs)
+    if kept is None:
+        poisson = compile_form(parse_one(form_text("poisson")))
+        assert cf.stacked.nnz == poisson.stacked.nnz
+        assert np.array_equal(got, poisson.element_tensors(dets, gs))
+    else:
+        assert cf.stacked.nonzero()[0].tolist() == list(kept)
+        assert np.array_equal(cf.stacked.data, [5e-324] * len(kept))
+        assert got.shape == (4, 3, 3) and (got.any() == bool(kept))
 
 
 def test_numerators_beyond_int64_raise(monkeypatch):
@@ -713,14 +753,15 @@ def test_elasticity_merges_to_two_terms():
 def test_per_monomial_listing_rereads_like_merged_compile(rng):
     # one raw block per monomial, the layout listings had before merging
     form = elasticity("tetrahedron", 2)
-    terms = []
+    entries = []
     for monomial in expand_to_monomials(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
-        terms.append(CompiledTerm(geometry, (30, 30), csr_matrix(
-            monomial.scalar * a0_values(term).reshape(
-                -1, geometry.n_components))))
-    per_monomial = CompiledForm("a", form.cell, 2, (30, 30), (), terms)
+        values = monomial.scalar * a0_values(term).reshape(
+            -1, geometry.n_components)
+        positions = np.flatnonzero(values)
+        entries.append((geometry, positions, values.ravel()[positions]))
+    per_monomial = CompiledForm("a", form.cell, 2, (30, 30), (), entries)
     reread = read_raw(emit_raw(per_monomial))
     assert len(reread.terms) == 4
     dets, gs, _ = random_cells(rng, form)
