@@ -21,7 +21,7 @@ The emitters work on A0 nonzeros as whole CSR arrays, all read from the
 form's one store (``CompiledForm.stacked``): the C on the whole stack,
 the listings on each term's ``matrix``, decoded from its columns.  An
 A0 has few distinct values, each the double nearest a rational (P3
-Navier-Stokes on a tetrahedron: 167,238 nonzeros, 340 distinct values), so
+Navier-Stokes on a tetrahedron: 55,746 nonzeros, 340 distinct values), so
 a value table formats each distinct value once, told apart by its bits,
 and maps the strings back to the nonzeros; multi-index labels are
 formatted once per CSR row and once per secondary column.  The text is the
@@ -105,7 +105,7 @@ def _g_name(k, alpha):
 
 def _c_geometry_exprs(geometry, components, offsets):
     """C expression of each of the given flat G components."""
-    reads = [offsets[c] for c, _ in geometry.coeff_reads]
+    reads = [offsets[c] for c, *_ in geometry.coeff_reads]
     out = []
     for rows, cols, dofs in zip(*(a[:, components].swapaxes(0, 1).tolist()
                                   for a in geometry.expansion)):
@@ -217,7 +217,9 @@ def _sym(slot):
 def _geometry_sexpr(geometry):
     atoms = ["(dXdx s%d %s)" % (ref, _sym(x))
              for ref, x in geometry.transforms]
-    atoms += ["(coeff %d s%d)" % read for read in geometry.coeff_reads]
+    atoms += ["(coeff %d s%d)" % (c, k) if x is None else
+              "(coeff %d s%d %s)" % (c, k, _sym(x))
+              for c, k, x in geometry.coeff_reads]
     if geometry.aux_dims:
         inner = "(* %s)" % " ".join(atoms) if len(atoms) != 1 else atoms[0]
         for k in range(len(geometry.aux_dims) - 1, -1, -1):
@@ -301,12 +303,18 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
         elif head == "dXdx" and len(n) == 3:
             transforms.append((resolve(n[1], dim, fixed_ok=False)[1],
                                resolve(n[2], dim)))
-        elif head == "coeff" and len(n) == 3:
+        elif head == "coeff" and len(n) in (3, 4):
             number = int(n[1])
             if not 0 <= number < len(coefficient_dims):
                 raise ValueError("no coefficient %d" % number)
-            reads.append((number, resolve(
-                n[2], coefficient_dims[number], fixed_ok=False)[1]))
+            # a component read's dof slot runs over the scalar basis
+            extent, rest = divmod(coefficient_dims[number],
+                                  dim if len(n) == 4 else 1)
+            if rest:
+                raise ValueError("coefficient %d has no %d components"
+                                 % (number, dim))
+            reads.append((number, resolve(n[2], extent, fixed_ok=False)[1],
+                          resolve(n[3], dim) if len(n) == 4 else None))
         else:
             raise ValueError("bad geometry factor %r" % (n,))
 
@@ -470,8 +478,10 @@ def _latex_geometry(geometry):
     for ref, x in geometry.transforms:
         parts.append(r"\frac{\partial X_{%s}}{\partial x_{%s}}" % (
             _latex_sym(("s", ref)), _latex_sym(x)))
-    for coeff, k in geometry.coeff_reads:
-        parts.append(r"w^{(%d)}_{%s}" % (coeff, _latex_sym(("s", k))))
+    for coeff, k, x in geometry.coeff_reads:
+        dof = _latex_sym(("s", k))
+        parts.append(r"w^{(%d)}_{%s}" % (
+            coeff, dof if x is None else "%s,%s" % (_latex_sym(x), dof)))
     return "%s = %s" % (lhs, " ".join(parts))
 
 

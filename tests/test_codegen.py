@@ -1,6 +1,7 @@
 """C, raw, and LaTeX emitters plus the raw reader."""
 
 import ctypes
+import os
 import shutil
 import subprocess
 
@@ -372,6 +373,64 @@ def test_raw_reader_requires_one_leading_det(geometry):
     assert err.value.line == 10
 
 
+# emit_raw of P1 Navier-Stokes on a triangle as listed before a coefficient's
+# component was read in G: w's read runs over all 6 of its dofs, and its
+# component j is a secondary index paired with u's derivative direction
+UNFOLDED_LISTING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "data", "navierstokes-p1-triangle.raw")
+
+
+def test_unfolded_listing_still_reads(rng):
+    with open(UNFOLDED_LISTING) as fh:
+        text = fh.read()
+    assert "geometry (* det (dXdx s2 s0) (coeff 0 s1))" in text
+    old = read_raw(text)
+    assert emit_raw(old) == text
+    (form,) = shipped_forms("navierstokes", "triangle", 1)
+    cf = compile_form(form)
+    # the component read keeps one column per scalar profile of w
+    assert old.stacked.shape == (36, 12) and old.stacked.nnz == 144
+    assert cf.stacked.shape == (36, 6) and cf.stacked.nnz == 72
+    maps = [random_affine_map(rng, 2) for _ in range(8)]
+    args = ([m.det for m in maps], [m.g for m in maps],
+            [rng.uniform(-1, 1, (8, 6))])
+    want = cf.element_tensors(*args)
+    got = old.element_tensors(*args)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+NAVIERSTOKES_P1_TRIANGLE = NAVIERSTOKES.replace("tetrahedron", "triangle")
+NS_GEOMETRY = "geometry (* det (sum b0 (* (dXdx s1 b0) (coeff 0 s0 b0))))"
+
+
+@pytest.mark.parametrize("changes", (
+    # a component read of a scalar P1 coefficient (3 dofs, not 2 x 3)
+    {6: "coefficients 3"},
+    # 7 dofs are not 2 components of a scalar basis
+    {6: "coefficients 7"},
+    # 8 dofs are 2 components of 4, not of the 3 of slot s0
+    {6: "coefficients 8"},
+    # components out of range: fixed, unknown slot, slot of extent 3
+    {10: NS_GEOMETRY.replace("s0 b0", "s0 2")},
+    {10: NS_GEOMETRY.replace("s0 b0", "s0 s9")},
+    {10: NS_GEOMETRY.replace("s0 b0", "s0 s0")},
+    # a scalar-basis slot of the wrong extent
+    {10: NS_GEOMETRY.replace("s0 b0", "s1 b0")},
+    # no dof slot, or one index too many
+    {10: NS_GEOMETRY.replace("s0 b0", "b0")},
+    {10: NS_GEOMETRY.replace("s0 b0", "s0 b0 0")},
+))
+def test_raw_reader_rejects_bad_component_reads(changes):
+    lines = emit_raw(compile_form(parse_one(NAVIERSTOKES_P1_TRIANGLE))
+                     ).splitlines()
+    assert lines[8:10] == ["secondary 3 2", NS_GEOMETRY]
+    for number, text in changes.items():
+        lines[number - 1] = text
+    with pytest.raises(FormSyntaxError) as err:
+        read_raw("\n".join(lines) + "\n")
+    assert err.value.line == 10
+
+
 LISTINGS = [emit_raw(compile_form(parse_one(t)))
             for t in (MASS_P1, NAVIERSTOKES, MIXED)]
 TOKENS = ("", "x", "-1", "0", "1", "2", "7", "99", "1e400", "nan", "(", ")",
@@ -454,7 +513,8 @@ def test_latex_poisson_rows_and_symbols():
 
 def test_latex_coefficient_symbol():
     tex = emit_latex(compile_form(parse_one(NAVIERSTOKES)))
-    assert "w^{(0)}_{\\alpha_{2}}" in tex
+    # component beta_1 of w, scalar dof alpha_1
+    assert "w^{(0)}_{\\beta_{1},\\alpha_{1}}" in tex
 
 
 # --- compiled C against the in-process contraction --------------------------------
@@ -507,8 +567,9 @@ def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
     assert_c_matches_numpy(parse_one(text), tmp_path, rng)
 
 
-# P2 and P3 Navier-Stokes and P3 elasticity take seconds to minutes to
-# build, so their C is not built here
+# P3 Navier-Stokes and P3 elasticity take tens of seconds to build with
+# cc -O2, so their C is not built here; P2 Navier-Stokes on a tetrahedron
+# takes about a second
 COPIED_ROW_CASES = [
     (name, "interval", q) for name in ("mass", "poisson", "elasticity")
     for q in (1, 2, 3)] + [("navierstokes", "interval", 1)] + [
@@ -516,7 +577,8 @@ COPIED_ROW_CASES = [
     for shape in ("triangle", "tetrahedron") for q in (1, 2)] + [
     (name, shape, 3) for name in ("mass", "poisson")
     for shape in ("triangle", "tetrahedron")] + [
-    ("navierstokes", shape, 1) for shape in ("triangle", "tetrahedron")]
+    ("navierstokes", shape, 1) for shape in ("triangle", "tetrahedron")] + [
+    ("navierstokes", "tetrahedron", 2)]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

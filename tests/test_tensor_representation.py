@@ -110,8 +110,8 @@ def assert_slots(term):
     geo = derive_geometry_expr(term)
     assert [(r, k) for r, (_, k) in geo.transforms] == [
         (ref.value, x.value) for ref, x in term.transforms]
-    assert geo.coeff_reads == tuple(
-        (c, e.value) for c, e in term.coeff_reads)
+    assert [(c, k) for c, k, _ in geo.coeff_reads] == [
+        (c, e.value) for c, e, _ in term.coeff_reads]
 
 
 # --- index classification ------------------------------------------------------
@@ -140,18 +140,20 @@ def test_poisson_classification():
 def test_navierstokes_classification():
     (term,) = terms_of("navierstokes", "tetrahedron", 1)
     assert term.primary_dims == (12, 12)
-    # shared secondary order: user index j, then coefficient read, then the
-    # created reference direction, in written factor order
-    assert term.secondary_dims == (3, 12, 3)
+    # shared secondary order: the coefficient read over w's scalar basis,
+    # then the created reference direction, in written factor order
+    assert term.secondary_dims == (4, 3)
+    # i sums v's and u's components inside A0; j pairs w's component with
+    # u's derivative direction, both read by G, so it sums inside G
     assert len(term.aux_a0) == 1 and term.aux_a0[0].range == 3
-    assert term.aux_g == ()
+    assert len(term.aux_g) == 1 and term.aux_g[0].range == 3
     assert len(term.coeff_reads) == 1
     assert len(term.transforms) == 1
     assert_slots(term)
-    # u's reference direction (slot 2) pairs with the user index j (slot 0);
-    # w's expansion index is slot 1
-    assert derive_geometry_expr(term).transforms == ((2, ("s", 0)),)
-    assert derive_geometry_expr(term).coeff_reads == ((0, 1),)
+    # u's reference direction (slot 1) and w's component both read the
+    # summed direction b0; w's expansion index is slot 0
+    assert derive_geometry_expr(term).transforms == ((1, ("b", 0)),)
+    assert derive_geometry_expr(term).coeff_reads == ((0, 0, ("b", 0)),)
 
 
 def test_elasticity_classification():
@@ -345,7 +347,7 @@ def test_geometry_expr_atoms_match_evaluate(rng):
             amap = random_affine_map(rng, d)
             coeffs = [
                 rng.uniform(-1, 1, (1, f.element.space_dim))
-                for f in term.coeff_factors
+                for f in term.factors if f.kind == "coefficient"
             ]
             got = geo.evaluate([amap.det], [amap.g], coeffs)[0]
             for k, alpha in enumerate(geo.component_multiindices()):
@@ -356,8 +358,14 @@ def test_geometry_expr_atoms_match_evaluate(rng):
                         if x_kind != "f":
                             x = {"s": alpha, "b": beta}[x_kind][x]
                         piece *= amap.g[alpha[ref], x]
-                    for c, slot in geo.coeff_reads:
-                        piece *= coeffs[c][0, alpha[slot]]
+                    for c, slot, x in geo.coeff_reads:
+                        dof = alpha[slot]
+                        if x is not None:  # component x of a vector
+                            x_kind, x = x
+                            if x_kind != "f":
+                                x = {"s": alpha, "b": beta}[x_kind][x]
+                            dof += x * geo.dims[slot]
+                        piece *= coeffs[c][0, dof]
                     manual += piece
                 manual *= abs(amap.det)  # no constant: it scales A0
                 assert got[k] == pytest.approx(manual, rel=1e-13, abs=1e-15)
@@ -612,8 +620,8 @@ def test_stacked_width_counts_only_read_components():
     # the first contraction
     assert "stacked" in vars(cf) and "contraction" not in vars(cf)
     (ct,) = cf.terms
-    assert ct.geometry.n_components == 108
-    assert ct.used_components.size == cf.stacked.shape[1] == 36
+    assert ct.geometry.n_components == 12
+    assert ct.used_components.size == cf.stacked.shape[1] == 12
     assert not ct.used_components.flags.writeable
     assert set(ct.used_components.tolist()) == set(ct.matrix.indices.tolist())
     widths = [compile_form(f).stacked.shape[1]
@@ -621,7 +629,7 @@ def test_stacked_width_counts_only_read_components():
               for name in ("mass", "poisson", "navierstokes", "elasticity")
               for f in shipped_forms(name, "tetrahedron", q)]
     assert len(widths) == 15
-    assert sum(widths) == 514
+    assert sum(widths) == 310
 
 
 def test_drop_tolerance_does_not_change_values(rng):
@@ -861,7 +869,7 @@ def equal_components(geometry):
     """First component with the same sum of products, per component: each
     product a sorted tuple of its dXdx entries and its coefficient reads."""
     rows, cols, dofs = (a.tolist() for a in geometry.expansion)
-    numbers = [c for c, _ in geometry.coeff_reads]
+    numbers = [c for c, *_ in geometry.coeff_reads]
     first = {}
     out = []
     for n in range(geometry.n_components):
@@ -934,7 +942,7 @@ def test_renamed_monomials_integrate_once():
 @pytest.mark.parametrize("name,kept", (
     ("mass", [1]),
     ("poisson", [6]),
-    ("navierstokes", [108]),
+    ("navierstokes", [12]),
     ("elasticity", [6, 45]),
 ))
 def test_equal_components_fold_on_tetrahedra(name, kept):
@@ -948,6 +956,39 @@ def test_equal_components_fold_on_tetrahedra(name, kept):
     for ct in cf.terms:
         rep = ct.geometry.representatives
         assert (rep[ct.matrix.indices] == ct.matrix.indices).all()
+
+
+# Two vector coefficients on P1 triangles: a component read's dof runs to
+# d * n - 1 = 5, past every secondary extent (3), so the codes that tell the
+# products apart must be wider than the extents.
+TWO_VECTORS = ('P = FiniteElement("Lagrange", "triangle", 1)\n'
+               'V = VectorElement("Lagrange", "triangle", 1)\n'
+               "v = BasisFunction(P)\nu = BasisFunction(P)\n"
+               "w = Function(V)\nz = Function(V)\nj = Index()\n")
+
+
+@pytest.mark.parametrize("integrand,kept", (
+    ("v*w[j]*z[j]*u*dx", 9),
+    ("v*w[j]*w[j]*u*dx", 6),  # sum_b w[b n + a] w[b n + c] is symmetric
+    ("v*w[j]*z[j]*u*dx + v*z[0]*z[1]*u*dx", 9),
+    # codes of width 3 would make w[3 + a] z[c] and w[3 + c] z[a] equal
+    ("v*w[1]*z[0]*u*dx", 9),
+))
+def test_component_reads_fold_like_sorted_products(rng, integrand, kept):
+    form = parse_one(TWO_VECTORS + "a = %s\n" % integrand)
+    cf = compile_form(form)
+    for ct in cf.terms:
+        geometry = ct.geometry
+        assert geometry.dims == (3, 3) and geometry.expansion[2].max() == 5
+        assert (geometry.representatives.tolist()
+                == equal_components(geometry))
+    assert cf.terms[0].used_components.size == kept
+    dets, gs, coeffs = random_cells(rng, form, 6)
+    got = cf.element_tensors(dets, gs, coeffs)
+    want = quadrature_element_tensors(form, dets, gs, coeffs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    reread = read_raw(emit_raw(cf))
+    assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
 
 
 # --- exact values against an independent integrator ------------------------------
@@ -981,8 +1022,9 @@ def fraction_scalar_integrals(shape, factors):
 
 def fraction_reference_tensor(term):
     """(numerators, denominator) of a classified monomial's A0, entry by
-    entry: each factor reads its dof, component and direction from the
-    entry's multi-index, summed over the auxiliary components."""
+    entry: each factor reads its dof and direction, and each argument its
+    component, from the entry's multi-index, summed over the auxiliary
+    components."""
     scalars, denominator = fraction_scalar_integrals(
         term.cell.shape,
         tuple((f.element.degree, bool(f.derivatives)) for f in term.factors))
@@ -993,7 +1035,8 @@ def fraction_reference_tensor(term):
         for f in term.factors:
             dof = grid[f.slot if f.expansion is None
                        else term.rank + f.expansion.value]
-            if f.element.value_rank:
+            # a coefficient's expansion index runs over its scalar basis
+            if f.element.value_rank and f.expansion is None:
                 c, n = f.component, f.element.scalar_dim
                 comp = (c.value if c.kind == "fixed" else aux[c.value]
                         if c.kind == "auxiliary" else grid[term.rank + c.value])
@@ -1060,3 +1103,55 @@ def test_stored_values_are_the_nearest_doubles(kind, shape, q):
         assert np.unique(m.data).size == len(set(fractions))
     if (kind, shape, q) == ("mass", "tetrahedron", 3):
         assert len(set(fractions)) == 13
+
+
+# --- the folded Navier-Stokes contraction against exact arithmetic --------------
+#
+# The reference keeps the unfolded representation of v[i]*w[j]*u[i].dx(j)*dx:
+# an A0 column for each dof e of w and reference direction r, masked to the
+# entries whose v and u dofs share a component, and G[e, r] = |det| w_e
+# dX_r/dx_c(e), c(e) being the component of dof e.  It calls no
+# classify_indices; the inputs, taken as exact rationals, are contracted in
+# fractions.
+
+
+@lru_cache(maxsize=None)
+def unfolded_navierstokes_a0(q):
+    """(numerators [block x 3 d n], denominator) of the unfolded A0 on a
+    tetrahedron, columns ordered (e, r) with r fastest."""
+    scalars, denominator = fraction_scalar_integrals(
+        "tetrahedron", ((q, False), (q, False), (q, True)))
+    n, d = scalars.shape[0], 3
+    s, c = np.arange(d * n) % n, np.arange(d * n) // n
+    # axes [v dof, u dof, w dof e, r]; scalars' are [v, w, u, r]
+    a0 = scalars[s[:, None, None], s[None, None, :], s[None, :, None]]
+    a0 = a0 * (c[:, None] == c[None, :])[:, :, None, None]
+    return a0.reshape((d * n) ** 2, -1), denominator
+
+
+@pytest.mark.parametrize("q", (1, 2))
+def test_folded_navierstokes_is_within_the_exact_bound(rng, q):
+    (form,) = shipped_forms("navierstokes", "tetrahedron", q)
+    cf = compile_form(form)
+    reread = read_raw(emit_raw(cf))
+    a0, denominator = unfolded_navierstokes_a0(q)
+    n_terms = a0.shape[1]
+    n = n_terms // 9
+    dets, gs, coeffs = random_cells(rng, form, 4)
+    paths = [path.element_tensors(dets, gs, coeffs).reshape(4, -1)
+             for path in (cf, reread)]
+    eps = Fraction(2) ** -52
+    for k in range(4):
+        det = abs(Fraction(dets[k]))
+        g = [[Fraction(x) for x in row] for row in gs[k].tolist()]
+        w = [Fraction(x) for x in coeffs[0][k].tolist()]
+        geometry = np.array([det * w[e] * g[r][e // n]
+                             for e in range(3 * n) for r in range(3)],
+                            dtype=object)
+        exact = a0.dot(geometry) / denominator
+        magnitude = np.abs(a0).dot(np.abs(geometry)) / denominator
+        for got in paths:
+            for value, want, size in zip(got[k].tolist(), exact.tolist(),
+                                         magnitude.tolist()):
+                assert abs(Fraction(value) - want) <= (
+                    4 * n_terms * eps * size)
