@@ -40,12 +40,6 @@ DEFAULT_ELEMENTS = 10_000
 DEFAULT_REPETITIONS = 5
 
 
-def _seed_from_env(seed):
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get("FORMC_SEED", "0"))
-
-
 # --- complexity model -------------------------------------------------------------
 
 
@@ -140,7 +134,7 @@ def _random_cells(rng, n, d):
 
 
 def run_benchmark(text, q_values, n_elements=DEFAULT_ELEMENTS,
-                  repetitions=DEFAULT_REPETITIONS, seed=None):
+                  repetitions=DEFAULT_REPETITIONS, seed=0):
     """Time tensor contraction against direct quadrature.
 
     ``text`` is the text of a form file (``formc bench`` reads the file);
@@ -159,7 +153,7 @@ def run_benchmark(text, q_values, n_elements=DEFAULT_ELEMENTS,
     if not q_values:
         raise ValueError("benchmark needs at least one degree")
 
-    rng = np.random.default_rng(_seed_from_env(seed))
+    rng = np.random.default_rng(seed)
     results = []
     for q in q_values:
         forms = parse_form_file(form_text_with(text, degree=q))
@@ -305,7 +299,7 @@ def _cmd_assemble(args):
         form = forms[0]
     mesh = runtime.load_mesh(args.mesh_file)
     dofmaps = [runtime.build_dofmap(mesh, el) for el in form.arguments]
-    rng = np.random.default_rng(_seed_from_env(args.seed))
+    rng = np.random.default_rng(args.seed)
     coefficients = []
     for el in form.coefficients:
         dm = runtime.build_dofmap(mesh, el)
@@ -369,7 +363,7 @@ def _build_parser():
     p.add_argument("--path", choices=("tensor", "quadrature"),
                    default="tensor")
     p.add_argument("--form", default=None, help="form name to assemble")
-    p.add_argument("--seed", default=None,
+    p.add_argument("--seed", type=int, default=0,
                    help="seed for random coefficient data")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_assemble)
@@ -380,7 +374,7 @@ def _build_parser():
     p.add_argument("--qmax", type=int, default=3)
     p.add_argument("--elements", type=int, default=DEFAULT_ELEMENTS)
     p.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS)
-    p.add_argument("--seed", default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_bench)
 

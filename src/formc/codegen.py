@@ -335,39 +335,34 @@ _MAX_TERM_ENTRIES = 2 ** 26
 
 def _entry_table(lines, start, n_entries, rank):
     """Indices [n_entries x rank] and values of the entry lines from
-    lines[start]: rank integers and a float each.
+    lines[start]: rank integers and a float each, as loadtxt reads them.
 
-    The block is parsed in one call.  If that fails, the lines are read
-    one at a time, which names the first malformed line or accepts what
-    Python's int and float accept.
+    The block is parsed in one call.  If that fails, the lines are parsed
+    one at a time only to name the first malformed one.
     """
     block = lines[start:start + n_entries]
-    # a blank first line is malformed, and loadtxt warns on a blank block
-    if len(block) == n_entries and block and block[0].strip():
-        try:
-            table = np.loadtxt(
-                block, dtype=[("idx", np.int64, (rank,)), ("val", float)],
-                comments=None, ndmin=1)
-        except ValueError:
-            table = None
-        if table is not None and len(table) == n_entries:
-            return table["idx"], table["val"]
-    idx = np.zeros((len(block), rank), dtype=np.int64)
-    vals = np.zeros(len(block))
-    for e, line in enumerate(block):
-        parts = line.split()
-        try:
-            if len(parts) != rank + 1:
-                raise ValueError
-            idx[e] = [int(t) for t in parts[:-1]]
-            vals[e] = float(parts[-1])
-        except (ValueError, OverflowError):
-            raise FormSyntaxError("malformed entry line",
-                                  line=start + e + 1) from None
+    dtype = [("idx", np.int64, (rank,)), ("val", float)]
+    table = _loaded(block, dtype) if block else np.zeros(0, dtype)
+    if table is None:
+        bad = next((e for e, line in enumerate(block)
+                    if _loaded([line], dtype) is None), 0)
+        raise FormSyntaxError("malformed entry line", line=start + bad + 1)
     if len(block) < n_entries:
         raise FormSyntaxError("unexpected end of raw listing inside an entry "
                               "table", line=start + len(block) + 1)
-    return idx, vals
+    return table["idx"], table["val"]
+
+
+def _loaded(block, dtype):
+    """The lines of block read by loadtxt, one row each, or None."""
+    # a blank first line is malformed, and loadtxt warns on a blank block
+    if not block[0].strip():
+        return None
+    try:
+        table = np.loadtxt(block, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return table if len(table) == len(block) else None
 
 
 def read_raw(text):
@@ -454,8 +449,7 @@ def read_raw(text):
     take("end")
     if any(ln.strip() for ln in lines[i:]):
         raise FormSyntaxError("text after 'end'", line=i + 1)
-    return CompiledForm(name, cell, arity, primary_dims, coefficient_dims,
-                        entries)
+    return CompiledForm(name, cell, primary_dims, coefficient_dims, entries)
 
 
 # --- LaTeX ----------------------------------------------------------------------

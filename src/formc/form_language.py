@@ -55,14 +55,14 @@ class Index:
 
     A fixed index carries a literal value and no id; every other kind
     carries an id and, once classified, a range.  Freshly created indices
-    are "free": their final kind (primary, secondary, auxiliary) is decided
-    per monomial during compilation.  A classified index carries its slot
+    are "free": their final kind (secondary or auxiliary) is decided per
+    monomial during compilation.  A classified index carries its slot
     as value: its position among the monomial's secondary indices or among
     its auxiliary indices of the same side.
     """
 
     _counter = itertools.count()
-    KINDS = ("free", "primary", "secondary", "auxiliary", "fixed")
+    KINDS = ("free", "secondary", "auxiliary", "fixed")
 
     __slots__ = ("kind", "id", "value", "range")
 
@@ -87,12 +87,6 @@ class Index:
 
     def key(self):
         return ("fixed", self.value) if self.kind == "fixed" else ("id", self.id)
-
-    def __eq__(self, other):
-        return isinstance(other, Index) and other.key() == self.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         if self.kind == "fixed":
@@ -213,12 +207,6 @@ class Terminal(_Operand):
             comp,
             tuple(key(i) for i in self.derivatives),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, Terminal) and other._tokens() == self._tokens()
-
-    def __hash__(self):
-        return hash(self._tokens())
 
 
 _arg_counter = itertools.count()
@@ -351,14 +339,11 @@ def _multiply(a, b):
 class Measure:
     """Integration measure over cell interiors."""
 
-    def __init__(self, name="dx"):
-        self.name = name
-
     def __repr__(self):
-        return self.name
+        return "dx"
 
 
-dx = Measure("dx")
+dx = Measure()
 
 
 # --- forms -------------------------------------------------------------------
@@ -375,10 +360,6 @@ class Monomial:
     def __init__(self, scalar, factors):
         self.scalar = float(scalar)
         self.factors = tuple(factors)
-
-    @property
-    def coeff_factors(self):
-        return tuple(f for f in self.factors if isinstance(f, Function))
 
     def __repr__(self):
         return "Monomial(%r, %r)" % (self.scalar, list(self.factors))
@@ -577,8 +558,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.env = {}
-        self.next_slot = 0
-        self.next_number = 0
 
     # token plumbing
 
@@ -679,13 +658,8 @@ class _Parser:
         if not isinstance(element, LagrangeElement):
             self.fail("%r is not an element" % el_tok.text, el_tok)
         self.expect("op", ")")
-        if head.text == "BasisFunction":
-            out = BasisFunction(element, slot=self.next_slot)
-            self.next_slot += 1
-        else:
-            out = Function(element, number=self.next_number)
-            self.next_number += 1
-        return out
+        return (BasisFunction if head.text == "BasisFunction" else Function)(
+            element)
 
     def lookup(self, tok):
         if tok.text not in self.env:

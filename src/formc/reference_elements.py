@@ -17,10 +17,9 @@ product formula
 which is 1 at its own lattice point and 0 at every other one.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -53,21 +52,11 @@ class ReferenceCell:
             self.vertices[i + 1, i] = 1.0
         self.vertices.flags.writeable = False
 
-    def entities(self, dim):
-        """Sub-entities of dimension ``dim`` as sorted local vertex tuples."""
-        if dim < 0 or dim > self.dim:
-            raise ValueError("no entities of dimension %d" % dim)
-        return tuple(combinations(range(self.dim + 1), dim + 1))
-
-    @property
-    def volume(self):
-        return 1.0 / math.factorial(self.dim)
-
-    def contains(self, points, tol=_GEOMETRY_TOL):
-        """True for each point inside the closed cell (within ``tol``)."""
+    def contains(self, points):
+        """True for each point inside the closed cell, within 1e-10."""
         pts = np.atleast_2d(points)
-        inside = np.all(pts >= -tol, axis=1)
-        return inside & (pts.sum(axis=1) <= 1.0 + tol)
+        inside = np.all(pts >= -_GEOMETRY_TOL, axis=1)
+        return inside & (pts.sum(axis=1) <= 1.0 + _GEOMETRY_TOL)
 
     def __repr__(self):
         return "ReferenceCell(%r)" % self.shape
@@ -86,12 +75,9 @@ class ReferenceCell:
 class QuadratureRule:
     """Points and weights integrating polynomials on a reference cell.
 
-    Exact for all polynomials of total degree <= ``exact_degree``; the
-    weights sum to the cell volume 1/d!.
+    The weights sum to the cell volume 1/d!.
     """
 
-    cell: ReferenceCell
-    exact_degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -139,7 +125,7 @@ def make_quadrature(shape, degree):
 
     points.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(cell, degree, points, weights)
+    return QuadratureRule(points, weights)
 
 
 # --- the dof lattice ---------------------------------------------------------
@@ -152,7 +138,8 @@ def _lattice(cell, degree):
     A dof lies on the entity of the vertices where beta is positive, its
     support.  Rows are sorted by (support size, support, beta on the
     support past its first vertex): vertices first, then each edge, face
-    and finally the interior, entities in the order of ``cell.entities``.
+    and finally the interior, the entities of one dimension in the
+    lexicographic order of their vertex tuples.
     """
     def key(beta):
         support = [i for i, b in enumerate(beta) if b]
@@ -178,8 +165,6 @@ class TabulatedBasis:
     axis of length dim right before the point axis.
     """
 
-    element: "LagrangeElement"
-    points: np.ndarray
     values: np.ndarray
     gradients: np.ndarray
 
@@ -270,7 +255,7 @@ class LagrangeElement:
         if self.value_rank == 0:
             values.flags.writeable = False
             grads.flags.writeable = False
-            return TabulatedBasis(self, pts, values, grads)
+            return TabulatedBasis(values, grads)
 
         ns, comps = self._scalar_dim, self.components
         vec_vals = np.zeros((self.space_dim, comps, npts))
@@ -281,7 +266,7 @@ class LagrangeElement:
             vec_grads[sl, c, :, :] = grads
         vec_vals.flags.writeable = False
         vec_grads.flags.writeable = False
-        return TabulatedBasis(self, pts, vec_vals, vec_grads)
+        return TabulatedBasis(vec_vals, vec_grads)
 
     def _key(self):
         return (

@@ -185,9 +185,6 @@ class Mesh:
     def num_cells(self):
         return len(self.cells)
 
-    def cell_coordinates(self, cell_id):
-        return self.vertices[self.cells[cell_id]]
-
     def _facets(self):
         """Sorted vertex rows of all (d-1)-subentities, with cell counts."""
         cells = np.sort(self.cells, axis=1)
@@ -223,6 +220,14 @@ def _mesh_numbers(tokens, kind, what):
         raise DimensionMismatch("bad %s in mesh file: %s" % (what, exc)) from None
 
 
+def _cell_ids(text):
+    """The cell vertex ids of text, read by np.fromstring, or None."""
+    try:
+        return np.fromstring(text, np.int64, sep=" ")
+    except ValueError:
+        return None
+
+
 def load_mesh(path):
     """Read a mesh file as save_mesh writes it.
 
@@ -230,7 +235,8 @@ def load_mesh(path):
     'mesh <d> <#vertices> <#cells>', then the vertex coordinates and the
     cell vertex ids, each block in row-major order.  Line breaks carry no
     meaning.  Only the vertex tokens are split one by one; the cell block
-    is converted in a single call.
+    is converted in a single call, and its tokens are read one at a time
+    only to name the first malformed one.
     """
     with open(path) as fh:
         head = fh.read().split(None, 4)
@@ -245,10 +251,7 @@ def load_mesh(path):
     # a file has fewer tokens than characters, which bounds the split
     fields = body.split(None, min(nv * d, len(body)))
     rest = fields.pop() if len(fields) > nv * d else ""
-    try:
-        cells = np.fromstring(rest, np.int64, sep=" ")
-    except ValueError:
-        cells = None  # converted token by token below, for the message
+    cells = _cell_ids(rest)
     need = nv * d + nc * (d + 1)
     count = len(fields) + (len(rest.split()) if cells is None else cells.size)
     if count != need:
@@ -256,7 +259,11 @@ def load_mesh(path):
                                 % (count, need))
     vertices = _mesh_numbers(fields, float, "vertex coordinate").reshape(nv, d)
     if cells is None:
-        cells = _mesh_numbers(rest.split(), int, "cell vertex id")
+        # tokens end at ASCII whitespace, where np.fromstring splits
+        tokens = rest.encode().split()
+        bad = next((t for t in tokens if _cell_ids(t) is None), tokens[-1])
+        raise DimensionMismatch("bad cell vertex id in mesh file: %r"
+                                % bad.decode())
     return Mesh(vertices, cells.reshape(nc, d + 1))
 
 
@@ -335,7 +342,7 @@ class AffineMap:
 
 def affine_map(mesh, cell_id):
     """The map of one cell, with det and g read from the mesh's cache."""
-    coords = mesh.cell_coordinates(cell_id)
+    coords = mesh.vertices[mesh.cells[cell_id]]
     return AffineMap(_cell_matrices(coords), mesh.gs[cell_id],
                      float(mesh.dets[cell_id]), coords[0])
 
@@ -622,8 +629,7 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
 # --- solver and boundary conditions ------------------------------------------------
 
 
-def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, check_symmetric=True,
-             return_iterations=False):
+def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
     """Plain conjugate gradients with a symmetry spot check.
 
     Raises NotSymmetric when one of 10 random entry pairs disagrees,
@@ -636,7 +642,7 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, check_symmetric=True,
         max_iter = max(100, 10 * n)
     A = matrix
 
-    if check_symmetric and n > 1:
+    if n > 1:
         rng = np.random.default_rng(0)
         for _ in range(10):
             i, j = rng.integers(0, n, size=2)
@@ -726,12 +732,13 @@ def write_matrix_market(path, matrix):
         scipy.io.mmwrite(path, matrix)
 
 
-def l2_error(mesh, dofmap, vec, exact, quadrature_degree=6):
-    """L2 distance between a scalar FE function and a callable."""
+def l2_error(mesh, dofmap, vec, exact):
+    """L2 distance between a scalar FE function and a callable, by a
+    quadrature rule exact through degree 6."""
     element = dofmap.element
     if element.value_rank != 0:
         raise DimensionMismatch("l2_error supports scalar elements only")
-    rule = make_quadrature(mesh.cell_shape, quadrature_degree)
+    rule = make_quadrature(mesh.cell_shape, 6)
     tab = element.tabulate(rule.points)
     dets, _, Bs, x0s = affine_maps(mesh)
     uh = np.asarray(vec, dtype=float)[dofmap.cell_dofs] @ tab.values

@@ -727,13 +727,13 @@ class CompiledForm:
     ``arguments`` and ``coefficients`` are None for a reread listing.
     """
 
-    def __init__(self, name, cell, arity, primary_dims, coefficient_dims,
-                 entries, form=None):
+    def __init__(self, name, cell, primary_dims, coefficient_dims, entries,
+                 form=None):
         self.name = name
         self.cell = cell
         self.dim = cell.dim
-        self.arity = arity
         self.primary_dims = tuple(primary_dims)
+        self.arity = len(self.primary_dims)
         self.coefficient_dims = tuple(coefficient_dims)
         self.form = form
         self.arguments = form.arguments if form else None
@@ -799,15 +799,15 @@ class CompiledForm:
 
 
 def _exact_sum(total, denominator, numerators, d):
-    """total / denominator + numerators / d, added into total, as
-    (total, lcm(denominator, d))."""
+    """total / denominator + numerators / d, as a new array of numerators
+    over lcm(denominator, d)."""
     common = lcm(denominator, d)
     scale, other = common // denominator, common // d
     _checked(max(scale, other, _magnitude(total) * scale
                  + _magnitude(numerators) * other))
-    total *= scale
-    total += numerators * other
-    return total, common
+    out = total * scale
+    out += numerators if other == 1 else numerators * other
+    return out, common
 
 
 def _rounded(numerators, denominator, constant):
@@ -844,30 +844,31 @@ def compile_form(form):
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
-    groups = {}  # geometry key -> (geometry, {constant: [numerators, den]})
+    groups = {}  # geometry key -> (geometry, {constant: (numerators, den)})
     for monomial in expand_to_monomials(form):
         if not isfinite(monomial.scalar):
             raise NonFiniteValue("a monomial's constant is not finite")
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
-        numerators, denominator = compute_reference_tensor(term)
         sums = groups.setdefault(geometry.key, (geometry, {}))[1]
-        total = sums.get(monomial.scalar)
-        if total is None:
-            sums[monomial.scalar] = [numerators.copy(), denominator]
-        else:
-            total[:] = _exact_sum(*total, numerators, denominator)
-    numerators = None  # frees the last monomial's A0; groups holds a copy
+        block = compute_reference_tensor(term)
+        if monomial.scalar in sums:
+            block = _exact_sum(*sums[monomial.scalar], *block)
+        sums[monomial.scalar] = block
     entries = []
     for geometry, sums in groups.values():
         rep = geometry.representatives
-        flats = [(numerators.reshape(-1, geometry.n_components), d, c)
-                 for c, (numerators, d) in sums.items()]
-        for flat, _, _ in flats:
+        moved = np.flatnonzero(rep != np.arange(rep.size)).tolist()
+        flats = []
+        for c, (numerators, d) in sums.items():
+            flat = numerators.reshape(-1, geometry.n_components)
             _checked(_magnitude(flat) * int(np.bincount(rep).max()))
-            for n in np.flatnonzero(rep != np.arange(rep.size)).tolist():
+            if moved and not flat.flags.writeable:  # copied to be folded
+                flat = flat.copy()
+            for n in moved:
                 flat[:, rep[n]] += flat[:, n]
                 flat[:, n] = 0
+            flats.append((flat, d, c))
         positions = np.flatnonzero(reduce(np.logical_or,
                                           [f != 0 for f, _, _ in flats]))
         with np.errstate(over="ignore"):  # raised below
@@ -876,5 +877,5 @@ def compile_form(form):
         if not np.isfinite(values).all():
             raise NonFiniteValue("a reference tensor value overflows")
         entries.append((geometry, positions, values))
-    return CompiledForm(form.name, form.cell, form.arity, form.primary_dims,
+    return CompiledForm(form.name, form.cell, form.primary_dims,
                         form.coefficient_dims, entries, form=form)

@@ -17,6 +17,7 @@ from formc.cli_bench import (
     run_benchmark,
 )
 from formc.codegen import RAW_HEADER
+from formc.errors import ValueMismatch
 
 MASS = (
     'element = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -122,6 +123,16 @@ def test_form_text_with():
 
 
 # --- benchmark harness -------------------------------------------------------------
+
+
+def test_run_benchmark_raises_when_the_paths_disagree(monkeypatch):
+    import formc.runtime
+
+    exact = formc.runtime.quadrature_element_tensors
+    monkeypatch.setattr(formc.runtime, "quadrature_element_tensors",
+                        lambda *args: 1.001 * exact(*args))
+    with pytest.raises(ValueMismatch, match="disagree for form 'a' at q=1"):
+        run_benchmark(MASS, [1], n_elements=4, repetitions=1)
 
 
 def test_run_benchmark_smoke():
@@ -287,6 +298,13 @@ def test_cli_tabulate(capsys):
     assert cli(["tabulate", "triangle", "1", "--at", "0.25,0.25"]) == 0
     out = capsys.readouterr().out
     assert "0.5" in out and "0.25" in out
+    # the nodes by default, where P1 is one row of the identity per basis
+    # function
+    assert cli(["tabulate", "triangle", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("points:\n   0  0\n   1  0\n   0  1\n"
+                        "values (one row per basis function):\n"
+                        "   1  0  0\n   0  1  0\n   0  0  1\n")
 
 
 def test_cli_tabulate_rejects_misshapen_points(capsys):
@@ -380,6 +398,20 @@ def test_cli_assemble_quadrature_path_p2_with_coefficient(tmp_path):
     assert np.abs(tensor - quad).max() <= 1e-10 * np.abs(quad).max()
 
 
+def test_cli_assemble_rejects_an_unknown_form_name(tmp_path, formfile,
+                                                   capsys):
+    from formc.runtime import save_mesh, unit_square_mesh
+
+    meshfile = tmp_path / "mesh.txt"
+    save_mesh(unit_square_mesh(2), meshfile)
+    out = tmp_path / "out.mtx"
+    assert cli(["assemble", str(formfile), str(meshfile), "--form", "nosuch",
+                "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("formc: error:") and "'nosuch'" in err
+    assert not out.exists()
+
+
 def test_cli_assemble_seed_reproducible(tmp_path):
     src = tmp_path / "load.form"
     src.write_text(
@@ -459,9 +491,3 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert "ratio" in proc.stdout
 
-
-def test_benchmark_seed_env_var(tmp_path, formfile, monkeypatch):
-    # FORMC_SEED seeds the random cell geometry when --seed is absent
-    monkeypatch.setenv("FORMC_SEED", "21")
-    results = run_benchmark(MASS, [1], n_elements=10000, repetitions=5)
-    assert results[0].speedup > 0

@@ -310,6 +310,9 @@ def test_raw_reader_rejects_malformed_input():
     (5, "primary 3", 5),
     (13, "0 0 0.5", 13),  # repeats the entry before it
     (21, "end\nmore", 22),
+    (8, "monomial 1", 8),  # out of order
+    (9, "secondary 8192 8192", 9),  # 9 * 2**26 entries: too large
+    (10, "geometry (* det (coeff 0 s0))", 10),  # no coefficient 0
 ))
 def test_raw_reader_names_the_line_of_each_fault(number, replacement, where):
     lines = emit_raw(compile_form(parse_one(MASS_P1))).splitlines()

@@ -308,8 +308,8 @@ def test_unique_rows_matches_numpy(bound):
     assert np.array_equal(counts, want[2])
 
 
-def reference_l2_error(mesh, dofmap, vec, exact, quadrature_degree=6):
-    rule = make_quadrature(mesh.cell_shape, quadrature_degree)
+def reference_l2_error(mesh, dofmap, vec, exact):
+    rule = make_quadrature(mesh.cell_shape, 6)
     tab = dofmap.element.tabulate(rule.points)
     total = 0.0
     for c in range(mesh.num_cells):

@@ -192,7 +192,7 @@ def test_cancelled_coefficients_get_no_number():
     renumbered = (w * v * u - w * v * u + z * v * u) * dx
     assert renumbered.coefficients == [z.element]
     assert [f.number for m in expand_to_monomials(renumbered)
-            for f in m.coeff_factors] == [0]
+            for f in m.factors if isinstance(f, Function)] == [0]
     assert compile_form(renumbered).coefficient_dims == (6,)
     for form in (only, renumbered):
         (again,) = parse_form_file(form_file_text(form.named("a")))
@@ -238,7 +238,8 @@ def test_coefficient_may_repeat_in_a_term():
     f = Function(E)
     monomials = expand_to_monomials((f * f * v) * dx)
     assert len(monomials) == 1
-    assert len(monomials[0].coeff_factors) == 2
+    assert [type(f) for f in monomials[0].factors] == [Function, Function,
+                                                       BasisFunction]
 
 
 # --- parser ---------------------------------------------------------------------

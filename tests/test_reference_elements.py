@@ -39,20 +39,9 @@ def test_cell_geometry():
         d = DIM[shape]
         assert cell.dim == d
         assert cell.vertices.shape == (d + 1, d)
-        assert cell.volume == pytest.approx(1.0 / math.factorial(d), abs=1e-15)
         # vertex 0 at the origin, vertex k at unit coordinate k-1
         assert np.array_equal(cell.vertices[0], np.zeros(d))
         assert np.array_equal(cell.vertices[1:], np.eye(d))
-
-
-def test_cell_entities():
-    tet = ReferenceCell("tetrahedron")
-    assert tet.entities(0) == ((0,), (1,), (2,), (3,))
-    assert tet.entities(1) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    assert len(tet.entities(2)) == 4
-    assert tet.entities(3) == ((0, 1, 2, 3),)
-    tri = ReferenceCell("triangle")
-    assert tri.entities(1) == ((0, 1), (0, 2), (1, 2))
 
 
 def test_cell_contains():
@@ -155,7 +144,8 @@ def test_node_ordering_vertices_then_edges():
     # interval cubic: edge nodes ordered away from the lower-numbered vertex
     nodes = make_lagrange("interval", 3).nodes.ravel()
     assert np.allclose(nodes, [0.0, 1.0, 1 / 3, 2 / 3])
-    # triangle quadratic: midpoints follow the edge ordering
+    # triangle quadratic: midpoints of the edges (0,1), (0,2), (1,2), in
+    # lexicographic order
     nodes = make_lagrange("triangle", 2).nodes
     assert np.allclose(nodes[3:], [[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
 

@@ -769,7 +769,7 @@ def test_per_monomial_listing_rereads_like_merged_compile(rng):
             -1, geometry.n_components)
         positions = np.flatnonzero(values)
         entries.append((geometry, positions, values.ravel()[positions]))
-    per_monomial = CompiledForm("a", form.cell, 2, (30, 30), (), entries)
+    per_monomial = CompiledForm("a", form.cell, (30, 30), (), entries)
     reread = read_raw(emit_raw(per_monomial))
     assert len(reread.terms) == 4
     dets, gs, _ = random_cells(rng, form)
