@@ -102,7 +102,8 @@ class BenchResult:
 
 
 _DEGREE_RE = re.compile(
-    r'((?:Finite|Vector)Element\s*\(\s*"[^"]*"\s*,\s*")([a-z]+)("\s*,\s*)(\d+)(\s*\))')
+    r'((?:Finite|Vector)Element\s*\(\s*"[^"]*"\s*,\s*")([a-z]+)("\s*,\s*)(\d+)(\s*\))',
+    re.ASCII)
 
 
 def form_text_with(text, degree=None, shape=None):

@@ -251,6 +251,15 @@ def emit_raw(cf):
     return "\n".join(lines) + "\n"
 
 
+def _natural(token):
+    """token as an int when it is ASCII digits, the one integer grammar of
+    a raw listing: Python's int also reads signs, underscores and
+    non-ASCII digits.  Any other token raises ValueError."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError("not a natural number: %r" % token)
+    return int(token)
+
+
 def _tokenize_sexpr(text):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
@@ -279,11 +288,12 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
         """Slot of an index token that must run over extent values; only a
         secondary slot fits where fixed_ok is false."""
         if tok[:1] == "s" and tok[1:].isdigit():
-            slot, size = ("s", int(tok[1:])), secondary_dims[int(tok[1:])]
+            slot = ("s", _natural(tok[1:]))
+            size = secondary_dims[slot[1]]
         elif tok in aux and fixed_ok:
             slot, size = ("b", aux[tok]), dim
             read.add(aux[tok])
-        elif fixed_ok and 0 <= int(tok) < extent:
+        elif fixed_ok and _natural(tok) < extent:
             return ("f", int(tok))
         else:
             raise ValueError("bad index %r" % tok)
@@ -304,8 +314,8 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
             transforms.append((resolve(n[1], dim, fixed_ok=False)[1],
                                resolve(n[2], dim)))
         elif head == "coeff" and len(n) in (3, 4):
-            number = int(n[1])
-            if not 0 <= number < len(coefficient_dims):
+            number = _natural(n[1])
+            if number >= len(coefficient_dims):
                 raise ValueError("no coefficient %d" % number)
             # a component read's dof slot runs over the scalar basis
             extent, rest = divmod(coefficient_dims[number],
@@ -391,7 +401,7 @@ def read_raw(text):
     def numbers(keyword, count=None, least=0):
         fields = take(keyword)
         try:
-            out = [int(t) for t in fields]
+            out = [_natural(t) for t in fields]
         except ValueError:
             out = None
         if (out is None or min(out, default=least) < least

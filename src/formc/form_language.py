@@ -510,7 +510,7 @@ _TOKEN_RE = re.compile(
   | (?P<ws>[ \t\r\n]+)
   | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

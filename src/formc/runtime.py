@@ -10,14 +10,16 @@ and assembly scatters the stacked element tensors of all cells as one
 triplet set, summed by one bincount or one COO to CSR conversion.
 Both evaluators take the same batch, read through ``batch_arrays``:
 ``assemble`` makes one call for either.  The quadrature oracle batches
-itself, CHUNK cells at a time, and tabulates its own basis; a single
-cell is a batch of one.
+itself, CHUNK cells at a time, and evaluates each monomial as one einsum
+over its factors' own element tables, in which a free index is a shared
+label; of the tensor representation it uses only ``batch_arrays``.  A
+single cell is a batch of one.
 """
 
 import math
+from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import combinations
-from itertools import product as iter_product
 
 import numpy as np
 import scipy.io
@@ -34,7 +36,7 @@ from .errors import (
     UnsupportedDerivative,
 )
 from .form_language import BasisFunction, Form, expand_to_monomials
-from .reference_elements import CELL_SHAPES, make_lagrange, make_quadrature
+from .reference_elements import CELL_SHAPES, make_quadrature
 from .tensor_representation import CompiledForm, batch_arrays
 
 __all__ = [
@@ -213,7 +215,14 @@ def save_mesh(mesh, path):
             fh.write(" ".join(str(int(i)) for i in c) + "\n")
 
 
-def _mesh_numbers(tokens, kind, what):
+def _mesh_numbers(tokens, kind, what, lax):
+    """tokens as an array of kind.  Python's int and float, which read
+    them, also take underscores and non-ASCII digits; where the file holds
+    either (lax), the first token with one is named instead."""
+    if lax:
+        bad = next((t for t in tokens if not t.isascii() or "_" in t), None)
+        if bad is not None:
+            raise DimensionMismatch("bad %s in mesh file: %r" % (what, bad))
     try:
         return np.array(tokens, dtype=kind)
     except (ValueError, OverflowError) as exc:
@@ -236,14 +245,16 @@ def load_mesh(path):
     cell vertex ids, each block in row-major order.  Line breaks carry no
     meaning.  Only the vertex tokens are split one by one; the cell block
     is converted in a single call, and its tokens are read one at a time
-    only to name the first malformed one.
+    only to name the first malformed one.  Numbers are written in ASCII
+    digits, without underscores.
     """
     with open(path) as fh:
         head = fh.read().split(None, 4)
+    lax = any(not t.isascii() or "_" in t for t in head)
     if len(head) < 4 or head[0] != "mesh":
         raise DimensionMismatch("not a mesh file (missing "
                                 "'mesh <d> <#vertices> <#cells>' header)")
-    header = _mesh_numbers(head[1:4], int, "header field")
+    header = _mesh_numbers(head[1:4], int, "header field", lax)
     if (header < 0).any():
         raise DimensionMismatch("negative header field in mesh file")
     d, nv, nc = (int(x) for x in header)
@@ -257,7 +268,8 @@ def load_mesh(path):
     if count != need:
         raise DimensionMismatch("mesh file has %d data fields, expected %d"
                                 % (count, need))
-    vertices = _mesh_numbers(fields, float, "vertex coordinate").reshape(nv, d)
+    vertices = _mesh_numbers(fields, float, "vertex coordinate",
+                             lax).reshape(nv, d)
     if cells is None:
         # tokens end at ASCII whitespace, where np.fromstring splits
         tokens = rest.encode().split()
@@ -442,12 +454,29 @@ def build_dofmap(mesh, element):
 # --- quadrature oracle ------------------------------------------------------------
 
 
+# einsum labels of the oracle: the cell, the quadrature point, and a
+# factor's own dof and reference direction, which its own einsum sums;
+# argument slots and then free indices take the labels from 4 up
+_CELL, _POINT, _DOF, _REF = range(4)
+
+
+@lru_cache(maxsize=128)
+def _tabulated(element, degree):
+    """element's basis at the points of its cell's rule of degree, one
+    copy for every factor, form and monomial that reads it."""
+    return element.tabulate(make_quadrature(element.cell.shape, degree).points)
+
+
 @lru_cache(maxsize=64)
 def _quadrature_plan(form):
-    """Per monomial of a form: the rule exact for its reference integrand
-    degree p = sum(q_factor - #derivs), each factor's scalar element (the
-    per-component profile of a vector one) tabulated at the rule's points,
-    and the ids of its free indices."""
+    """Per monomial of a form: its scalar, the weights of the rule exact
+    for its reference integrand degree p = sum(q_factor - #derivs), and
+    per factor the table it reads at the rule's points, with one einsum
+    label per axis.  The table is the factor's own element's values, or
+    its reference gradients for a derivative, component-major for a vector
+    element; a fixed component takes its slice.  A derivative factor also
+    keeps its slice of dX/dx with that slice's labels, a coefficient its
+    number, and each factor the labels it carries into the monomial."""
     plans = []
     for monomial in expand_to_monomials(form):
         if any(len(f.derivatives) > 1 for f in monomial.factors):
@@ -456,18 +485,33 @@ def _quadrature_plan(form):
         p = sum(max(f.element.degree - len(f.derivatives), 0)
                 for f in monomial.factors)
         rule = make_quadrature(form.cell.shape, p)
-        tabs = [(f, make_lagrange(form.cell.shape, f.element.degree,
-                                  f.element.continuity).tabulate(rule.points))
-                for f in monomial.factors]
-        free = []
+        # free index id -> label
+        labels = defaultdict(lambda: 4 + len(form.primary_dims) + len(labels))
+        factors = []
         for f in monomial.factors:
-            if (f.component is not None and f.component.kind == "free"
-                    and f.component.id not in free):
-                free.append(f.component.id)
-            for ix in f.derivatives:
-                if ix.kind == "free" and ix.id not in free:
-                    free.append(ix.id)
-        plans.append((monomial, rule, tabs, free))
+            if f.element.value_rank and f.component is None:
+                raise DimensionMismatch("vector factor without a component")
+            tab = _tabulated(f.element, p)
+            table = tab.gradients if f.derivatives else tab.values
+            number = None if isinstance(f, BasisFunction) else f.number
+            sub = [4 + f.slot if number is None else _DOF]
+            if f.component is not None and f.component.kind == "fixed":
+                table = table[:, f.component.value]
+            elif f.component is not None:
+                sub.append(labels[f.component.id])
+            sub += [_REF] * len(f.derivatives) + [_POINT]
+            gsel, gsub = None, []
+            if f.derivatives:
+                ix = f.derivatives[0]
+                gsel, gsub = ((np.s_[:, :, ix.value], [_CELL, _REF])
+                              if ix.kind == "fixed" else
+                              (np.s_[...], [_CELL, _REF, labels[ix.id]]))
+            # each label once: one that the factor carries twice, as the
+            # i of w[i].dx(i) does, takes the diagonal
+            kept = dict.fromkeys([_CELL] * (number is not None) + gsub + sub)
+            factors.append((table, sub, gsel, gsub, number,
+                            [lab for lab in kept if lab not in (_DOF, _REF)]))
+        plans.append((monomial.scalar, rule.weights, factors))
     return tuple(plans)
 
 
@@ -476,69 +520,41 @@ def quadrature_element_tensors(form, dets, gs, coeffs=()):
     representation, for a batch of affine maps.
 
     ``dets`` has shape [ncells], ``gs`` is dX/dx with shape [ncells x d x d]
-    and ``coeffs`` holds one [ncells x n_e] array per coefficient.  Per
-    monomial, scalar basis values and reference gradients are pretabulated
-    at quadrature points and scattered into component blocks, derivatives
-    become physical through each cell's dX/dx, and free indices are summed
-    by explicit enumeration, at a cost of order n^2 N per cell and block.
-    A batch of more than CHUNK cells is evaluated CHUNK cells at a time.
+    and ``coeffs`` holds one [ncells x n_e] array per coefficient.  Each
+    monomial is one einsum over its factors and the rule's weights: a free
+    index is a label that the factors carrying it share, so the einsum
+    sums it.  A factor first takes one einsum of its own when it has a
+    derivative, made physical through each cell's dX/dx, or is a
+    coefficient, contracted with its dofs.  A batch of more than CHUNK
+    cells is evaluated CHUNK cells at a time.
     Returns [ncells x n1 x ... x nr].
     """
+    if not isinstance(form, Form):
+        raise TypeError("expected a Form")
     dets, gs, coeffs = batch_arrays(form, dets, gs, coeffs)
     ncells = dets.shape[0]
     if ncells > CHUNK:
         return np.concatenate([quadrature_element_tensors(
             form, dets[s:s + CHUNK], gs[s:s + CHUNK],
             [w[s:s + CHUNK] for w in coeffs]) for s in range(0, ncells, CHUNK)])
-    d, primary_dims = form.cell.dim, form.primary_dims
-    out = np.zeros((ncells,) + primary_dims)
-    scale = np.abs(dets)
-    for monomial, rule, tabs, free in _quadrature_plan(form):
-        acc = np.zeros((ncells,) + primary_dims)
-        for combo in iter_product(range(d), repeat=len(free)):
-            env = dict(zip(free, combo))
-
-            def value(ix):
-                return ix.value if ix.kind == "fixed" else env[ix.id]
-
-            operands = []
-            slot_labels = []
-            for f, tab in tabs:
-                ns = f.element.scalar_dim
-                comp = value(f.component) if f.element.value_rank else None
-                if f.derivatives:
-                    # physical derivative: one more leading axis, the cell
-                    arr = np.einsum("kap,ca->ckp", tab.gradients,
-                                    gs[:, :, value(f.derivatives[0])],
-                                    optimize=False)
-                else:
-                    arr = tab.values
-                cells = [0] if f.derivatives else []
-                if isinstance(f, BasisFunction):
-                    # scatter the scalar profile into the component block
-                    block = arr
-                    if comp is not None:
-                        block = np.zeros(arr.shape[:-2] + (
-                            f.element.space_dim, arr.shape[-1]))
-                        block[..., comp * ns:(comp + 1) * ns, :] = arr
-                    label = 2 + len(slot_labels)
-                    operands += [block, cells + [label, 1]]
-                    slot_labels.append((f.slot, label))
-                else:
-                    w = coeffs[f.number]
-                    if comp is not None:
-                        w = w[:, comp * ns:(comp + 1) * ns]
-                    vals = np.einsum("cn,cnp->cp" if f.derivatives else
-                                     "cn,np->cp", w, arr, optimize=False)
-                    operands += [vals, [0, 1]]
-            operands += [rule.weights, [1]]
-            if not any(0 in labels for labels in operands[1::2]):
-                # no cell-varying factor: keep the per-cell point loop
-                operands += [np.ones(ncells), [0]]
-            outsub = [0] + [lab for _, lab in sorted(slot_labels)]
-            acc += np.einsum(*operands, outsub, optimize=False)
-        out += monomial.scalar * acc * scale.reshape(
-            (ncells,) + (1,) * len(primary_dims))
+    rank = len(form.primary_dims)
+    outsub = [_CELL] + [4 + slot for slot in range(rank)]
+    out = np.zeros((ncells,) + form.primary_dims)
+    scale = np.abs(dets).reshape((ncells,) + (1,) * rank)
+    for scalar, weights, factors in _quadrature_plan(form):
+        operands = []
+        for table, sub, gsel, gsub, number, kept in factors:
+            own = [table, sub]
+            if gsel is not None:
+                own += [gs[gsel], gsub]
+            if number is not None:
+                own += [coeffs[number], [_CELL, _DOF]]
+            operands += [np.einsum(*own, kept, optimize=False), kept]
+        operands += [weights, [_POINT]]
+        if not any(_CELL in sub for sub in operands[1::2]):
+            # no cell-varying factor: keep the per-cell point loop
+            operands += [np.ones(ncells), [_CELL]]
+        out += scalar * np.einsum(*operands, outsub, optimize=False) * scale
     return out
 
 
@@ -546,8 +562,6 @@ def quadrature_element_tensor(form, amap, coefficients=()):
     """Element tensor of one cell by direct quadrature: a batch of one for
     quadrature_element_tensors.  ``coefficients`` holds each coefficient's
     dofs on the cell."""
-    if not isinstance(form, Form):
-        raise TypeError("expected a Form")
     return quadrature_element_tensors(form, [amap.det], [amap.g], [
         np.asarray(w)[None] for w in coefficients])[0]
 

@@ -120,6 +120,10 @@ def test_form_text_with():
     two = MASS + 'other = VectorElement("Lagrange", "triangle", 4)\n'
     out = form_text_with(two, degree=2)
     assert out.count(", 2)") == 2
+    # a degree in non-ASCII digits is no degree: it is left for the
+    # parser to reject
+    odd = MASS.replace(", 1)", ", \u0661)")
+    assert form_text_with(odd, degree=2) == odd
 
 
 # --- benchmark harness -------------------------------------------------------------

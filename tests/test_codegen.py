@@ -422,6 +422,10 @@ NS_GEOMETRY = "geometry (* det (sum b0 (* (dXdx s1 b0) (coeff 0 s0 b0))))"
     # no dof slot, or one index too many
     {10: NS_GEOMETRY.replace("s0 b0", "b0")},
     {10: NS_GEOMETRY.replace("s0 b0", "s0 b0 0")},
+    # slots, fixed components and coefficient numbers are ASCII digits
+    {10: NS_GEOMETRY.replace("s0 b0", "s\u0660 b0")},
+    {10: NS_GEOMETRY.replace("s0 b0", "s0 \u0661")},
+    {10: NS_GEOMETRY.replace("coeff 0", "coeff \u0660")},
 ))
 def test_raw_reader_rejects_bad_component_reads(changes):
     lines = emit_raw(compile_form(parse_one(NAVIERSTOKES_P1_TRIANGLE))

@@ -433,6 +433,11 @@ def test_parser_errors_name_their_line(tail, error, line):
     # inside parentheses the term's error points past the term
     ("a = (-2.0)*v*u*dx\n", FormSyntaxError,
      "term contains no basis function or coefficient (line 4, column 10)"),
+    # numbers are ASCII digits: float() and int() also read these
+    ("a = \u0662*v*u*dx\n", FormSyntaxError,
+     "unexpected character '\u0662' (line 4, column 5)"),
+    ('e = FiniteElement("Lagrange", "triangle", \u0661)\n', FormSyntaxError,
+     "unexpected character '\u0661' (line 4, column 43)"),
 ))
 def test_parser_errors_pin_message(tail, error, message):
     with pytest.raises(error) as err:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formc.runtime
-from conftest import parse_one, random_affine_map
+from conftest import parse_one, random_affine_map, shipped_forms
 from formc.codegen import emit_raw, read_raw
 from formc.errors import (
     DegenerateCell,
@@ -214,17 +214,28 @@ def test_load_mesh_rejects_bad_tokens(tmp_path, text, message):
 @pytest.mark.parametrize("token", ("0_1", "\u0661"))  # int() reads 1
 def test_text_readers_take_only_their_block_grammar(tmp_path, token):
     # a block the one-call parser rejects is read token by token only to
-    # name the fault, never by Python's laxer int and float
+    # name the fault, never by Python's laxer int and float; the keyword
+    # lines, the mesh header and the vertices take ASCII digits only
     lines = emit_raw(compile_form(form_of("mass"))).splitlines()
     assert lines[12].startswith("0 1 ")
-    lines[12] = "0 %s %s" % (token, lines[12].split()[-1])
-    with pytest.raises(FormSyntaxError) as err:
-        read_raw("\n".join(lines) + "\n")
-    assert err.value.line == 13
+    assert lines[4:7] == ["primary 3 3", "coefficients", "monomials 1"]
+    assert lines[10] == "entries 9"
+    for number, line in ((13, "0 %s %s" % (token, lines[12].split()[-1])),
+                         (5, "primary 3 " + token), (7, "monomials " + token),
+                         (11, "entries " + token)):
+        with pytest.raises(FormSyntaxError) as err:
+            read_raw("\n".join(lines[:number - 1] + [line] + lines[number:])
+                     + "\n")
+        assert err.value.line == number
     path = tmp_path / "mesh.txt"
-    path.write_text("mesh 2 3 1\n0 0\n1 0\n0 1\n0 %s 2\n" % token)
-    with pytest.raises(DimensionMismatch, match="bad cell vertex id"):
-        load_mesh(path)
+    for text, what in (("mesh 2 3 1\n0 0\n1 0\n0 1\n0 %s 2\n", "cell vertex id"),
+                       ("mesh 2 3 1\n0 0\n1 0\n0 %s\n0 1 2\n",
+                        "vertex coordinate"),
+                       ("mesh 2 3 %s\n0 0\n1 0\n0 1\n0 1 2\n", "header field")):
+        path.write_text(text % token)
+        with pytest.raises(DimensionMismatch, match="bad %s in mesh file: %r"
+                           % (what, token)):
+            load_mesh(path)
 
 
 def test_load_mesh_ignores_line_breaks(tmp_path):
@@ -509,23 +520,89 @@ def test_quadrature_batch_matches_single_cells(rng):
         assert np.allclose(batch[k], one, rtol=0, atol=1e-13)
     with pytest.raises(DimensionMismatch, match="needs 1 coefficients"):
         quadrature_element_tensor(form, maps[0])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="expected a Form"):
         quadrature_element_tensor(compile_form(form), maps[0], [w[0]])
+    with pytest.raises(TypeError, match="expected a Form"):
+        quadrature_element_tensors(compile_form(form), [maps[0].det],
+                                   [maps[0].g], [w[:1]])
+
+
+def test_quadrature_rejects_a_vector_factor_without_component():
+    form = parse_one('e = VectorElement("Lagrange", "triangle", 1)\n'
+                     "v = BasisFunction(e)\nu = BasisFunction(e)\n"
+                     "a = v*u*dx\n")
+    with pytest.raises(DimensionMismatch, match="without a component"):
+        compile_form(form)
+    with pytest.raises(DimensionMismatch, match="without a component"):
+        quadrature_element_tensor(form, affine_map(REFERENCE_TRIANGLE, 0))
+
+
+ORACLE_CASES = {
+    "navierstokes": lambda: form_of("navierstokes", "tetrahedron", 1),
+    # a vector form with free indices on an interval
+    "interval": lambda: form_of("navierstokes", "interval", 2),
+    # one factor carries the label i twice
+    "divergence": lambda: parse_one(
+        'e = VectorElement("Lagrange", "tetrahedron", 2)\n'
+        'f = FiniteElement("Lagrange", "tetrahedron", 1)\n'
+        "v = BasisFunction(f)\nw = Function(e)\ni = Index()\n"
+        "a = w[i].dx(i)*v*dx\n"),
+    # a fixed component and a fixed direction
+    "fixed": lambda: parse_one(
+        'e = VectorElement("Lagrange", "triangle", 2)\n'
+        "v = BasisFunction(e)\nu = BasisFunction(e)\n"
+        "a = v[0]*u[1].dx(0)*dx\n"),
+}
 
 
 @pytest.mark.parametrize("n", (0, 1, formc.runtime.CHUNK,
                                formc.runtime.CHUNK + 1))
-def test_quadrature_oracle_batches_itself(n):
+@pytest.mark.parametrize("case", tuple(ORACLE_CASES))
+def test_quadrature_oracle_batches_itself(n, case):
     rng = np.random.default_rng(n)
-    form = form_of("navierstokes", "tetrahedron", 1)
-    maps = [random_affine_map(rng, 3) for _ in range(n)]
+    form = ORACLE_CASES[case]()
+    d = form.cell.dim
+    maps = [random_affine_map(rng, d) for _ in range(n)]
     dets, gs = [m.det for m in maps], [m.g for m in maps]
-    w = rng.uniform(-1, 1, (n,) + form.coefficient_dims)
-    got = quadrature_element_tensors(form, dets, gs, [w])
+    ws = [rng.uniform(-1, 1, (n, k)) for k in form.coefficient_dims]
+    got = quadrature_element_tensors(form, dets, gs, ws)
     assert got.shape == (n,) + form.primary_dims
-    want = compile_form(form).element_tensors(dets, gs, [w])
+    want = compile_form(form).element_tensors(dets, gs, ws)
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(
         want).max(initial=1.0)
+
+
+@pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
+                                  "elasticity"))
+def test_quadrature_oracle_needs_no_compiler(name, monkeypatch, rng):
+    # the oracle is what the compiler is checked against, so it must run
+    # with the compiler's entry points gone, under whatever name they are
+    # imported
+    import sys
+
+    import formc.tensor_representation as tr
+
+    forms = [f for shape in ("interval", "triangle", "tetrahedron")
+             for f in shipped_forms(name, shape, 2)]
+    cells = []
+    for form in forms:
+        maps = [random_affine_map(rng, form.cell.dim) for _ in range(3)]
+        args = ([m.det for m in maps], [m.g for m in maps],
+                [rng.uniform(-1, 1, (3, k)) for k in form.coefficient_dims])
+        cells.append((args, compile_form(form).element_tensors(*args)))
+
+    def gone(*args, **kwargs):
+        raise AssertionError("the oracle called the compiler")
+
+    for fn in (tr.compile_form, tr.classify_indices,
+               tr.compute_reference_tensor, tr.contract_terms):
+        for module in [m for k, m in sys.modules.items()
+                       if k.split(".")[0] == "formc"]:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, gone)
+    for form, (args, want) in zip(forms, cells):
+        got = quadrature_element_tensors(form, *args)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("compiled", (True, False))
