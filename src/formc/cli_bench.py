@@ -272,6 +272,10 @@ def _cmd_compile(args):
 def _cmd_tabulate(args):
     element = make_lagrange(args.shape, args.degree)
     if args.at:
+        # Python's float also reads underscores and non-ASCII digits
+        if not args.at.isascii() or "_" in args.at:
+            raise FormcError("--at takes ASCII numbers without underscores: "
+                             "%r" % args.at)
         pts = np.array([[float(x) for x in chunk.split(",")]
                         for chunk in args.at.split(";")])
     else:
@@ -339,6 +343,9 @@ def _cmd_estimate(args):
 
 
 def _build_parser():
+    # integer options are read as a raw listing reads its numbers: Python's
+    # int also takes signs, underscores and non-ASCII digits
+    natural = codegen._natural
     parser = argparse.ArgumentParser(
         prog="formc",
         description="Compile multilinear forms to tensor contractions; "
@@ -353,7 +360,7 @@ def _build_parser():
 
     p = sub.add_parser("tabulate", help="print basis values of an element")
     p.add_argument("shape", choices=("interval", "triangle", "tetrahedron"))
-    p.add_argument("degree", type=int)
+    p.add_argument("degree", type=natural)
     p.add_argument("--at", default=None,
                    help="semicolon-separated points, e.g. '0.25,0.25;0.5,0'")
     p.set_defaults(fn=_cmd_tabulate)
@@ -364,27 +371,27 @@ def _build_parser():
     p.add_argument("--path", choices=("tensor", "quadrature"),
                    default="tensor")
     p.add_argument("--form", default=None, help="form name to assemble")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=natural, default=0,
                    help="seed for random coefficient data")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_assemble)
 
     p = sub.add_parser("bench", help="benchmark tensor vs quadrature paths")
     p.add_argument("form_file")
-    p.add_argument("--qmin", type=int, default=1)
-    p.add_argument("--qmax", type=int, default=3)
-    p.add_argument("--elements", type=int, default=DEFAULT_ELEMENTS)
-    p.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--qmin", type=natural, default=1)
+    p.add_argument("--qmax", type=natural, default=3)
+    p.add_argument("--elements", type=natural, default=DEFAULT_ELEMENTS)
+    p.add_argument("--reps", type=natural, default=DEFAULT_REPETITIONS)
+    p.add_argument("--seed", type=natural, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("estimate", help="print complexity model estimates")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--nf", type=int, default=0)
-    p.add_argument("--nd", type=int, default=0)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--q", type=natural, required=True)
+    p.add_argument("--d", type=natural, required=True)
+    p.add_argument("--nf", type=natural, default=0)
+    p.add_argument("--nd", type=natural, default=0)
+    p.add_argument("--r", type=natural, default=2)
     p.add_argument("--vector", action="store_true")
     p.set_defaults(fn=_cmd_estimate)
     return parser

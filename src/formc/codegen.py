@@ -36,6 +36,7 @@ element tensors stay small enough that straightline code is both the
 simplest and the fastest form.
 """
 
+import re
 from math import prod
 
 import numpy as np
@@ -375,14 +376,33 @@ def _loaded(block, dtype):
     return table if len(table) == len(block) else None
 
 
+_OTHER_SPACE = re.compile(r"[^\S \t\n\r\f\v]")
+
+
+def _other_space(text):
+    """The first whitespace character of text that str.split,
+    str.splitlines and np.loadtxt split at but bytes.split does not
+    (\\x1c-\\x1f and the non-ASCII spaces), as a match, or None.  Plain
+    ASCII text costs four memchr passes, not a regex scan."""
+    if text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    return _OTHER_SPACE.search(text)
+
+
 def read_raw(text):
     """Parse emit_raw output back into a CompiledForm.
 
     A malformed listing raises FormSyntaxError with the line number.
     Entries must be listed in row-major order, as emit_raw writes them.
+    Lines break at "\\n" only and fields at ASCII whitespace; any other
+    whitespace character is an error on its line.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != RAW_HEADER:
+    other = _other_space(text)
+    if other:
+        raise FormSyntaxError("unexpected whitespace %r" % other.group(),
+                              line=text.count("\n", 0, other.start()) + 1)
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0].strip() != RAW_HEADER:
         raise FormSyntaxError("not a raw form listing (missing %r header)"
                               % RAW_HEADER, line=1)
     i = 1

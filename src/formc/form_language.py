@@ -14,6 +14,11 @@ functions and coefficient functions.  The operator result classes are fixed:
 where B = BasisFunction, F = Function, P = Product, S = Sum.  Subtraction
 is sugar for adding the negation and scalar division multiplies by the
 reciprocal, so the algebra is closed over the four classes.
+
+The language holds only what a form file says: elements, arguments,
+coefficients, free and fixed indices, and each form's collected monomials,
+which are Products.  How a monomial's indices are summed is decided by the
+compiler (tensor_representation).
 """
 
 import itertools
@@ -40,7 +45,6 @@ __all__ = [
     "Measure",
     "dx",
     "expand_to_monomials",
-    "Monomial",
     "parse_form_file",
     "form_file_text",
     "structurally_equal",
@@ -51,35 +55,29 @@ __all__ = [
 
 
 class Index:
-    """Tensor index.
+    """Tensor index as a form file writes it: free or fixed.
 
-    A fixed index carries a literal value and no id; every other kind
-    carries an id and, once classified, a range.  Freshly created indices
-    are "free": their final kind (secondary or auxiliary) is decided per
-    monomial during compilation.  A classified index carries its slot
-    as value: its position among the monomial's secondary indices or among
-    its auxiliary indices of the same side.
+    A free index (``Index()``) carries an id and no value; the places that
+    share its id are summed together.  A fixed index carries a literal,
+    nonnegative value and no id.  How a free index is summed, as a
+    secondary or an auxiliary index, is the compiler's choice, made per
+    monomial by tensor_representation.classify_indices.
     """
 
     _counter = itertools.count()
-    KINDS = ("free", "secondary", "auxiliary", "fixed")
 
-    __slots__ = ("kind", "id", "value", "range")
+    __slots__ = ("kind", "id", "value")
 
-    def __init__(self, kind="free", value=None, range=None):
-        if kind not in self.KINDS:
-            raise ValueError("bad index kind %r" % (kind,))
-        self.kind = kind
-        if kind == "fixed":
+    def __init__(self, kind="free", value=None):
+        if kind == "free":
+            self.id, self.value = next(Index._counter), None
+        elif kind == "fixed":
             if value is None or value < 0:
                 raise ValueError("fixed index needs a nonnegative value")
-            self.id = None
-            self.value = int(value)
-            self.range = None
+            self.id, self.value = None, int(value)
         else:
-            self.id = next(Index._counter)
-            self.value = value
-            self.range = range
+            raise ValueError("bad index kind %r" % (kind,))
+        self.kind = kind
 
     @classmethod
     def fixed(cls, value):
@@ -349,32 +347,17 @@ dx = Measure()
 # --- forms -------------------------------------------------------------------
 
 
-class Monomial:
-    """One scalar-weighted product of the expanded integrand.
-
-    Factors keep their written order; a coefficient may legitimately appear
-    more than once (nonlinearity in the data is allowed, only the arguments
-    must stay linear).
-    """
-
-    def __init__(self, scalar, factors):
-        self.scalar = float(scalar)
-        self.factors = tuple(factors)
-
-    def __repr__(self):
-        return "Monomial(%r, %r)" % (self.scalar, list(self.factors))
-
-
 class Form:
     """Integral of a multilinear integrand over cell interiors.
 
     Argument slots and coefficient numbers are compacted to 0..r-1 and
     0..n_w-1 in declaration order when the form is built.  The integrand
-    is kept as its collected ``monomials``: terms with the same factors,
-    up to their order, are one monomial with their scalars summed in term
-    order and the factors of the first; monomials that cancel exactly are
-    dropped.  ``primary_dims`` and ``coefficient_dims`` hold the space
-    dimensions of the arguments and coefficients, as in a CompiledForm.
+    is kept as its collected ``monomials``, each a Product: terms with the
+    same factors, up to their order, are one monomial with their scalars
+    summed in term order and the factors of the first; monomials that
+    cancel exactly are dropped.  ``primary_dims`` and ``coefficient_dims``
+    hold the space dimensions of the arguments and coefficients, as in a
+    CompiledForm.
     """
 
     def __init__(self, integrand, name=None):
@@ -436,7 +419,7 @@ class Form:
             if seen != set(range(len(slots))):
                 raise ArityError("every term must be linear in every argument")
             if totals[key] and key not in collected:
-                collected[key] = Monomial(totals[key], factors)
+                collected[key] = Product(totals[key], factors)
 
         cells = {f.element.cell for t in integrand.terms for f in t.factors}
         if len(cells) > 1:
@@ -468,7 +451,8 @@ def _monomial_key(product):
 
 
 def expand_to_monomials(form):
-    """The collected monomials of a form's integrand, as a new list."""
+    """The collected monomials of a form's integrand, as a new list of
+    Products."""
     return list(form.monomials)
 
 

@@ -35,6 +35,7 @@ from .errors import (
     NotSymmetric,
     UnsupportedDerivative,
 )
+from .codegen import _other_space
 from .form_language import BasisFunction, Form, expand_to_monomials
 from .reference_elements import CELL_SHAPES, make_quadrature
 from .tensor_representation import CompiledForm, batch_arrays
@@ -215,12 +216,24 @@ def save_mesh(mesh, path):
             fh.write(" ".join(str(int(i)) for i in c) + "\n")
 
 
+def _lax(text):
+    """Whether text holds a character that no mesh number holds but that
+    Python's int and float read (underscores, non-ASCII digits) or that
+    str.split ends a token at."""
+    return not text.isascii() or "_" in text or _other_space(text) is not None
+
+
+def _ascii_split(text, maxsplit=-1):
+    """text.split(None, maxsplit) at ASCII whitespace only, where
+    np.fromstring splits too."""
+    return [t.decode() for t in text.encode().split(None, maxsplit)]
+
+
 def _mesh_numbers(tokens, kind, what, lax):
-    """tokens as an array of kind.  Python's int and float, which read
-    them, also take underscores and non-ASCII digits; where the file holds
-    either (lax), the first token with one is named instead."""
+    """tokens as an array of kind.  Where the file is lax, the first token
+    with a character that no number holds is named instead."""
     if lax:
-        bad = next((t for t in tokens if not t.isascii() or "_" in t), None)
+        bad = next((t for t in tokens if _lax(t)), None)
         if bad is not None:
             raise DimensionMismatch("bad %s in mesh file: %r" % (what, bad))
     try:
@@ -240,17 +253,21 @@ def _cell_ids(text):
 def load_mesh(path):
     """Read a mesh file as save_mesh writes it.
 
-    The file is a sequence of whitespace-separated tokens: the header
-    'mesh <d> <#vertices> <#cells>', then the vertex coordinates and the
-    cell vertex ids, each block in row-major order.  Line breaks carry no
-    meaning.  Only the vertex tokens are split one by one; the cell block
-    is converted in a single call, and its tokens are read one at a time
-    only to name the first malformed one.  Numbers are written in ASCII
-    digits, without underscores.
+    The file is a sequence of tokens separated by ASCII whitespace: the
+    header 'mesh <d> <#vertices> <#cells>', then the vertex coordinates and
+    the cell vertex ids, each block in row-major order.  Line breaks carry
+    no meaning.  Only the vertex tokens are split one by one; the cell
+    block is converted in a single call, and its tokens are read one at a
+    time only to name the first malformed one.  Numbers are written in
+    ASCII digits, without underscores.
     """
     with open(path) as fh:
-        head = fh.read().split(None, 4)
-    lax = any(not t.isascii() or "_" in t for t in head)
+        text = fh.read()
+    # str.split is the ASCII split on a file that is not lax
+    lax = _lax(text)
+    split = _ascii_split if lax else str.split
+    head = split(text, maxsplit=4)
+    del text  # head[4] is the body: one copy of the file at a time
     if len(head) < 4 or head[0] != "mesh":
         raise DimensionMismatch("not a mesh file (missing "
                                 "'mesh <d> <#vertices> <#cells>' header)")
@@ -260,22 +277,20 @@ def load_mesh(path):
     d, nv, nc = (int(x) for x in header)
     body = head[4] if len(head) > 4 else ""
     # a file has fewer tokens than characters, which bounds the split
-    fields = body.split(None, min(nv * d, len(body)))
+    fields = split(body, maxsplit=min(nv * d, len(body)))
     rest = fields.pop() if len(fields) > nv * d else ""
     cells = _cell_ids(rest)
     need = nv * d + nc * (d + 1)
-    count = len(fields) + (len(rest.split()) if cells is None else cells.size)
+    count = len(fields) + (len(split(rest)) if cells is None else cells.size)
     if count != need:
         raise DimensionMismatch("mesh file has %d data fields, expected %d"
                                 % (count, need))
     vertices = _mesh_numbers(fields, float, "vertex coordinate",
                              lax).reshape(nv, d)
     if cells is None:
-        # tokens end at ASCII whitespace, where np.fromstring splits
-        tokens = rest.encode().split()
+        tokens = split(rest)
         bad = next((t for t in tokens if _cell_ids(t) is None), tokens[-1])
-        raise DimensionMismatch("bad cell vertex id in mesh file: %r"
-                                % bad.decode())
+        raise DimensionMismatch("bad cell vertex id in mesh file: %r" % bad)
     return Mesh(vertices, cells.reshape(nc, d + 1))
 
 

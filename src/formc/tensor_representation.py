@@ -58,13 +58,16 @@ only repeat A0 columns.  A free index written by the user must occur
 exactly twice: twice on the A0 side means an auxiliary sum inside A0,
 twice on the G side an auxiliary sum inside G, and once on each side makes
 it secondary.
-A classified index carries its slot as ``value``: its position among the
-monomial's secondary indices, or among its auxiliary indices of one side.
+The classification belongs to the compiler, not to the form language:
+``classify_indices`` gives each secondary or auxiliary index a
+ClassifiedIndex record of its own, with an id unique in the process, its
+slot as ``value`` (its position among the monomial's secondary indices, or
+among its auxiliary indices of one side) and its extent as ``range``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
-from itertools import product as iter_product
+from itertools import count, product as iter_product
 from math import factorial, gcd, isfinite, lcm, prod
 
 import numpy as np
@@ -78,7 +81,7 @@ from .errors import (
     UnsupportedDegree,
     UnsupportedDerivative,
 )
-from .form_language import BasisFunction, Form, Index, Monomial, expand_to_monomials
+from .form_language import BasisFunction, Form, Index, Product, expand_to_monomials
 
 __all__ = [
     "MonomialTerm",
@@ -94,16 +97,18 @@ __all__ = [
     "compile_form",
 ]
 
-@dataclass(frozen=True)
-class ClassifiedFactor:
-    """One reference-side basis factor of a classified monomial."""
+# a secondary or auxiliary index of one monomial: its kind, an id unique in
+# the process, its slot as value and its extent as range
+ClassifiedIndex = namedtuple("ClassifiedIndex", "kind id value range")
+_ids = count()
 
-    element: object
-    kind: str  # "argument" or "coefficient"
-    slot: int  # argument slot or coefficient number
-    component: object  # classified Index, fixed Index or None
-    derivatives: tuple  # secondary reference-direction indices
-    expansion: object  # a coefficient's secondary expansion index, else None
+# one reference-side basis factor of a classified monomial: its element;
+# its kind, "argument" or "coefficient"; its slot, the argument slot or
+# coefficient number; its component, a ClassifiedIndex, a fixed Index or
+# None; its derivatives, secondary reference-direction indices; and its
+# expansion, a coefficient's secondary expansion index, else None
+ClassifiedFactor = namedtuple(
+    "ClassifiedFactor", "element kind slot component derivatives expansion")
 
 
 class MonomialTerm:
@@ -136,7 +141,7 @@ class MonomialTerm:
 
 def _slotted(kind, slots, extent):
     """A fresh classified index whose value is its position in slots."""
-    index = Index(kind, value=len(slots), range=extent)
+    index = ClassifiedIndex(kind, next(_ids), len(slots), extent)
     slots.append(index)
     return index
 
@@ -144,17 +149,17 @@ def _slotted(kind, slots, extent):
 def classify_indices(monomial):
     """Decide the kind of every index of one expanded monomial.
 
-    Returns a MonomialTerm with fresh classified index objects; the free
-    indices of the input keep their pairing but are rebound to secondary or
-    auxiliary copies.  Each classified index gets its slot as ``value``:
-    its position in term.secondary, term.aux_a0 or term.aux_g; on an
-    interval, free indices become the fixed index 0.  Raises
+    Returns a MonomialTerm for the Product; the free indices of the input
+    keep their pairing but are rebound to secondary or auxiliary
+    ClassifiedIndex records.  Each record gets its slot as ``value``: its
+    position in term.secondary, term.aux_a0 or term.aux_g; on an interval,
+    free indices become the fixed index 0.  Raises
     IndexOccursOnce / IndexOccursThrice when a free index is not repeated
     exactly twice, and DimensionMismatch when a vector-valued factor lacks
     a component.
     """
-    if not isinstance(monomial, Monomial):
-        raise TypeError("expected a Monomial")
+    if not isinstance(monomial, Product):
+        raise TypeError("expected a Product")
     factors = monomial.factors
     cell = factors[0].element.cell
     d = cell.dim
@@ -209,17 +214,14 @@ def classify_indices(monomial):
         else:
             rebound[index_id] = _slotted("secondary", secondary, d)
 
-    # rebuild factors, introducing expansion and reference-direction indices
+    # rebuild factors, introducing expansion and reference-direction
+    # indices; a fixed index, whose id is None, stays as it is
     transforms = []
     coeff_reads = []
     classified = []
     for f in factors:
-        component = None
-        if f.component is not None:
-            component = (
-                f.component if f.component.kind == "fixed"
-                else rebound[f.component.id]
-            )
+        component = None if f.component is None else rebound.get(
+            f.component.id, f.component)
         expansion = None
         if isinstance(f, BasisFunction):
             kind, slot = "argument", f.slot
@@ -231,16 +233,9 @@ def classify_indices(monomial):
         for i in f.derivatives:
             ref = _slotted("secondary", secondary, d)
             derivs.append(ref)
-            x = i if i.kind == "fixed" else rebound[i.id]
-            transforms.append((ref, x))
+            transforms.append((ref, rebound.get(i.id, i)))
         classified.append(ClassifiedFactor(
-            element=f.element,
-            kind=kind,
-            slot=slot,
-            component=component,
-            derivatives=tuple(derivs),
-            expansion=expansion,
-        ))
+            f.element, kind, slot, component, tuple(derivs), expansion))
 
     return MonomialTerm(cell, classified, secondary, aux_a0, aux_g,
                         transforms, coeff_reads)

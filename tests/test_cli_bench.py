@@ -229,6 +229,22 @@ def test_cli_compile_multiple_forms(tmp_path):
     assert (tmp_path / "out_L.c").exists()
 
 
+def test_cli_compile_multiple_forms_without_output(tmp_path, capsys,
+                                                  monkeypatch):
+    # each form goes to <stem>_<form>.<ext> in the working directory
+    src = tmp_path / "forms" / "pair.form"
+    src.parent.mkdir()
+    src.write_text(MASS + "b = 2*v*u*dx\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli(["compile", "--format", "raw", str(src)]) == 0
+    assert capsys.readouterr().out == "wrote pair_a.raw\nwrote pair_b.raw\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "forms", "pair_a.raw", "pair_b.raw"]
+    for name in ("a", "b"):
+        text = (tmp_path / ("pair_%s.raw" % name)).read_text()
+        assert text.startswith(RAW_HEADER) and ("form %s\n" % name) in text
+
+
 SECOND_DERIVATIVES = (
     'element = FiniteElement("Lagrange", "triangle", 2)\n'
     "v = BasisFunction(element)\n"
@@ -495,3 +511,31 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert "ratio" in proc.stdout
 
+
+
+def test_cli_bench_without_output_writes_tsv_to_stdout(tmp_path, formfile,
+                                                       capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli(["bench", str(formfile), "--qmin", "1", "--qmax", "2",
+                "--elements", "4", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "form\tq\td\tt_tensor_ns\tt_quad_ns\tspeedup\tlines"
+    assert [line.split("\t")[:3] for line in lines[1:]] == [
+        ["a", "1", "2"], ["a", "2", "2"]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mass.form"]
+
+
+@pytest.mark.parametrize("argv,code", (
+    # Python's float and int, and argparse's type=int, also read
+    # underscores and non-ASCII digits
+    (["tabulate", "triangle", "1", "--at", "0_1,0"], 1),
+    (["tabulate", "triangle", "1", "--at", "\u0660.\u0665,0"], 1),
+    (["tabulate", "triangle", "1_0"], 2),
+    (["tabulate", "triangle", "\u0661"], 2),
+    (["estimate", "--q", "\u0663", "--d", "2"], 2),
+    (["estimate", "--q", "1", "--d", "2", "--r", "0_1"], 2),
+))
+def test_cli_reads_ascii_numbers_only(argv, code, capsys):
+    assert cli(argv) == code
+    captured = capsys.readouterr()
+    assert not captured.out and "error:" in captured.err

@@ -108,6 +108,19 @@ def test_measure_builds_form():
     assert isinstance(only, Form) and only.arity == 1
 
 
+def test_index_is_free_or_fixed():
+    i, k = Index(), Index.fixed(2)
+    assert (i.kind, i.value, k.kind, k.id, k.value) == (
+        "free", None, "fixed", None, 2)
+    assert not hasattr(Index, "KINDS") and not hasattr(i, "range")
+    # how a free index is summed is the compiler's to decide
+    for kind in ("secondary", "auxiliary", "primary"):
+        with pytest.raises(ValueError, match="bad index kind"):
+            Index(kind)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Index.fixed(-1)
+
+
 def test_scalar_division_by_zero():
     v = BasisFunction(E)
     with pytest.raises(ZeroDivisionError):
@@ -157,6 +170,7 @@ def test_single_monomial():
     assert len(monomials) == 1
     assert monomials[0].scalar == 1.0
     assert len(monomials[0].factors) == 2
+    assert type(monomials[0]) is Product
 
 
 def test_collection_of_identical_terms():
@@ -390,6 +404,7 @@ LINES = (
     "v = BasisFunction(element)\n"
     "u = BasisFunction(element)\n"
 )
+VECTOR = 'f = VectorElement("Lagrange", "triangle", 1)\nw = Function(f)\n'
 
 
 @pytest.mark.parametrize("tail,error,line", (
@@ -438,6 +453,22 @@ def test_parser_errors_name_their_line(tail, error, line):
      "unexpected character '\u0662' (line 4, column 5)"),
     ('e = FiniteElement("Lagrange", "triangle", \u0661)\n', FormSyntaxError,
      "unexpected character '\u0661' (line 4, column 43)"),
+    ('e = FiniteElement("Lagrange", "triangle", 2.5)\n', FormSyntaxError,
+     "element degree must be an integer (line 4, column 43)"),
+    ("i = Index()\nb = BasisFunction(i)\n", FormSyntaxError,
+     "'i' is not an element (line 5, column 19)"),
+    ("a = element*v*dx\n", FormSyntaxError,
+     "'element' cannot appear in an integrand (line 4, column 5)"),
+    ("i = Index()\na = v.dy(i)*u*dx\n", FormSyntaxError,
+     "unknown operation 'dy' (line 5, column 7)"),
+    (VECTOR + "a = w[1.5]*v*u*dx\n", FormSyntaxError,
+     "fixed index must be a nonnegative integer (line 6, column 7)"),
+    (VECTOR + "a = w[u]*v*dx\n", FormSyntaxError,
+     "'u' is not an index (line 6, column 7)"),
+    (VECTOR + "a = w[+]*v*dx\n", FormSyntaxError,
+     "expected an index (line 6, column 7)"),
+    ("a = v[0]*u*dx\n", FormSyntaxError,
+     "component access on a scalar element (line 4, column 6)"),
 ))
 def test_parser_errors_pin_message(tail, error, message):
     with pytest.raises(error) as err:

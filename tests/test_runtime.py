@@ -1,5 +1,7 @@
 """Meshes, dof maps, quadrature evaluation, assembly, and the CG solver."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -236,6 +238,39 @@ def test_text_readers_take_only_their_block_grammar(tmp_path, token):
         with pytest.raises(DimensionMismatch, match="bad %s in mesh file: %r"
                            % (what, token)):
             load_mesh(path)
+
+
+@pytest.mark.parametrize("space", ("\u2003", "\x1c", "\x85", "\u2028"))
+def test_text_readers_split_at_ascii_whitespace_only(tmp_path, space):
+    # str.split, str.splitlines and np.loadtxt also split at these; in a
+    # raw listing or a mesh file, each is a fault on its line or in its token
+    text = emit_raw(compile_form(form_of("mass")))
+    lines = text.splitlines()
+    assert lines[4:6] == ["primary 3 3", "coefficients"]
+    for number, line, joined in ((5, "primary 3" + space + "3", 1),
+                                 (13, lines[12].replace(" ", space, 1), 1),
+                                 (5, lines[4] + space + lines[5], 2)):
+        with pytest.raises(FormSyntaxError,
+                           match="unexpected whitespace") as err:
+            read_raw("\n".join(lines[:number - 1] + [line]
+                                + lines[number - 1 + joined:]) + "\n")
+        assert err.value.line == number
+    # a CRLF listing still reads
+    assert emit_raw(read_raw(text.replace("\n", "\r\n"))) == text
+    path = tmp_path / "mesh.txt"
+    token = space + "1"
+    for mesh, message in (
+            ("mesh 2 3 %s\n0 0\n1 0\n0 1\n0 1 2\n", "bad header field"),
+            ("mesh 2 3 1\n0 0\n1 0\n0 %s\n0 1 2\n", "bad vertex coordinate"),
+            ("mesh 2 3 1\n0 0\n1 0\n0 1\n0 %s 2\n", "bad cell vertex id")):
+        path.write_text(mesh % token)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "%s in mesh file: %r" % (message, token))):
+            load_mesh(path)
+    # two coordinates joined by it are one token
+    path.write_text("mesh 2 3 1\n0 0\n1 0\n0%s1\n0 1 2\n" % space)
+    with pytest.raises(DimensionMismatch, match="8 data fields, expected 9"):
+        load_mesh(path)
 
 
 def test_load_mesh_ignores_line_breaks(tmp_path):
