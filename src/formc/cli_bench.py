@@ -16,14 +16,14 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from . import codegen, runtime
 from .errors import FormcError, ValueMismatch
 from .form_language import parse_form_file
-from .reference_elements import CELL_SHAPES, make_lagrange, make_quadrature
+from .reference_elements import CELL_SHAPES, make_lagrange, quadrature_shape
 from .tensor_representation import compile_form
 
 __all__ = [
@@ -75,13 +75,13 @@ def flop_estimates(params):
 
     Tensor path: T_T = n^r * n^{n_f} * d^{n_D}.  Quadrature path:
     T_Q = n^r * N * (n_f + n_D*d + 1) with N the point count of the rule
-    that is exact for the reference integrand degree (r + n_f)*q - n_D.
-    Returns (T_T, T_Q, T_Q / T_T).
+    that is exact for the reference integrand degree (r + n_f)*q - n_D,
+    counted without building the rule.  Returns (T_T, T_Q, T_Q / T_T).
     """
     n, d, r = params.n, params.d, params.r
     T_T = n ** r * n ** params.n_f * d ** params.n_D
     p = max((r + params.n_f) * params.q - params.n_D, 0)
-    N = make_quadrature(CELL_SHAPES[d - 1], p).num_points
+    N = prod(quadrature_shape(CELL_SHAPES[d - 1], p))
     T_Q = n ** r * N * (params.n_f + params.n_D * d + 1)
     return T_T, T_Q, T_Q / T_T
 
@@ -342,10 +342,18 @@ def _cmd_estimate(args):
     return 0
 
 
+def _natural(token):
+    """An integer argument read as a raw listing reads its numbers:
+    Python's int also takes signs, underscores and non-ASCII digits."""
+    try:
+        return codegen._natural(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected a natural number in ASCII digits, got %r" % token
+        ) from None
+
+
 def _build_parser():
-    # integer options are read as a raw listing reads its numbers: Python's
-    # int also takes signs, underscores and non-ASCII digits
-    natural = codegen._natural
     parser = argparse.ArgumentParser(
         prog="formc",
         description="Compile multilinear forms to tensor contractions; "
@@ -360,7 +368,7 @@ def _build_parser():
 
     p = sub.add_parser("tabulate", help="print basis values of an element")
     p.add_argument("shape", choices=("interval", "triangle", "tetrahedron"))
-    p.add_argument("degree", type=natural)
+    p.add_argument("degree", type=_natural)
     p.add_argument("--at", default=None,
                    help="semicolon-separated points, e.g. '0.25,0.25;0.5,0'")
     p.set_defaults(fn=_cmd_tabulate)
@@ -371,27 +379,27 @@ def _build_parser():
     p.add_argument("--path", choices=("tensor", "quadrature"),
                    default="tensor")
     p.add_argument("--form", default=None, help="form name to assemble")
-    p.add_argument("--seed", type=natural, default=0,
+    p.add_argument("--seed", type=_natural, default=0,
                    help="seed for random coefficient data")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_assemble)
 
     p = sub.add_parser("bench", help="benchmark tensor vs quadrature paths")
     p.add_argument("form_file")
-    p.add_argument("--qmin", type=natural, default=1)
-    p.add_argument("--qmax", type=natural, default=3)
-    p.add_argument("--elements", type=natural, default=DEFAULT_ELEMENTS)
-    p.add_argument("--reps", type=natural, default=DEFAULT_REPETITIONS)
-    p.add_argument("--seed", type=natural, default=0)
+    p.add_argument("--qmin", type=_natural, default=1)
+    p.add_argument("--qmax", type=_natural, default=3)
+    p.add_argument("--elements", type=_natural, default=DEFAULT_ELEMENTS)
+    p.add_argument("--reps", type=_natural, default=DEFAULT_REPETITIONS)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("estimate", help="print complexity model estimates")
-    p.add_argument("--q", type=natural, required=True)
-    p.add_argument("--d", type=natural, required=True)
-    p.add_argument("--nf", type=natural, default=0)
-    p.add_argument("--nd", type=natural, default=0)
-    p.add_argument("--r", type=natural, default=2)
+    p.add_argument("--q", type=_natural, required=True)
+    p.add_argument("--d", type=_natural, required=True)
+    p.add_argument("--nf", type=_natural, default=0)
+    p.add_argument("--nd", type=_natural, default=0)
+    p.add_argument("--r", type=_natural, default=2)
     p.add_argument("--vector", action="store_true")
     p.set_defaults(fn=_cmd_estimate)
     return parser

@@ -11,11 +11,12 @@ summed, each scaled by its monomial's constant; the geometry, ``(* det
 ...)``, holds no constant.  A listing with one block per monomial reads
 just as well.
 
-The C declares the G components that some A0 nonzero reads.  A block entry
-whose A0 row repeats an earlier row, or its negation, copies that entry
-("block[r] = -block[j];"); every other entry is the sum of its row's
-nonzeros with the row's own constants.  The rows to copy are those of
-``CompiledForm.row_plan``, the plan the numpy contraction follows.
+The C declares the G components that some A0 nonzero reads, and carries
+out the form's kernel plan (``CompiledForm.plan``), which the numpy
+contraction carries out too: a block entry whose plan source is an earlier
+row copies that entry, negated where the plan says so ("block[r] =
+-block[j];"); every other entry is the sum of its row's nonzeros with the
+row's own constants, "0.0" for an empty row.
 
 The emitters work on A0 nonzeros as whole CSR arrays, all read from the
 form's one store (``CompiledForm.stacked``): the C on the whole stack,
@@ -135,17 +136,15 @@ def _block_rhs(cf, names):
     """Right-hand side of every block entry, given the G name of each
     column of ``cf.stacked``.
 
-    A nonempty row that ``cf.row_plan`` maps onto an earlier row copies
-    it: "block[j]" or, for a negated row, "-block[j]".  Every other row is
-    the sum of its stacked A0 nonzeros, each as a signed coefficient times
-    its G name, with the row's own constants; only the values of these
-    rows are formatted, once per distinct value.
+    A row whose ``cf.plan`` source is an earlier row copies it:
+    "block[j]" or, for a negated row, "-block[j]".  Every other row is the
+    sum of its stacked A0 nonzeros, each as a signed coefficient times its
+    G name, with the row's own constants; only the values of these rows
+    are formatted, once per distinct value.
     """
-    m = cf.stacked
-    representatives, rows, negated = cf.row_plan
-    first = representatives[rows]
+    m, plan = cf.stacked, cf.plan
     counts = m.indptr[1:] - m.indptr[:-1]
-    written = (first == np.arange(cf.block_size)) | (counts == 0)
+    written = plan.source == np.arange(cf.block_size)
     kept = written.repeat(counts)
     pieces = [None] * (2 * int(kept.sum()))
     pieces[::2] = _formatted(m.data[kept], _c_coefficient)
@@ -153,10 +152,9 @@ def _block_rhs(cf, names):
     bounds = [0] + (2 * counts[written]).cumsum().tolist()
     texts = iter([_leading("".join(pieces[a:b]))
                   for a, b in zip(bounds, bounds[1:])])
-    sign = np.bincount(negated, minlength=cf.block_size) > 0
     return [next(texts) if w else ("-block[%d]" if neg else "block[%d]") % j
-            for w, neg, j in zip(written.tolist(), sign.tolist(),
-                                 first.tolist())]
+            for w, neg, j in zip(written.tolist(), plan.negated.tolist(),
+                                 plan.source.tolist())]
 
 
 def emit_c(cf, function_name="eval"):

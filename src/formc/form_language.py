@@ -778,8 +778,15 @@ class _Parser:
 
 
 def parse_form_file(text):
-    """Parse form file text into a list of named forms."""
-    return _Parser(text).parse_file()
+    """Parse form file text into a list of named forms.  Parentheses
+    nested deeper than Python's stack allows raise FormSyntaxError at the
+    token the parser reached."""
+    parser = _Parser(text)
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        tok = parser.peek()
+    raise FormSyntaxError("parentheses nested too deeply", tok.line, tok.col)
 
 
 # --- canonical printer -------------------------------------------------------

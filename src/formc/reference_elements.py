@@ -86,23 +86,31 @@ class QuadratureRule:
         return self.points.shape[0]
 
 
-@lru_cache(maxsize=64)
-def make_quadrature(shape, degree):
-    """Gauss-Jacobi rule on the unit simplex, exact through ``degree``.
-
-    Uses m = degree//2 + 1 points per direction.  Direction i of the
-    collapsed cube carries the Jacobi weight (1-u)^(d-1-i) that the Duffy
-    transform produces, so every direction is integrated by a rule matched
-    to its weight function.  Rules are cached; their arrays are read-only.
-    """
+def quadrature_shape(shape, degree):
+    """Points per direction of the collapsed cube in make_quadrature's
+    rule exact through ``degree``: m = degree//2 + 1 in each of the cell's
+    d directions, so the rule has m^d points."""
     cell = ReferenceCell(shape)
     if degree < 0:
         raise UnsupportedDegree("quadrature degree must be nonnegative")
-    d = cell.dim
-    m = degree // 2 + 1
+    return (degree // 2 + 1,) * cell.dim
+
+
+@lru_cache(maxsize=64)
+def make_quadrature(shape, degree):
+    """Gauss-Jacobi rule on the unit simplex, exact through ``degree``,
+    with the points per direction of ``quadrature_shape``.
+
+    Direction i of the collapsed cube carries the Jacobi weight
+    (1-u)^(d-1-i) that the Duffy transform produces, so every direction is
+    integrated by a rule matched to its weight function.  Rules are
+    cached; their arrays are read-only.
+    """
+    sizes = quadrature_shape(shape, degree)
+    d = len(sizes)
     nodes_1d = []
     weights_1d = []
-    for i in range(d):
+    for i, m in enumerate(sizes):
         alpha = d - 1 - i
         x, w = roots_jacobi(m, alpha, 0.0)
         # map [-1, 1] with weight (1-x)^alpha onto [0, 1] with (1-u)^alpha

@@ -28,22 +28,23 @@ evaluates only the G components that some A0 nonzero reads, one gathered
 factor at a time, straight into its columns of one [ncells x K] array;
 the A0 columns of all terms, restricted the same way, lie side by side in
 one CSR over K columns (``stacked``), the one store of A0 nonzeros: the
-CompiledForm constructor builds it, the row plan, the contraction and the
-C read it, and the listings read each term's ``matrix``, decoded from it.
-Many of its rows repeat an earlier row exactly, or its negation;
-``row_plan`` finds them by their bits (P3 on a tetrahedron: Navier-Stokes
-401, elasticity 1,458 and Poisson 168 distinct of 3,600, 3,600 and 400
-rows; Navier-Stokes stacks 55,746 nonzeros over 60 columns and multiplies
-18,582 of them).  When contracting only the distinct rows saves more
-multiply-adds than the block has rows to copy, one sparse product
-A0_distinct @ G^T gives [U x ncells], a row map gathers it out to
-[block x ncells], and the negated rows change sign; otherwise the whole
-stack is multiplied.  The emitted C copies the same rows.  The sparse
-product adds each entry in the fixed order of its A0 row, so a cell's
-block is bitwise the same in every batch, and a repeated row gives
-bitwise the value of its representative, negated rows too.  A dense BLAS
-product is not batch independent: it picks its kernels by the number of
-rows.
+CompiledForm constructor builds it, the kernel plan reads it, and the
+listings read each term's ``matrix``, decoded from it.  Many of its rows
+repeat an earlier row exactly, or its negation; ``KernelPlan`` finds them
+by their bits (P3 on a tetrahedron: Navier-Stokes 401, elasticity 1,458
+and Poisson 168 distinct of 3,600, 3,600 and 400 rows; Navier-Stokes
+stacks 55,746 nonzeros over 60 columns and multiplies 18,582 of them)
+and decides, once per form, every block row's source and sign and the
+rows numpy multiplies.  When contracting only the distinct rows saves
+more multiply-adds than the block has rows to copy, one sparse product
+A0_distinct @ G^T gives [U x ncells], the plan's row map gathers it out
+to [block x ncells], and the negated rows change sign; otherwise the
+whole stack is multiplied.  The emitted C copies each row from its
+source.  The sparse product adds each entry in the fixed order of its A0
+row, so a cell's block is bitwise the same in every batch, and a
+repeated row gives bitwise the value of its source, negated rows too.  A
+dense BLAS product is not batch independent: it picks its kernels by the
+number of rows.
 
 Index bookkeeping follows four kinds.  Primary indices are the element
 tensor axes, one per argument.  Each spatial derivative introduces a fresh
@@ -93,7 +94,7 @@ __all__ = [
     "derive_geometry_expr",
     "batch_arrays",
     "contract_terms",
-    "row_classes",
+    "KernelPlan",
     "compile_form",
 ]
 
@@ -662,49 +663,63 @@ def contract_terms(cf, dets, gs, coeffs=()):
     """Contract every term of a compiled form for a batch of affine maps.
 
     Every term's G components are written into one [ncells x K] G, and
-    one sparse product with the U rows of ``cf.contraction`` gives
-    [U x ncells], gathered out to [block x ncells] by its row map, if any.
+    one sparse product with the rows ``cf.plan`` multiplies gives them for
+    every cell, gathered out to [block x ncells] by its row map, if any.
     Returns [ncells x n1 x ... x nr] with the primary multiindex laid out
     row-major.
     """
     dets, gs, coeffs = batch_arrays(cf, dets, gs, coeffs)
     ncells = dets.shape[0]
-    a0, rows, negated = cf.contraction
-    g = np.empty((a0.shape[1], ncells)).T  # G.T is contiguous for scipy
+    plan = cf.plan
+    g = np.empty((plan.a0.shape[1], ncells)).T  # G.T is contiguous for scipy
     for ct in cf.terms:
         ct.geometry.evaluate(dets, gs, coeffs, ct.used_components,
                              out=g[:, ct.columns])
-    out = a0 @ g.T
-    if rows is not None:
-        out = out[rows]
-        out[negated] *= -1.0
+    out = plan.a0 @ g.T
+    if plan.gather is not None:
+        out = out[plan.gather]
+        out[plan.negated] *= -1.0
     return out.T.reshape((ncells,) + cf.primary_dims)
 
 
-def row_classes(m):
-    """Map the rows of a CSR onto its distinct rows, equal up to sign.
+class KernelPlan:
+    """How numpy and the emitted C evaluate a block from its A0 stack.
 
-    A row is keyed by its (column, value bits) bytes; a row whose first
+    Rows are keyed by their (column, value bits) bytes; a row whose first
     stored value has its sign bit set is keyed negated, and marked so.
-    The first row of each key represents it; all empty rows share one.
-    Returns (representatives, rows, negated): representative row numbers,
-    each row's position among them, and the rows whose mark differs from
-    their representative's.
+    Per block row, ``source`` holds the first row of its key, which it
+    copies, or the row itself, which sums its own nonzeros: a nonempty
+    first row, and every empty row, so the C writes an empty row 0.0.
+    ``negated`` marks the rows whose mark differs from their source's.
+
+    numpy multiplies only the distinct rows when the nonzeros outside them
+    outnumber the block's rows: ``rows`` holds the stack row of each key,
+    all empty rows sharing one, and ``gather`` the position of each block
+    row among them.  Otherwise both are None and numpy multiplies the
+    whole stack.  ``a0``, the CSR numpy multiplies, is built on first use.
     """
-    counts = m.indptr[1:] - m.indptr[:-1]
-    flip = np.zeros(m.shape[0], dtype=bool)  # the sign of each first value
-    flip[counts > 0] = np.signbit(m.data[m.indptr[:-1][counts > 0]])
-    table = np.empty((m.nnz, 2), dtype=np.int64)  # 16 bytes per nonzero
-    table[:, 0] = m.indices
-    table[:, 1] = np.where(flip.repeat(counts), -m.data, m.data).view(np.int64)
-    data = table.tobytes()
-    bounds = (16 * m.indptr).tolist()
-    first = {}  # key -> position among the representatives
-    rows = np.array([first.setdefault(data[a:b], len(first))
-                     for a, b in zip(bounds, bounds[1:])], dtype=np.intp)
-    representatives = np.unique(rows, return_index=True)[1]
-    return representatives, rows, np.flatnonzero(
-        flip != flip[representatives][rows])
+
+    def __init__(self, stacked):
+        self.stacked = m = stacked
+        counts = m.indptr[1:] - m.indptr[:-1]
+        flip = np.zeros(m.shape[0], dtype=bool)  # the sign of each first value
+        flip[counts > 0] = np.signbit(m.data[m.indptr[:-1][counts > 0]])
+        signed = np.where(flip.repeat(counts), -m.data, m.data)
+        data = np.column_stack([m.indices.astype(np.int64), signed.view(
+            np.int64)]).tobytes()  # 16 bytes per nonzero
+        bounds = (16 * m.indptr).tolist()
+        first = {}  # key -> position among the distinct rows
+        gather = np.array([first.setdefault(data[a:b], len(first))
+                           for a, b in zip(bounds, bounds[1:])], dtype=np.intp)
+        rows = np.unique(gather, return_index=True)[1]
+        self.source = np.where(counts > 0, rows[gather], np.arange(m.shape[0]))
+        self.negated = flip != flip[self.source]
+        saves = m.nnz - counts[rows].sum() > m.shape[0]
+        self.rows, self.gather = (rows, gather) if saves else (None, None)
+
+    @cached_property
+    def a0(self):
+        return self.stacked if self.rows is None else self.stacked[self.rows]
 
 
 class CompiledForm:
@@ -761,29 +776,11 @@ class CompiledForm:
         return prod(self.primary_dims)
 
     @cached_property
-    def row_plan(self):
-        """(representatives, rows, negated) of ``row_classes`` over
-        ``stacked``: the block rows equal, up to sign, to an earlier row.
-        The numpy contraction and the emitted C both follow it."""
-        return row_classes(self.stacked)
-
-    @cached_property
-    def contraction(self):
-        """(a0, rows, negated): the A0 rows contract_terms multiplies, and
-        how they give the block.
-
-        When the stack's nonzeros outside its distinct rows outnumber the
-        block's rows, ``a0`` holds the distinct rows of ``stacked``, and
-        ``rows`` and ``negated`` are those of ``row_plan``; otherwise
-        ``a0`` is the stack and ``rows`` is None.  Built on the first
-        contraction, not by compile_form.
-        """
-        a0 = self.stacked
-        representatives, rows, negated = self.row_plan
-        distinct = a0[representatives]
-        if a0.nnz - distinct.nnz > self.block_size:
-            return distinct, rows, negated
-        return a0, None, None
+    def plan(self):
+        """The KernelPlan of ``stacked``, which the numpy contraction and
+        the emitted C carry out; built on first use, not by compile_form
+        or read_raw."""
+        return KernelPlan(self.stacked)
 
     def element_tensors(self, dets, gs, coeffs=()):
         return contract_terms(self, dets, gs, coeffs)

@@ -18,6 +18,7 @@ from formc.cli_bench import (
 )
 from formc.codegen import RAW_HEADER
 from formc.errors import ValueMismatch
+from formc.reference_elements import make_quadrature
 
 MASS = (
     'element = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -268,6 +269,17 @@ def test_cli_compile_second_derivatives_fails_and_writes_nothing(
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d2.form"]
 
 
+def test_cli_compile_deep_nesting_fails_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    src = tmp_path / "deep.form"
+    src.write_text(MASS.replace("v*u", "(" * 1000 + "v*u" + ")" * 1000))
+    monkeypatch.chdir(tmp_path)
+    assert cli(["compile", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("formc: error:") and "nested too deeply" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.form"]
+
+
 def test_cli_assemble_second_derivatives_fails_on_both_paths(
         tmp_path, capsys):
     from formc.runtime import save_mesh, unit_square_mesh
@@ -494,22 +506,53 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli(["compile", str(bad)]) == 1
 
 
-def test_console_script_entry_point():
-    # the child process gets src/ on its path, as pytest's own pythonpath
-    # setting does not reach it
+def child_env():
+    """The environment of a child process, with src/ on its path, as
+    pytest's own pythonpath setting does not reach it."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                              else ""))
+
+
+def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "formc.cli_bench", "estimate", "--q", "1",
          "--d", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "ratio" in proc.stdout
+
+
+def test_estimate_counts_a_large_rule_without_building_it():
+    # the q = 1000 rule has 1001^3 points, 24 GB of coordinates; the child
+    # may map 1 GiB, so building the rule fails there, not on the host
+    limit = 1 << 30
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+            "from formc.cli_bench import cli\n"
+            "sys.exit(cli(sys.argv[1:]))\n" % (limit, limit))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "estimate", "--q", "1000", "--d", "3"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(child_env(), OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("n=167668501 T_T=28112726227587001 "
+                           "T_Q=28197148772561170991590001 "
+                           "ratio=1003003001.0000\n")
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_estimate_counts_the_points_of_the_rule(d):
+    # T_Q / T_T is the rule's point count N for a mass form
+    shape = ("interval", "triangle", "tetrahedron")[d - 1]
+    for q in range(5):
+        T_T, T_Q, _ = flop_estimates(ComplexityParams(q=q, d=d))
+        assert T_Q == T_T * make_quadrature(shape, 2 * q).num_points
 
 
 
@@ -539,3 +582,6 @@ def test_cli_reads_ascii_numbers_only(argv, code, capsys):
     assert cli(argv) == code
     captured = capsys.readouterr()
     assert not captured.out and "error:" in captured.err
+    if code == 2:  # a usage error names the input it expected
+        assert "expected a natural number in ASCII digits" in captured.err
+        assert "_natural" not in captured.err

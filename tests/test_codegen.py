@@ -614,15 +614,13 @@ def test_count_code_lines_counts_emitted_statements(name, shape, q):
 @pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
                                   "elasticity"))
 def test_c_copies_follow_the_row_plan(name, shape, q):
-    # the C copies exactly the nonempty rows the plan maps onto an earlier
-    # row, with the plan's signs; an empty row is written 0.0
+    # the C copies exactly the rows whose plan source is an earlier row,
+    # with the plan's signs; every other row, an empty one too, is a sum
     for form in shipped_forms(name, shape, q):
         cf = compile_form(form)
-        representatives, rows, negated = cf.row_plan
-        first = representatives[rows]
-        nonempty = np.diff(sum(ct.matrix.indptr for ct in cf.terms)) > 0
-        want = {r: ("-" if r in negated else "") + "block[%d]" % first[r]
-                for r in range(cf.block_size) if first[r] != r and nonempty[r]}
+        plan = cf.plan
+        want = {r: ("-" if plan.negated[r] else "") + "block[%d]" % j
+                for r, j in enumerate(plan.source.tolist()) if j != r}
         got = {}
         for line in emit_c(cf).splitlines():
             if line.startswith("    block["):
@@ -630,8 +628,8 @@ def test_c_copies_follow_the_row_plan(name, shape, q):
                 if rhs.lstrip("-").startswith("block["):
                     got[int(lhs[6:-1])] = rhs
         assert got == want
-        # the numpy contraction gathers its distinct rows by the same map
-        a0, map_rows, map_negated = cf.contraction
-        if map_rows is not None:
-            assert map_rows is rows and map_negated is negated
-            assert a0.shape[0] == len(representatives)
+        # the numpy contraction gathers a copied row from its source's row
+        if plan.gather is not None:
+            copied = plan.source != np.arange(cf.block_size)
+            assert np.array_equal(plan.gather[copied],
+                                  plan.gather[plan.source[copied]])

@@ -388,6 +388,23 @@ def test_parser_semantic_errors():
         )
 
 
+def test_deep_nesting_is_a_syntax_error():
+    head = (
+        'element = FiniteElement("Lagrange", "triangle", 1)\n'
+        "v = BasisFunction(element)\n"
+        "u = BasisFunction(element)\n"
+    )
+
+    def nested(depth):
+        return head + "a = " + "(" * depth + "v*u" + ")" * depth + "*dx\n"
+
+    assert structurally_equal(parse_one(nested(50)), parse_one(nested(0)))
+    # Python's stack runs out long before 1,000 levels
+    with pytest.raises(FormSyntaxError, match="nested too deeply") as err:
+        parse_form_file(nested(1000))
+    assert err.value.line == 4
+
+
 def test_parse_unary_minus():
     form = parse_one(
         'element = FiniteElement("Lagrange", "triangle", 1)\n'

@@ -137,14 +137,12 @@ def test_random_forms_match_the_oracle_and_reread(text):
     assert np.array_equal(again.element_tensors(dets, gs, coeffs), got)
     for emit in (emit_c, emit_raw, emit_latex):
         assert emit(again) == emit(cf)
-    # the C copies exactly the nonempty rows the plan maps onto an
-    # earlier row, with the plan's signs
-    representatives, rows, negated = cf.row_plan
-    first = representatives[rows]
-    nonempty = np.diff(cf.stacked.indptr) > 0
+    # the C copies exactly the rows whose plan source is an earlier row,
+    # with the plan's signs
+    plan = cf.plan
     assert c_copies(emit_c(cf)) == {
-        r: ("-" if r in negated else "") + "block[%d]" % first[r]
-        for r in range(cf.block_size) if first[r] != r and nonempty[r]}
+        r: ("-" if plan.negated[r] else "") + "block[%d]" % j
+        for r, j in enumerate(plan.source.tolist()) if j != r}
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -35,11 +35,11 @@ from formc.runtime import quadrature_element_tensor, quadrature_element_tensors
 from formc.tensor_representation import (
     CompiledForm,
     GeometryTensorExpr,
+    KernelPlan,
     classify_indices,
     compile_form,
     compute_reference_tensor,
     derive_geometry_expr,
-    row_classes,
 )
 
 
@@ -550,20 +550,20 @@ def test_contraction_row_map(rng, name, shape, q, form_name, distinct,
                              negated):
     ((form, cf, reread),) = [c for c in compiled_shipped(name, shape, q)
                              if c[0].name == form_name]
-    assert "contraction" not in vars(compile_form(form))  # built lazily
-    a0, rows, flipped = cf.contraction
+    assert "plan" not in vars(compile_form(form))  # built lazily
+    plan = cf.plan
     stacked = cf.stacked
     if distinct is None:
-        assert rows is None and flipped is None
-        assert (a0 != stacked).nnz == 0
+        assert plan.rows is None and plan.gather is None
+        assert plan.a0 is stacked
     else:
-        assert a0.shape[0] == distinct and flipped.size == negated
-        assert stacked.nnz - a0.nnz > cf.block_size
+        assert plan.a0.shape[0] == distinct
+        assert np.count_nonzero(plan.negated) == negated
+        assert stacked.nnz - plan.a0.nnz > cf.block_size
         # every block row is its distinct row, or that row negated, exactly
-        sign = np.ones(cf.block_size)
-        sign[flipped] = -1.0
+        sign = np.where(plan.negated, -1.0, 1.0)
         assert np.array_equal(stacked.toarray(),
-                              sign[:, None] * a0.toarray()[rows])
+                              sign[:, None] * plan.a0.toarray()[plan.gather])
     dets, gs, coeffs = random_cells(rng, form, 6)
     got = cf.element_tensors(dets, gs, coeffs)
     # bitwise the product with the whole stack
@@ -577,7 +577,7 @@ def test_contraction_row_map(rng, name, shape, q, form_name, distinct,
     assert np.array_equal(reread.element_tensors(dets, gs, coeffs), got)
 
 
-def test_row_classes():
+def test_kernel_plan():
     # rows of one stacked CSR as {column: value}: repeated, negated and
     # empty rows, and rows that hold the same values in other columns
     rows = [{1: 2.0, 3: -1.0}, {1: 2.0, 3: -1.0}, {1: -2.0, 3: 1.0}, {},
@@ -585,12 +585,29 @@ def test_row_classes():
     dense = np.zeros((len(rows), 10))
     for r, row in enumerate(rows):
         dense[r, list(row)] = list(row.values())
-    representatives, rep, negated = row_classes(csr_matrix(dense))
-    assert representatives.tolist() == [0, 3, 4, 5, 8]
-    assert rep.tolist() == [0, 0, 0, 1, 2, 3, 1, 3, 4]
-    assert negated.tolist() == [2, 7]
-    # no rows, no classes
-    assert row_classes(csr_matrix((0, 0)))[0].tolist() == []
+    plan = KernelPlan(csr_matrix(dense))
+    # a row copies the first row equal to it up to sign; an empty row is
+    # its own source
+    assert plan.source.tolist() == [0, 0, 0, 3, 4, 5, 6, 5, 8]
+    assert np.flatnonzero(plan.negated).tolist() == [2, 7]
+    # 5 nonzeros outside the distinct rows do not outnumber 9 rows, so
+    # numpy multiplies the whole stack
+    assert plan.rows is None and plan.gather is None
+    # three copies: 29 skipped nonzeros outnumber 27 rows, and numpy
+    # multiplies the distinct rows, all empty rows sharing one
+    plan = KernelPlan(csr_matrix(np.vstack([dense] * 3)))
+    assert plan.rows.tolist() == [0, 3, 4, 5, 8]
+    assert plan.gather.tolist() == [0, 0, 0, 1, 2, 3, 1, 3, 4] * 3
+    assert np.flatnonzero(plan.negated).tolist() == [2, 7, 11, 16, 20, 25]
+    empty = [3, 6, 12, 15, 21, 24]
+    assert plan.source[empty].tolist() == empty
+    assert plan.gather[empty].tolist() == [1] * 6
+    assert plan.source[9:].tolist() == [0, 0, 0, 12, 4, 5, 15, 5, 8,
+                                        0, 0, 0, 21, 4, 5, 24, 5, 8]
+    assert np.array_equal(plan.a0.toarray(), dense[[0, 3, 4, 5, 8]])
+    # no rows, no plan
+    plan = KernelPlan(csr_matrix((0, 0)))
+    assert plan.source.tolist() == [] and plan.rows is None
 
 
 @pytest.mark.parametrize("kind,shape", (
