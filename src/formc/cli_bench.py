@@ -416,6 +416,9 @@ def cli(argv=None):
     except (FormcError, OSError, ValueError) as exc:
         print("formc: error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("formc: error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -44,7 +44,11 @@ import numpy as np
 
 from .errors import FormcError, FormSyntaxError
 from .reference_elements import ReferenceCell
-from .tensor_representation import CompiledForm, GeometryTensorExpr
+from .tensor_representation import (
+    MAX_TERM_ENTRIES,
+    CompiledForm,
+    GeometryTensorExpr,
+)
 
 __all__ = [
     "emit_c",
@@ -90,14 +94,14 @@ def _labels(flat, dims, sep):
         zip(*(i.tolist() for i in np.unravel_index(distinct, dims)))])
 
 
-def _entries(ct, m, sep, fmt):
+def _entries(cf, ct, m, sep, fmt):
     """(sep-joined multi-index, value formatted by fmt) of each nonzero of
-    m, the A0 of term ct, in CSR order."""
+    m, the A0 of term ct of cf, in CSR order."""
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    labels = _labels(rows, ct.primary_dims, sep)
-    if ct.secondary_dims:
+    labels = _labels(rows, cf.primary_dims, sep)
+    if ct.geometry.dims:
         labels = map(sep.join, zip(
-            labels, _labels(m.indices, ct.secondary_dims, sep)))
+            labels, _labels(m.indices, ct.geometry.dims, sep)))
     return zip(labels, _formatted(m.data, fmt))
 
 
@@ -241,11 +245,11 @@ def emit_raw(cf):
     for k, ct in enumerate(cf.terms):
         lines.append("monomial %d" % k)
         lines.append("secondary" + "".join(
-            " %d" % n for n in ct.secondary_dims))
+            " %d" % n for n in ct.geometry.dims))
         lines.append("geometry %s" % _geometry_sexpr(ct.geometry))
         m = ct.matrix
         lines.append("entries %d" % m.nnz)
-        lines.extend(map(" ".join, _entries(ct, m, " ", repr)))
+        lines.extend(map(" ".join, _entries(cf, ct, m, " ", repr)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -333,13 +337,8 @@ def _geometry_from_sexpr(node, secondary_dims, dim, coefficient_dims):
         walk(child)
     if len(read) != len(aux):
         raise ValueError("a sum variable that nothing reads")
-    return GeometryTensorExpr(secondary_dims, [dim] * len(aux), transforms,
-                              reads)
-
-
-# Largest dense A0 a listing may declare per term (512 MB of doubles):
-# compile_form builds A0 densely, so no compiled form comes near it.
-_MAX_TERM_ENTRIES = 2 ** 26
+    return GeometryTensorExpr(tuple(secondary_dims), (dim,) * len(aux),
+                              tuple(transforms), tuple(reads))
 
 
 def _entry_table(lines, start, n_entries, rank):
@@ -439,6 +438,8 @@ def read_raw(text):
                               line=i)
     (arity,) = numbers("arity", 1, least=1)
     primary_dims = numbers("primary", arity, least=1)
+    if prod(primary_dims) > MAX_TERM_ENTRIES:
+        raise FormSyntaxError("element tensor too large", line=i)
     coefficient_dims = numbers("coefficients", least=1)
     (n_monomials,) = numbers("monomials", 1)
 
@@ -448,7 +449,7 @@ def read_raw(text):
             raise FormSyntaxError("monomial out of order", line=i)
         secondary_dims = numbers("secondary", least=1)
         dims = tuple(primary_dims + secondary_dims)
-        if prod(dims) > _MAX_TERM_ENTRIES:
+        if prod(dims) > MAX_TERM_ENTRIES:
             raise FormSyntaxError("reference tensor too large", line=i)
         try:
             tokens = _tokenize_sexpr(" ".join(take("geometry")))
@@ -523,7 +524,7 @@ def emit_latex(cf):
         lines.append("Nonzero reference tensor entries:")
         lines.append(r"\begin{eqnarray*}")
         lines.extend(map(r"A^0_{%s} &=& %s \\".__mod__,
-                         _entries(ct, ct.matrix, r"\,", _fmt)))
+                         _entries(cf, ct, ct.matrix, r"\,", _fmt)))
         lines.append(r"\end{eqnarray*}")
     lines.append(r"\end{document}")
     return "\n".join(lines) + "\n"

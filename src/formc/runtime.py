@@ -661,11 +661,15 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
 def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
     """Plain conjugate gradients with a symmetry spot check.
 
-    Raises NotSymmetric when one of 10 random entry pairs disagrees,
-    NotPositiveDefinite when a search direction p has p.Ap <= 0, and
-    MaxIterations when the relative residual fails to reach ``tol``.
+    Raises NonFiniteValue for a non-finite right-hand side, before any
+    work, or p.Ap, at the iteration where it appears; NotSymmetric when one
+    of 10 random entry pairs disagrees, NotPositiveDefinite when a search
+    direction p has p.Ap <= 0, and MaxIterations when the relative
+    residual fails to reach ``tol``.
     """
     b = np.asarray(rhs, dtype=float)
+    if not np.isfinite(b).all():
+        raise NonFiniteValue("right-hand side has non-finite entries")
     n = b.size
     if max_iter is None:
         max_iter = max(100, 10 * n)
@@ -693,6 +697,8 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
     for k in range(1, max_iter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
+        if not math.isfinite(pAp):
+            raise NonFiniteValue("p.Ap = %r at iteration %d" % (pAp, k))
         if pAp <= 0.0:
             raise NotPositiveDefinite("p.Ap = %r at iteration %d" % (pAp, k))
         alpha = rr / pAp
@@ -714,7 +720,8 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     Returns (reduced matrix, reduced rhs, free dof ids); the eliminated
     columns move to the right-hand side so symmetry is preserved.  The
     matrix must be n x n for n = rhs.size, and the dof ids distinct
-    integers in [0, n), one value each, or DimensionMismatch is raised.
+    integers in [0, n), one value each, or DimensionMismatch is raised; a
+    non-finite right-hand side or prescribed value raises NonFiniteValue.
     """
     n = rhs.size
     A = matrix.tocsr() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
@@ -729,6 +736,9 @@ def apply_dirichlet(matrix, rhs, dofs, values):
                               or np.unique(dofs).size < dofs.size)):
         raise DimensionMismatch("prescribed dofs must be distinct integer "
                                 "ids in [0, %d), one value each" % n)
+    if not (np.isfinite(rhs).all() and np.isfinite(values).all()):
+        raise NonFiniteValue("right-hand side or prescribed values have "
+                             "non-finite entries")
     dofs = dofs.astype(int)  # an empty list reads as floats
     mask = np.ones(n, dtype=bool)
     mask[dofs] = False
@@ -767,10 +777,14 @@ def l2_error(mesh, dofmap, vec, exact):
     element = dofmap.element
     if element.value_rank != 0:
         raise DimensionMismatch("l2_error supports scalar elements only")
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (dofmap.global_dim,):
+        raise DimensionMismatch("vector has length %d, dof map has %d"
+                                % (vec.size, dofmap.global_dim))
     rule = make_quadrature(mesh.cell_shape, 6)
     tab = element.tabulate(rule.points)
     dets, _, Bs, x0s = affine_maps(mesh)
-    uh = np.asarray(vec, dtype=float)[dofmap.cell_dofs] @ tab.values
+    uh = vec[dofmap.cell_dofs] @ tab.values
     points = rule.points @ np.swapaxes(Bs, 1, 2) + x0s[:, None, :]
     ux = exact(points.reshape(-1, mesh.dim)).reshape(uh.shape)
     return math.sqrt(np.abs(dets) @ ((uh - ux) ** 2 @ rule.weights))

@@ -112,32 +112,16 @@ ClassifiedFactor = namedtuple(
     "ClassifiedFactor", "element kind slot component derivatives expansion")
 
 
-class MonomialTerm:
-    """Classified monomial: reference-side factors plus geometry-side reads.
-
-    ``secondary`` fixes the shared ordering of the contraction indices;
-    axis r + k of the reference tensor pairs with axis k of the geometry
-    tensor.  ``coeff_reads`` holds each coefficient factor's (number,
-    expansion index, component index or None).
-    """
-
-    def __init__(self, cell, factors, secondary, aux_a0, aux_g, transforms,
-                 coeff_reads):
-        self.cell = cell
-        self.factors = tuple(factors)
-        self.secondary = tuple(secondary)
-        self.aux_a0 = tuple(aux_a0)
-        self.aux_g = tuple(aux_g)
-        self.transforms = tuple(transforms)
-        self.coeff_reads = tuple(coeff_reads)
-
-        self.arg_factors = tuple(sorted(
-            (f for f in self.factors if f.kind == "argument"),
-            key=lambda f: f.slot,
-        ))
-        self.rank = len(self.arg_factors)
-        self.primary_dims = tuple(f.element.space_dim for f in self.arg_factors)
-        self.secondary_dims = tuple(i.range for i in self.secondary)
+# a classified monomial: its cell and reference-side factors; its
+# secondary indices, whose order pairs axis r + k of the reference tensor
+# with axis k of the geometry tensor; its auxiliary indices of each side;
+# its transforms, each (reference direction, x index); its coefficient
+# reads, each coefficient factor's (number, expansion index, component
+# index or None); and, derived from these, its argument factors in slot
+# order, their number, their extents and the secondary extents
+MonomialTerm = namedtuple(
+    "MonomialTerm", "cell factors secondary aux_a0 aux_g transforms "
+    "coeff_reads arg_factors rank primary_dims secondary_dims")
 
 
 def _slotted(kind, slots, extent):
@@ -238,13 +222,24 @@ def classify_indices(monomial):
         classified.append(ClassifiedFactor(
             f.element, kind, slot, component, tuple(derivs), expansion))
 
-    return MonomialTerm(cell, classified, secondary, aux_a0, aux_g,
-                        transforms, coeff_reads)
+    arg_factors = tuple(sorted((f for f in classified if f.kind == "argument"),
+                               key=lambda f: f.slot))
+    return MonomialTerm(
+        cell, tuple(classified), tuple(secondary), tuple(aux_a0), tuple(aux_g),
+        tuple(transforms), tuple(coeff_reads), arg_factors, len(arg_factors),
+        tuple(f.element.space_dim for f in arg_factors),
+        tuple(i.range for i in secondary))
 
 
 # --- reference tensor ---------------------------------------------------------
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Largest dense A0 of one monomial (512 MB of doubles; an exact int64 A0
+# takes as much), checked before it is integrated and by read_raw on each
+# listed term.  Navier-Stokes on a tetrahedron at q = 8 would need
+# 495 * 495 * 165 * 3, about 1.2e8 entries; at q = 7 it needs 4.7e7.
+MAX_TERM_ENTRIES = 2 ** 26
 
 
 def _checked(bound):
@@ -447,7 +442,8 @@ def compute_reference_tensor(term):
 # --- geometry tensor -----------------------------------------------------------
 
 
-class GeometryTensorExpr:
+class GeometryTensorExpr(namedtuple(
+        "GeometryTensorExpr", "dims aux_dims transforms coeff_reads")):
     """Closed-form per-element expression for the geometry tensor.
 
     For a fixed secondary multiindex alpha the component is
@@ -464,19 +460,23 @@ class GeometryTensorExpr:
     over dims[k] and auxiliary slot k over aux_dims[k].  ``rank`` equals
     the number of secondary slots: one per coefficient read plus one per
     free transform slot.
+
+    The four fields are tuples, so an expression is a value: two are equal,
+    with equal hashes, when they are the same expression.
     """
 
-    def __init__(self, dims, aux_dims, transforms, coeff_reads):
-        self.dims = tuple(dims)
-        self.rank = len(self.dims)
-        self.aux_dims = tuple(aux_dims)
-        self.transforms = tuple(transforms)
-        self.coeff_reads = tuple(coeff_reads)
+    @property
+    def rank(self):
+        return len(self.dims)
 
-        self.n_coefficient_slots = len(self.coeff_reads)
+    @property
+    def n_coefficient_slots(self):
+        return len(self.coeff_reads)
+
+    @property
+    def n_transform_slots(self):
         # the reference direction, plus the x direction when it is free
-        self.n_transform_slots = sum(
-            1 + (x[0] == "s") for _, x in self.transforms)
+        return sum(1 + (x[0] == "s") for _, x in self.transforms)
 
     @property
     def n_components(self):
@@ -532,13 +532,6 @@ class GeometryTensorExpr:
             ids = _first_equal_rows(products.reshape(n_sums * n, -1))
             products = np.sort(ids.reshape(n_sums, n), axis=0)[..., None]
         return _first_equal_rows(products.transpose(1, 0, 2).reshape(n, -1))
-
-    @cached_property
-    def key(self):
-        """Equal keys mean equal expressions, component by component."""
-        return (self.dims, tuple(c for c, *_ in self.coeff_reads),
-                self.expansion[0].shape) + tuple(
-                    a.tobytes() for a in self.expansion)
 
     def evaluate(self, dets, gs, coeffs=(), components=None, out=None):
         """Geometry tensor components for a batch of affine maps.
@@ -605,9 +598,9 @@ def derive_geometry_expr(term):
         return None if x is None else (tag[x.kind], x.value)
 
     return GeometryTensorExpr(
-        term.secondary_dims, [i.range for i in term.aux_g],
-        [(ref.value, slot(x)) for ref, x in term.transforms],
-        [(c, e.value, slot(x)) for c, e, x in term.coeff_reads],
+        term.secondary_dims, tuple(i.range for i in term.aux_g),
+        tuple((ref.value, slot(x)) for ref, x in term.transforms),
+        tuple((c, e.value, slot(x)) for c, e, x in term.coeff_reads),
     )
 
 
@@ -618,11 +611,9 @@ class CompiledTerm:
     """One geometry expression and its ``columns`` of the form's A0 stack;
     column ``columns.start + k`` reads G component ``used_components[k]``."""
 
-    def __init__(self, stacked, primary_dims, geometry, used, columns):
+    def __init__(self, stacked, geometry, used, columns):
         self.stacked = stacked
         self.geometry = geometry
-        self.primary_dims = primary_dims
-        self.secondary_dims = geometry.dims
         self.used_components = used
         self.columns = columns
 
@@ -768,8 +759,7 @@ class CompiledForm:
         self.stacked = scipy.sparse.csr_matrix(
             (values[order], columns[order], indptr),
             shape=(self.block_size, width))
-        self.terms = [CompiledTerm(self.stacked, self.primary_dims, *span)
-                      for span in spans]
+        self.terms = [CompiledTerm(self.stacked, *span) for span in spans]
 
     @property
     def block_size(self):
@@ -822,7 +812,10 @@ def _rounded(numerators, denominator, constant):
 def compile_form(form):
     """Compile a language form into its tensor representation.
 
-    Monomials with equal geometry keys share one term.  Per constant,
+    Monomials with the same geometry expression share one term, and only
+    the first one's expression is expanded.  A monomial whose dense A0
+    would hold more than MAX_TERM_ENTRIES entries raises UnsupportedDegree
+    before it is integrated.  Per constant,
     their exact A0 blocks are summed over a common denominator in
     first-occurrence order (equal (element, derivative) factors share one
     integration in ``_scalar_integrals``), the A0 column of each G
@@ -836,19 +829,21 @@ def compile_form(form):
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
-    groups = {}  # geometry key -> (geometry, {constant: (numerators, den)})
+    groups = {}  # geometry -> {constant: (numerators, denominator)}
     for monomial in expand_to_monomials(form):
         if not isfinite(monomial.scalar):
             raise NonFiniteValue("a monomial's constant is not finite")
         term = classify_indices(monomial)
-        geometry = derive_geometry_expr(term)
-        sums = groups.setdefault(geometry.key, (geometry, {}))[1]
+        if prod(term.primary_dims + term.secondary_dims) > MAX_TERM_ENTRIES:
+            raise UnsupportedDegree("a monomial's reference tensor has more "
+                                    "than %d entries" % MAX_TERM_ENTRIES)
+        sums = groups.setdefault(derive_geometry_expr(term), {})
         block = compute_reference_tensor(term)
         if monomial.scalar in sums:
             block = _exact_sum(*sums[monomial.scalar], *block)
         sums[monomial.scalar] = block
     entries = []
-    for geometry, sums in groups.values():
+    for geometry, sums in groups.items():
         rep = geometry.representatives
         moved = np.flatnonzero(rep != np.arange(rep.size)).tolist()
         flats = []

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +50,28 @@ def shipped_forms(name, shape, degree):
     """The forms of a shipped form file, re-degreed and on another cell."""
     with open(os.path.join(FORMS_DIR, name + ".form")) as fh:
         return parse_form_file(form_text_with(fh.read(), degree, shape))
+
+
+def child_env():
+    """The environment of a child process, with src/ on its path, as
+    pytest's own pythonpath setting does not reach it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                              else ""))
+
+
+def run_limited(code, *args, stdin=""):
+    """Run Python code in a child process that may map only 1 GiB, so that
+    an allocation the code should never make fails in the child, not on
+    the host.  Returns the CompletedProcess."""
+    prologue = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+    return subprocess.run(
+        [sys.executable, "-c", prologue + code, *args], input=stdin,
+        capture_output=True, text=True, timeout=120,
+        env=dict(child_env(), OPENBLAS_NUM_THREADS="1"))
 
 
 def random_affine_map(rng, d, min_det=0.3):

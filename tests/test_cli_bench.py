@@ -1,12 +1,12 @@
 """Complexity model, benchmark harness, and the formc command line."""
 
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env, run_limited
 from formc.cli_bench import (
     BenchResult,
     ComplexityParams,
@@ -280,6 +280,18 @@ def test_cli_compile_deep_nesting_fails_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.form"]
 
 
+def test_cli_compile_out_of_memory_fails_and_writes_nothing(
+        tmp_path, formfile, capsys, monkeypatch):
+    def exhausted(form):
+        raise MemoryError()
+
+    monkeypatch.setattr("formc.cli_bench.compile_form", exhausted)
+    out = tmp_path / "out.c"
+    assert cli(["compile", str(formfile), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "formc: error: out of memory\n"
+    assert not out.exists()
+
+
 def test_cli_assemble_second_derivatives_fails_on_both_paths(
         tmp_path, capsys):
     from formc.runtime import save_mesh, unit_square_mesh
@@ -506,16 +518,6 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli(["compile", str(bad)]) == 1
 
 
-def child_env():
-    """The environment of a child process, with src/ on its path, as
-    pytest's own pythonpath setting does not reach it."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
-                                              else ""))
-
-
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "formc.cli_bench", "estimate", "--q", "1",
@@ -531,15 +533,9 @@ def test_console_script_entry_point():
 def test_estimate_counts_a_large_rule_without_building_it():
     # the q = 1000 rule has 1001^3 points, 24 GB of coordinates; the child
     # may map 1 GiB, so building the rule fails there, not on the host
-    limit = 1 << 30
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
-            "from formc.cli_bench import cli\n"
-            "sys.exit(cli(sys.argv[1:]))\n" % (limit, limit))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "estimate", "--q", "1000", "--d", "3"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(child_env(), OPENBLAS_NUM_THREADS="1"))
+    proc = run_limited("import sys\nfrom formc.cli_bench import cli\n"
+                       "sys.exit(cli(sys.argv[1:]))\n",
+                       "estimate", "--q", "1000", "--d", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("n=167668501 T_T=28112726227587001 "
                            "T_Q=28197148772561170991590001 "

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_one, random_affine_map, shipped_forms
+from conftest import parse_one, random_affine_map, run_limited, shipped_forms
 from formc.codegen import (
     RAW_HEADER,
     count_code_lines,
@@ -320,6 +320,24 @@ def test_raw_reader_names_the_line_of_each_fault(number, replacement, where):
     with pytest.raises(FormSyntaxError) as err:
         read_raw("\n".join(lines) + "\n")
     assert err.value.line == where
+
+
+def test_raw_reader_bounds_the_block_before_building_it():
+    # with no monomial no term's bound applies, and the block alone would
+    # take 75 GiB; the child may map 1 GiB, so that fails there, not on
+    # the host
+    listing = "\n".join([RAW_HEADER, "form a", "cell triangle 2", "arity 2",
+                         "primary 100000 100000", "coefficients",
+                         "monomials 0", "end"]) + "\n"
+    proc = run_limited("import sys\n"
+                       "from formc.codegen import read_raw\n"
+                       "from formc.errors import FormSyntaxError\n"
+                       "try:\n"
+                       "    read_raw(sys.stdin.read())\n"
+                       "except FormSyntaxError as exc:\n"
+                       "    print(exc)\n", stdin=listing)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "element tensor too large (line 5)\n"
 
 
 def test_raw_reader_renames_sum_variables():

@@ -38,13 +38,14 @@ from formc.codegen import (
 from formc.tensor_representation import compile_form
 
 
-def reference_nonzeros(ct):
-    """(multiindex, value) of a term's A0 nonzeros, in CSR order."""
+def reference_nonzeros(cf, ct):
+    """(multiindex, value) of the A0 nonzeros of term ct of cf, in CSR
+    order."""
     m = ct.matrix
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    idx = np.unravel_index(rows, ct.primary_dims)
-    if ct.secondary_dims:
-        idx += np.unravel_index(m.indices, ct.secondary_dims)
+    idx = np.unravel_index(rows, cf.primary_dims)
+    if ct.geometry.dims:
+        idx += np.unravel_index(m.indices, ct.geometry.dims)
     return zip(zip(*(i.tolist() for i in idx)), m.data.tolist())
 
 
@@ -169,10 +170,10 @@ def reference_emit_raw(cf):
     for k, ct in enumerate(cf.terms):
         lines.append("monomial %d" % k)
         lines.append("secondary" + "".join(
-            " %d" % n for n in ct.secondary_dims))
+            " %d" % n for n in ct.geometry.dims))
         lines.append("geometry %s" % _geometry_sexpr(ct.geometry))
         lines.append("entries %d" % ct.matrix.nnz)
-        for idx, v in reference_nonzeros(ct):
+        for idx, v in reference_nonzeros(cf, ct):
             lines.append("%s %s" % (" ".join(str(i) for i in idx), repr(v)))
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -191,7 +192,7 @@ def reference_emit_latex(cf):
         lines.append(r"\[ %s \]" % _latex_geometry(ct.geometry))
         lines.append("Nonzero reference tensor entries:")
         lines.append(r"\begin{eqnarray*}")
-        for idx, v in reference_nonzeros(ct):
+        for idx, v in reference_nonzeros(cf, ct):
             lines.append(r"A^0_{%s} &=& %s \\" % (
                 r"\,".join(str(i) for i in idx), _fmt(v)))
         lines.append(r"\end{eqnarray*}")

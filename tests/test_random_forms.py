@@ -16,7 +16,10 @@ from formc.codegen import emit_c, emit_latex, emit_raw, read_raw
 from formc.runtime import quadrature_element_tensors
 from formc.tensor_representation import compile_form
 from test_codegen import assert_c_matches_numpy
-from test_tensor_representation import random_cells
+from test_tensor_representation import (
+    assert_groups_match_expansion_bytes,
+    random_cells,
+)
 
 SHAPES = {"interval": 1, "triangle": 2, "tetrahedron": 3}
 
@@ -124,6 +127,7 @@ def test_random_forms_match_the_oracle_and_reread(text):
         else random_cells(rng, added, 3)[2])).max()
     assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), scale,
                                                    1e-12)
+    assert_groups_match_expansion_bytes(cf)
     again = read_raw(emit_raw(cf))
     # the stack stores no zero, every column and every term holds a
     # nonzero, and a reread stack is the same, bit for bit

@@ -901,6 +901,19 @@ def test_cg_max_iterations(rng):
         cg_solve(reduced, rhs, max_iter=1)
 
 
+@pytest.mark.parametrize("diagonal,rhs,where", (
+    ([2.0, 2.0, 2.0], [1.0, np.nan, 1.0], "right-hand side"),
+    ([2.0, 2.0, 2.0], [1.0, -np.inf, 1.0], "right-hand side"),
+    ([2.0, np.nan, 2.0], [1.0, 1.0, 1.0], "iteration 1"),
+    ([2.0, np.inf, 2.0], [1.0, 1.0, 1.0], "iteration 1"),
+))
+def test_cg_rejects_non_finite_input(diagonal, rhs, where):
+    # p.Ap <= 0 is False for NaN: without the check CG runs to its limit
+    matrix = scipy.sparse.csr_matrix(np.diag(diagonal))
+    with pytest.raises(NonFiniteValue, match=where):
+        cg_solve(matrix, np.array(rhs))
+
+
 def test_dirichlet_poisson_recovers_linear_solution():
     # u(x, y) = 1 + x + 2 y is harmonic, so it solves the homogeneous
     # problem exactly for any mesh once its boundary values are imposed
@@ -952,6 +965,18 @@ def test_apply_dirichlet_rejects_bad_dofs(dofs, values):
             apply_dirichlet(wrong, np.zeros(3), [0], [1.0])
 
 
+@pytest.mark.parametrize("rhs,values", (
+    ([0.0, 0.0, 0.0], [np.nan]),
+    ([0.0, 0.0, 0.0], [np.inf]),
+    ([0.0, np.nan, 0.0], [1.0]),
+))
+def test_apply_dirichlet_rejects_non_finite_values(rhs, values):
+    matrix = scipy.sparse.csr_matrix(
+        np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    with pytest.raises(NonFiniteValue):
+        apply_dirichlet(matrix, np.array(rhs), [0], values)
+
+
 def test_apply_dirichlet_matches_two_selections(rng):
     # P2 diffusion plus advection along x: a nonsymmetric matrix whose
     # eliminated columns move to the right-hand side
@@ -998,6 +1023,11 @@ def test_l2_error_of_interpolants():
     vector = build_dofmap(mesh, make_vector_lagrange("triangle", 1))
     with pytest.raises(DimensionMismatch):
         l2_error(mesh, vector, np.zeros(vector.global_dim), linear)
+    # a short vector would index past its end, a long one be cut
+    for n in (dmap.global_dim - 1, dmap.global_dim + 1):
+        with pytest.raises(DimensionMismatch, match="vector has length %d, "
+                           "dof map has 25" % n):
+            l2_error(mesh, dmap, np.zeros(n), linear)
 
 
 def test_second_derivatives_are_unsupported(rng):

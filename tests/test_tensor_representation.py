@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from conftest import parse_one, random_affine_map, shipped_forms
+from conftest import parse_one, random_affine_map, run_limited, shipped_forms
 from exact_basis import fraction_basis
 from formc.cli_bench import form_text_with
 from formc.codegen import emit_raw, read_raw
@@ -827,7 +827,7 @@ def test_equal_geometries_merge(picks, shape, q, seed):
         "w = Function(element)\ni = Index()\nj = Index()\n"
         "a = (%s)*dx\n" % " + ".join(text for text, _ in picks))
     cf = compile_form(form)
-    keys = {derive_geometry_expr(classify_indices(m)).key
+    keys = {derive_geometry_expr(classify_indices(m))
             for m in expand_to_monomials(form)}
     assert len(cf.terms) == len(keys) == len({c for _, c in picks})
 
@@ -908,7 +908,7 @@ def per_monomial_matrices(form):
         term = classify_indices(monomial)
         geometry = derive_geometry_expr(term)
         numerators, denominator = compute_reference_tensor(term)
-        group = groups.setdefault(geometry.key,
+        group = groups.setdefault(geometry,
                                   [geometry, 0, 1, monomial.scalar])
         assert group[3] == monomial.scalar
         common = math.lcm(group[2], denominator)
@@ -943,6 +943,66 @@ def test_shared_integrations_are_bitwise_per_monomial(name, shape, q):
             assert ct.matrix.toarray().tobytes() == dense.tobytes()
             assert (ct.geometry.representatives.tolist()
                     == equal_components(ct.geometry))
+
+
+def expansion_key(geometry):
+    """The byte key monomials were once grouped by: the expression's dims,
+    coefficient numbers and expanded index arrays."""
+    return (geometry.dims, tuple(c for c, *_ in geometry.coeff_reads),
+            geometry.expansion[0].shape) + tuple(
+                a.tobytes() for a in geometry.expansion)
+
+
+def first_equal(items):
+    """Position of the first item equal to each item."""
+    first = {}
+    return [first.setdefault(x, k) for k, x in enumerate(items)]
+
+
+def assert_groups_match_expansion_bytes(cf):
+    """Two monomials of cf have the same geometry expression exactly when
+    their expansions have the same bytes, and cf's terms are the groups in
+    first-occurrence order, less those that cancel."""
+    geometries = [derive_geometry_expr(classify_indices(m))
+                  for m in expand_to_monomials(cf.form)]
+    assert (first_equal(map(expansion_key, geometries))
+            == first_equal(geometries))
+    terms = [ct.geometry for ct in cf.terms]
+    assert terms == [g for g in dict.fromkeys(geometries) if g in terms]
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("shape", ("interval", "triangle", "tetrahedron"))
+@pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
+                                  "elasticity"))
+def test_geometry_expressions_are_values(name, shape, q):
+    for _, cf, again in compiled_shipped(name, shape, q):
+        assert len(again.terms) == len(cf.terms)
+        for ct, reread in zip(cf.terms, again.terms):
+            assert reread.geometry is not ct.geometry
+            assert reread.geometry == ct.geometry
+            assert hash(reread.geometry) == hash(ct.geometry)
+        assert_groups_match_expansion_bytes(cf)
+
+
+def test_a0_beyond_the_bound_is_refused_before_integration():
+    # Navier-Stokes on a tetrahedron at q = 8 needs 495 * 495 * 165 * 3
+    # A0 entries per monomial; the child may map 1 GiB, so integrating
+    # fails there, not on the host
+    with open(os.path.join(FORMS_DIR, "navierstokes.form")) as fh:
+        text = form_text_with(fh.read(), 8, "tetrahedron")
+    proc = run_limited("import sys\n"
+                       "from formc.errors import UnsupportedDegree\n"
+                       "from formc.form_language import parse_form_file\n"
+                       "from formc.tensor_representation import compile_form\n"
+                       "(form,) = parse_form_file(sys.stdin.read())\n"
+                       "try:\n"
+                       "    compile_form(form)\n"
+                       "except UnsupportedDegree as exc:\n"
+                       "    print(exc)\n", stdin=text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("a monomial's reference tensor has more than "
+                           "67108864 entries\n")
 
 
 def test_renamed_monomials_integrate_once():
@@ -1078,7 +1138,7 @@ def fraction_terms(form):
         constant = Fraction(monomial.scalar)
         numerators = numerators * constant.numerator
         denominator *= constant.denominator
-        group = groups.setdefault(geometry.key, [geometry, 0, 1])
+        group = groups.setdefault(geometry, [geometry, 0, 1])
         common = math.lcm(group[2], denominator)
         group[1] = (group[1] * (common // group[2])
                     + numerators * (common // denominator))
