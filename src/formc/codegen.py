@@ -14,9 +14,9 @@ just as well.
 The C declares the G components that some A0 nonzero reads, and carries
 out the form's kernel plan (``CompiledForm.plan``), which the numpy
 contraction carries out too: a block entry whose plan source is an earlier
-row copies that entry, negated where the plan says so ("block[r] =
--block[j];"); every other entry is the sum of its row's nonzeros with the
-row's own constants, "0.0" for an empty row.
+row copies that entry ("block[r] = block[j];"); every other entry is the
+sum of its row's nonzeros with the row's own constants, "0.0" for the
+first empty row.
 
 The emitters work on A0 nonzeros as whole CSR arrays, all read from the
 form's one store (``CompiledForm.stacked``): the C on the whole stack,
@@ -45,6 +45,7 @@ import numpy as np
 from .errors import FormcError, FormSyntaxError
 from .reference_elements import ReferenceCell
 from .tensor_representation import (
+    MAX_BLOCK_ROWS,
     MAX_TERM_ENTRIES,
     CompiledForm,
     GeometryTensorExpr,
@@ -140,25 +141,21 @@ def _block_rhs(cf, names):
     """Right-hand side of every block entry, given the G name of each
     column of ``cf.stacked``.
 
-    A row whose ``cf.plan`` source is an earlier row copies it:
-    "block[j]" or, for a negated row, "-block[j]".  Every other row is the
-    sum of its stacked A0 nonzeros, each as a signed coefficient times its
-    G name, with the row's own constants; only the values of these rows
-    are formatted, once per distinct value.
+    A row whose ``cf.plan`` source is an earlier row copies it,
+    "block[j]".  Every other row is the sum of its stacked A0 nonzeros,
+    each as a signed coefficient times its G name, with the row's own
+    constants; only the values of these rows are formatted, once per
+    distinct value.
     """
-    m, plan = cf.stacked, cf.plan
-    counts = m.indptr[1:] - m.indptr[:-1]
-    written = plan.source == np.arange(cf.block_size)
-    kept = written.repeat(counts)
-    pieces = [None] * (2 * int(kept.sum()))
-    pieces[::2] = _formatted(m.data[kept], _c_coefficient)
-    pieces[1::2] = map(names.__getitem__, m.indices[kept].tolist())
-    bounds = [0] + (2 * counts[written]).cumsum().tolist()
+    data, indices, indptr = cf.plan.entries
+    pieces = [None] * (2 * data.size)
+    pieces[::2] = _formatted(data, _c_coefficient)
+    pieces[1::2] = map(names.__getitem__, indices.tolist())
+    bounds = (2 * indptr).tolist()
     texts = iter([_leading("".join(pieces[a:b]))
                   for a, b in zip(bounds, bounds[1:])])
-    return [next(texts) if w else ("-block[%d]" if neg else "block[%d]") % j
-            for w, neg, j in zip(written.tolist(), plan.negated.tolist(),
-                                 plan.source.tolist())]
+    return [next(texts) if j == r else "block[%d]" % j
+            for r, j in enumerate(cf.plan.source.tolist())]
 
 
 def emit_c(cf, function_name="eval"):
@@ -389,7 +386,9 @@ def _other_space(text):
 def read_raw(text):
     """Parse emit_raw output back into a CompiledForm.
 
-    A malformed listing raises FormSyntaxError with the line number.
+    A malformed listing raises FormSyntaxError with the line number, as
+    does a block of more than MAX_BLOCK_ROWS entries, the bound
+    compile_form keeps, or a term's A0 of more than MAX_TERM_ENTRIES.
     Entries must be listed in row-major order, as emit_raw writes them.
     Lines break at "\\n" only and fields at ASCII whitespace; any other
     whitespace character is an error on its line.
@@ -438,7 +437,7 @@ def read_raw(text):
                               line=i)
     (arity,) = numbers("arity", 1, least=1)
     primary_dims = numbers("primary", arity, least=1)
-    if prod(primary_dims) > MAX_TERM_ENTRIES:
+    if prod(primary_dims) > MAX_BLOCK_ROWS:
         raise FormSyntaxError("element tensor too large", line=i)
     coefficient_dims = numbers("coefficients", least=1)
     (n_monomials,) = numbers("monomials", 1)

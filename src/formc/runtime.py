@@ -662,10 +662,11 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
     """Plain conjugate gradients with a symmetry spot check.
 
     Raises NonFiniteValue for a non-finite right-hand side, before any
-    work, or p.Ap, at the iteration where it appears; NotSymmetric when one
-    of 10 random entry pairs disagrees, NotPositiveDefinite when a search
-    direction p has p.Ap <= 0, and MaxIterations when the relative
-    residual fails to reach ``tol``.
+    work, for a non-finite matrix entry that the spot check reads, before
+    it is compared, or for p.Ap, at the iteration where it appears;
+    NotSymmetric when one of 10 random entry pairs disagrees,
+    NotPositiveDefinite when a search direction p has p.Ap <= 0, and
+    MaxIterations when the relative residual fails to reach ``tol``.
     """
     b = np.asarray(rhs, dtype=float)
     if not np.isfinite(b).all():
@@ -680,6 +681,9 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
         for _ in range(10):
             i, j = rng.integers(0, n, size=2)
             aij, aji = A[int(i), int(j)], A[int(j), int(i)]
+            for r, c, a in (i, j, aij), (j, i, aji):
+                if not math.isfinite(a):
+                    raise NonFiniteValue("entry (%d,%d) is %s" % (r, c, a))
             if abs(aij - aji) > 1e-10 * (1.0 + abs(aij)):
                 raise NotSymmetric(
                     "entry (%d,%d)=%r differs from (%d,%d)=%r"

@@ -30,19 +30,19 @@ the A0 columns of all terms, restricted the same way, lie side by side in
 one CSR over K columns (``stacked``), the one store of A0 nonzeros: the
 CompiledForm constructor builds it, the kernel plan reads it, and the
 listings read each term's ``matrix``, decoded from it.  Many of its rows
-repeat an earlier row exactly, or its negation; ``KernelPlan`` finds them
-by their bits (P3 on a tetrahedron: Navier-Stokes 401, elasticity 1,458
-and Poisson 168 distinct of 3,600, 3,600 and 400 rows; Navier-Stokes
-stacks 55,746 nonzeros over 60 columns and multiplies 18,582 of them)
-and decides, once per form, every block row's source and sign and the
-rows numpy multiplies.  When contracting only the distinct rows saves
-more multiply-adds than the block has rows to copy, one sparse product
-A0_distinct @ G^T gives [U x ncells], the plan's row map gathers it out
-to [block x ncells], and the negated rows change sign; otherwise the
-whole stack is multiplied.  The emitted C copies each row from its
-source.  The sparse product adds each entry in the fixed order of its A0
-row, so a cell's block is bitwise the same in every batch, and a
-repeated row gives bitwise the value of its source, negated rows too.  A
+repeat an earlier row exactly; ``KernelPlan`` finds them by their bits
+(P3 on a tetrahedron: Navier-Stokes 401, elasticity 1,458 and Poisson 168
+distinct of 3,600, 3,600 and 400 rows; Navier-Stokes stacks 55,746
+nonzeros over 60 columns and multiplies 18,582 of them) and decides, once
+per form, which earlier row each block row copies and which rows sum
+their own nonzeros: the first row of each bit pattern, an empty one
+included.  When contracting only these rows saves more multiply-adds
+than the block has rows to copy, one sparse product A0_rows @ G^T gives
+[U x ncells], and the plan's row map gathers it out to [block x ncells];
+otherwise the whole stack is multiplied.  The emitted C sums the same
+rows and copies the others.  The sparse product adds each entry in the
+fixed order of its A0 row, so a cell's block is bitwise the same in
+every batch, and a repeated row gives bitwise the value of its source.  A
 dense BLAS product is not batch independent: it picks its kernels by the
 number of rows.
 
@@ -61,9 +61,11 @@ twice on the G side an auxiliary sum inside G, and once on each side makes
 it secondary.
 The classification belongs to the compiler, not to the form language:
 ``classify_indices`` gives each secondary or auxiliary index a
-ClassifiedIndex record of its own, with an id unique in the process, its
-slot as ``value`` (its position among the monomial's secondary indices, or
-among its auxiliary indices of one side) and its extent as ``range``.
+ClassifiedIndex record of its own, with its number among the monomial's
+classified indices as ``id``, its slot as ``value`` (its position among
+the monomial's secondary indices, or among its auxiliary indices of one
+side) and its extent as ``range``.  Records are values: classifying a
+monomial twice gives equal terms.
 """
 
 from collections import namedtuple
@@ -98,10 +100,10 @@ __all__ = [
     "compile_form",
 ]
 
-# a secondary or auxiliary index of one monomial: its kind, an id unique in
-# the process, its slot as value and its extent as range
+# a secondary or auxiliary index of one monomial: its kind, its number
+# among the monomial's classified indices as id, its slot as value and its
+# extent as range
 ClassifiedIndex = namedtuple("ClassifiedIndex", "kind id value range")
-_ids = count()
 
 # one reference-side basis factor of a classified monomial: its element;
 # its kind, "argument" or "coefficient"; its slot, the argument slot or
@@ -122,13 +124,6 @@ ClassifiedFactor = namedtuple(
 MonomialTerm = namedtuple(
     "MonomialTerm", "cell factors secondary aux_a0 aux_g transforms "
     "coeff_reads arg_factors rank primary_dims secondary_dims")
-
-
-def _slotted(kind, slots, extent):
-    """A fresh classified index whose value is its position in slots."""
-    index = ClassifiedIndex(kind, next(_ids), len(slots), extent)
-    slots.append(index)
-    return index
 
 
 def classify_indices(monomial):
@@ -179,6 +174,14 @@ def classify_indices(monomial):
     secondary = []
     aux_a0 = []
     aux_g = []
+    ids = count()  # numbers the classified indices in the order made
+
+    def slotted(kind, slots, extent):
+        """A fresh classified index whose value is its position in slots."""
+        index = ClassifiedIndex(kind, next(ids), len(slots), extent)
+        slots.append(index)
+        return index
+
     for index_id, sides in occurrences.items():
         if len(sides) == 1:
             raise IndexOccursOnce(
@@ -193,11 +196,11 @@ def classify_indices(monomial):
         if d == 1:
             rebound[index_id] = Index.fixed(0)
         elif sides == ["a0", "a0"]:
-            rebound[index_id] = _slotted("auxiliary", aux_a0, d)
+            rebound[index_id] = slotted("auxiliary", aux_a0, d)
         elif sides == ["g", "g"]:
-            rebound[index_id] = _slotted("auxiliary", aux_g, d)
+            rebound[index_id] = slotted("auxiliary", aux_g, d)
         else:
-            rebound[index_id] = _slotted("secondary", secondary, d)
+            rebound[index_id] = slotted("secondary", secondary, d)
 
     # rebuild factors, introducing expansion and reference-direction
     # indices; a fixed index, whose id is None, stays as it is
@@ -212,11 +215,11 @@ def classify_indices(monomial):
             kind, slot = "argument", f.slot
         else:
             kind, slot = "coefficient", f.number
-            expansion = _slotted("secondary", secondary, f.element.scalar_dim)
+            expansion = slotted("secondary", secondary, f.element.scalar_dim)
             coeff_reads.append((slot, expansion, component))
         derivs = []
         for i in f.derivatives:
-            ref = _slotted("secondary", secondary, d)
+            ref = slotted("secondary", secondary, d)
             derivs.append(ref)
             transforms.append((ref, rebound.get(i.id, i)))
         classified.append(ClassifiedFactor(
@@ -240,6 +243,11 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # listed term.  Navier-Stokes on a tetrahedron at q = 8 would need
 # 495 * 495 * 165 * 3, about 1.2e8 entries; at q = 7 it needs 4.7e7.
 MAX_TERM_ENTRIES = 2 ** 26
+
+# Largest element tensor block, in rows, checked by compile_form and by
+# read_raw: a compiled form and its kernel plan hold a few arrays of one
+# entry per row.  Vector P8 on a tetrahedron has 495 * 495 = 245,025 rows.
+MAX_BLOCK_ROWS = 2 ** 20
 
 
 def _checked(bound):
@@ -529,9 +537,11 @@ class GeometryTensorExpr(namedtuple(
                                    np.sort(numbers * width + dofs, axis=2)],
                                   axis=2)
         if n_sums > 1:  # a code per product, sorted within each sum
-            ids = _first_equal_rows(products.reshape(n_sums * n, -1))
+            table = products.reshape(n_sums * n, -1).tolist()
+            ids = _first_equal(map(tuple, table))
             products = np.sort(ids.reshape(n_sums, n), axis=0)[..., None]
-        return _first_equal_rows(products.transpose(1, 0, 2).reshape(n, -1))
+        table = products.transpose(1, 0, 2).reshape(n, -1).tolist()
+        return _first_equal(map(tuple, table))
 
     def evaluate(self, dets, gs, coeffs=(), components=None, out=None):
         """Geometry tensor components for a batch of affine maps.
@@ -577,11 +587,11 @@ class GeometryTensorExpr(namedtuple(
         return np.multiply(total, scale, out=out)
 
 
-def _first_equal_rows(table):
-    """Index of the first row equal to each row of a 2-D integer table."""
+def _first_equal(keys):
+    """Index of the first key equal to each of the hashable keys."""
     first = {}
-    return np.array([first.setdefault(tuple(row), r)
-                     for r, row in enumerate(table.tolist())], dtype=int)
+    return np.array([first.setdefault(k, r) for r, k in enumerate(keys)],
+                    dtype=np.intp)
 
 
 def _multiindices(dims):
@@ -669,48 +679,41 @@ def contract_terms(cf, dets, gs, coeffs=()):
     out = plan.a0 @ g.T
     if plan.gather is not None:
         out = out[plan.gather]
-        out[plan.negated] *= -1.0
     return out.T.reshape((ncells,) + cf.primary_dims)
 
 
 class KernelPlan:
     """How numpy and the emitted C evaluate a block from its A0 stack.
 
-    Rows are keyed by their (column, value bits) bytes; a row whose first
-    stored value has its sign bit set is keyed negated, and marked so.
-    Per block row, ``source`` holds the first row of its key, which it
-    copies, or the row itself, which sums its own nonzeros: a nonempty
-    first row, and every empty row, so the C writes an empty row 0.0.
-    ``negated`` marks the rows whose mark differs from their source's.
+    Rows are keyed by their (column, value bits) bytes.  Per block row,
+    ``source`` holds the first row of its key, which it copies; the first
+    rows themselves, ascending in ``rows``, sum their own nonzeros, 0.0
+    for an empty row, and ``entries`` holds these nonzeros as the arrays
+    (data, indices, indptr) of a CSR over the rows.
 
-    numpy multiplies only the distinct rows when the nonzeros outside them
-    outnumber the block's rows: ``rows`` holds the stack row of each key,
-    all empty rows sharing one, and ``gather`` the position of each block
-    row among them.  Otherwise both are None and numpy multiplies the
-    whole stack.  ``a0``, the CSR numpy multiplies, is built on first use.
+    numpy multiplies only these rows, ``a0``, when the nonzeros outside
+    them outnumber the block's rows, and ``gather`` holds the position of
+    each block row's source among them; otherwise ``gather`` is None and
+    ``a0`` is the whole stack.
     """
 
     def __init__(self, stacked):
-        self.stacked = m = stacked
-        counts = m.indptr[1:] - m.indptr[:-1]
-        flip = np.zeros(m.shape[0], dtype=bool)  # the sign of each first value
-        flip[counts > 0] = np.signbit(m.data[m.indptr[:-1][counts > 0]])
-        signed = np.where(flip.repeat(counts), -m.data, m.data)
-        data = np.column_stack([m.indices.astype(np.int64), signed.view(
+        m = stacked
+        data = np.column_stack([m.indices.astype(np.int64), m.data.view(
             np.int64)]).tobytes()  # 16 bytes per nonzero
-        bounds = (16 * m.indptr).tolist()
-        first = {}  # key -> position among the distinct rows
-        gather = np.array([first.setdefault(data[a:b], len(first))
-                           for a, b in zip(bounds, bounds[1:])], dtype=np.intp)
-        rows = np.unique(gather, return_index=True)[1]
-        self.source = np.where(counts > 0, rows[gather], np.arange(m.shape[0]))
-        self.negated = flip != flip[self.source]
-        saves = m.nnz - counts[rows].sum() > m.shape[0]
-        self.rows, self.gather = (rows, gather) if saves else (None, None)
-
-    @cached_property
-    def a0(self):
-        return self.stacked if self.rows is None else self.stacked[self.rows]
+        ends = (16 * m.indptr).tolist()
+        self.source = _first_equal(data[a:b] for a, b in zip(ends, ends[1:]))
+        summed = self.source == np.arange(m.shape[0])
+        self.rows = np.flatnonzero(summed)
+        counts = np.diff(m.indptr)
+        kept = summed.repeat(counts)
+        self.entries = (m.data[kept], m.indices[kept],
+                        np.append(0, counts[self.rows].cumsum()))
+        self.gather, self.a0 = None, m
+        if m.nnz - np.count_nonzero(kept) > m.shape[0]:
+            self.gather = np.searchsorted(self.rows, self.source)
+            self.a0 = scipy.sparse.csr_matrix(
+                self.entries, shape=(self.rows.size, m.shape[1]))
 
 
 class CompiledForm:
@@ -813,9 +816,10 @@ def compile_form(form):
     """Compile a language form into its tensor representation.
 
     Monomials with the same geometry expression share one term, and only
-    the first one's expression is expanded.  A monomial whose dense A0
-    would hold more than MAX_TERM_ENTRIES entries raises UnsupportedDegree
-    before it is integrated.  Per constant,
+    the first one's expression is expanded.  An element tensor of more
+    than MAX_BLOCK_ROWS entries, or a monomial whose dense A0 would hold
+    more than MAX_TERM_ENTRIES, raises UnsupportedDegree before anything
+    is integrated.  Per constant,
     their exact A0 blocks are summed over a common denominator in
     first-occurrence order (equal (element, derivative) factors share one
     integration in ``_scalar_integrals``), the A0 column of each G
@@ -829,6 +833,8 @@ def compile_form(form):
     """
     if not isinstance(form, Form):
         raise TypeError("expected a Form")
+    if prod(form.primary_dims) > MAX_BLOCK_ROWS:
+        raise UnsupportedDegree("element tensor too large")
     groups = {}  # geometry -> {constant: (numerators, denominator)}
     for monomial in expand_to_monomials(form):
         if not isfinite(monomial.scalar):

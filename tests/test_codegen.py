@@ -20,7 +20,7 @@ from formc.codegen import (
     read_raw,
 )
 from formc.errors import FormSyntaxError
-from formc.tensor_representation import compile_form
+from formc.tensor_representation import MAX_BLOCK_ROWS, compile_form
 
 MASS_P1 = (
     'element = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -118,15 +118,13 @@ def test_p3_poisson_c_block_statements():
     assert len(blocks) == 100
     # three G components (G_10 folds into G_01) and 100 block entries
     assert count_code_lines(cf) == 103
-    copies = [l for l in blocks if l.split(" = ")[1].lstrip("-").startswith(
-        "block[")]
-    assert len(copies) == 59
+    copies = [l for l in blocks if l.split(" = ")[1].startswith("block[")]
+    assert len(copies) == 64
+    # the first empty row is written 0.0, and the later ones copy it
     zero = [l for l in blocks if l.endswith("= 0.0;")]
-    assert len(zero) == 6
-    assert {l.split(" ")[0] for l in zero} == {
-        "block[9]", "block[19]", "block[29]",
-        "block[90]", "block[91]", "block[92]",
-    }
+    assert zero == ["block[9] = 0.0;"]
+    assert {"block[%d] = block[9];" % r for r in (19, 29, 90, 91, 92)} <= set(
+        copies)
     by_index = {l.split(" ")[0]: l for l in blocks}
     assert by_index["block[0]"].startswith("block[0] = 4.250000000000")
     # the double nearest -7/80
@@ -323,21 +321,34 @@ def test_raw_reader_names_the_line_of_each_fault(number, replacement, where):
 
 
 def test_raw_reader_bounds_the_block_before_building_it():
-    # with no monomial no term's bound applies, and the block alone would
-    # take 75 GiB; the child may map 1 GiB, so that fails there, not on
-    # the host
-    listing = "\n".join([RAW_HEADER, "form a", "cell triangle 2", "arity 2",
-                         "primary 100000 100000", "coefficients",
-                         "monomials 0", "end"]) + "\n"
-    proc = run_limited("import sys\n"
-                       "from formc.codegen import read_raw\n"
-                       "from formc.errors import FormSyntaxError\n"
-                       "try:\n"
-                       "    read_raw(sys.stdin.read())\n"
-                       "except FormSyntaxError as exc:\n"
-                       "    print(exc)\n", stdin=listing)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "element tensor too large (line 5)\n"
+    # with no monomial no term's bound applies: the 10^10 entry block alone
+    # would take 75 GiB, and 2^26 block rows a 512 MiB row pointer; the
+    # child may map 1 GiB, so that fails there, not on the host
+    for primary in ("100000 100000", "8192 8192"):
+        listing = "\n".join([RAW_HEADER, "form a", "cell triangle 2",
+                             "arity 2", "primary " + primary, "coefficients",
+                             "monomials 0", "end"]) + "\n"
+        proc = run_limited("import sys\n"
+                           "from formc.codegen import read_raw\n"
+                           "from formc.errors import FormSyntaxError\n"
+                           "try:\n"
+                           "    read_raw(sys.stdin.read())\n"
+                           "except FormSyntaxError as exc:\n"
+                           "    print(exc)\n", stdin=listing)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "element tensor too large (line 5)\n"
+
+
+def test_raw_reader_reads_every_block_compile_form_accepts():
+    # compile_form and read_raw share one bound on the block rows
+    def listing(rows):
+        return "\n".join([RAW_HEADER, "form a", "cell interval 1", "arity 1",
+                          "primary %d" % rows, "coefficients", "monomials 0",
+                          "end"]) + "\n"
+
+    assert read_raw(listing(MAX_BLOCK_ROWS)).block_size == MAX_BLOCK_ROWS
+    with pytest.raises(FormSyntaxError, match="element tensor too large"):
+        read_raw(listing(MAX_BLOCK_ROWS + 1))
 
 
 def test_raw_reader_renames_sum_variables():
@@ -597,7 +608,7 @@ def test_emitted_c_compiles_and_matches(text, tmp_path, rng):
 # takes about a second
 COPIED_ROW_CASES = [
     (name, "interval", q) for name in ("mass", "poisson", "elasticity")
-    for q in (1, 2, 3)] + [("navierstokes", "interval", 1)] + [
+    for q in (1, 2, 3)] + [
     (name, shape, q) for name in ("mass", "poisson", "elasticity")
     for shape in ("triangle", "tetrahedron") for q in (1, 2)] + [
     (name, shape, 3) for name in ("mass", "poisson")
@@ -611,7 +622,15 @@ COPIED_ROW_CASES = [
 def test_c_with_copied_rows_matches_numpy(name, shape, q, tmp_path, rng):
     form = next(f for f in shipped_forms(name, shape, q) if f.arity == 2)
     code = emit_c(compile_form(form))
-    assert " = block[" in code or " = -block[" in code
+    assert " = block[" in code
+    assert_c_matches_numpy(form, tmp_path, rng)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_c_of_interval_navierstokes_matches_numpy(tmp_path, rng):
+    # its two rows that repeat others negated are each summed: no copies
+    (form,) = shipped_forms("navierstokes", "interval", 1)
+    assert " = block[" not in emit_c(compile_form(form))
     assert_c_matches_numpy(form, tmp_path, rng)
 
 
@@ -632,22 +651,44 @@ def test_count_code_lines_counts_emitted_statements(name, shape, q):
 @pytest.mark.parametrize("name", ("mass", "poisson", "navierstokes",
                                   "elasticity"))
 def test_c_copies_follow_the_row_plan(name, shape, q):
-    # the C copies exactly the rows whose plan source is an earlier row,
-    # with the plan's signs; every other row, an empty one too, is a sum
     for form in shipped_forms(name, shape, q):
-        cf = compile_form(form)
-        plan = cf.plan
-        want = {r: ("-" if plan.negated[r] else "") + "block[%d]" % j
-                for r, j in enumerate(plan.source.tolist()) if j != r}
-        got = {}
-        for line in emit_c(cf).splitlines():
-            if line.startswith("    block["):
-                lhs, rhs = line.strip().rstrip(";").split(" = ")
-                if rhs.lstrip("-").startswith("block["):
-                    got[int(lhs[6:-1])] = rhs
-        assert got == want
-        # the numpy contraction gathers a copied row from its source's row
-        if plan.gather is not None:
-            copied = plan.source != np.arange(cf.block_size)
-            assert np.array_equal(plan.gather[copied],
-                                  plan.gather[plan.source[copied]])
+        assert_one_row_rule(compile_form(form))
+
+
+def c_copies(code):
+    """{row: right-hand side} of every block entry the C copies, negated
+    or not."""
+    got = {}
+    for line in code.splitlines():
+        if line.startswith("    block["):
+            lhs, rhs = line.strip().rstrip(";").split(" = ")
+            if rhs.lstrip("-").startswith("block["):
+                got[int(lhs[6:-1])] = rhs
+    return got
+
+
+def assert_one_row_rule(cf):
+    """Each block row copies the first row with the same (column, value
+    bits) pairs, an empty row too, in numpy and in the C alike, with no
+    sign; the first rows are the ones the C sums and, when numpy gathers,
+    the ones it multiplies."""
+    m, plan = cf.stacked, cf.plan
+    first = {}
+    source = [first.setdefault((m.indices[a:b].tobytes(),
+                                m.data[a:b].tobytes()), r)
+              for r, (a, b) in enumerate(zip(m.indptr, m.indptr[1:]))]
+    assert plan.source.tolist() == source
+    summed = np.flatnonzero(plan.source == np.arange(cf.block_size))
+    assert np.array_equal(plan.rows, summed)
+    assert c_copies(emit_c(cf)) == {
+        r: "block[%d]" % j for r, j in enumerate(source) if j != r}
+    if plan.gather is None:
+        assert plan.a0 is m
+    else:
+        # numpy multiplies the summed rows, bit for bit, and gathers each
+        # block row from its source's product
+        rows = m[summed]
+        assert np.array_equal(plan.a0.indptr, rows.indptr)
+        assert np.array_equal(plan.a0.indices, rows.indices)
+        assert plan.a0.data.tobytes() == rows.data.tobytes()
+        assert np.array_equal(summed[plan.gather], plan.source)

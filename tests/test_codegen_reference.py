@@ -8,10 +8,9 @@ listing, same LaTeX.  The parts that never looped over nonzeros (header,
 geometry lines and s-expressions) are shared with the module.
 
 The C reference also declares only the G components some nonzero reads,
-and writes a block row that repeats an earlier row, or its negation, as a
-copy.  It finds those rows with a dict of per-row tuples of (column,
-value bits) pairs, a negated row being the tuple of its negated values'
-bits.  The older reference, which
+and writes a block row that repeats an earlier row as a copy of the first
+such row, an empty row too.  It finds those rows with a dict of per-row
+tuples of (column, value bits) pairs.  The older reference, which
 declares every component and sums every row, is kept: forms without
 repeated rows must still match it.
 """
@@ -138,18 +137,14 @@ def reference_emit_c(cf, function_name="eval"):
     for flat in range(cf.block_size):
         terms = []
         row = []
-        negated = []
         for names, indptr, indices, data in csr:
             lo, hi = indptr[flat], indptr[flat + 1]
             terms.extend(zip(data[lo:hi], (names[c] for c in indices[lo:hi])))
-            pairs = list(zip(indices[lo:hi], data[lo:hi]))
-            row.append(tuple((c, reference_bits(v)) for c, v in pairs))
-            negated.append(tuple((c, reference_bits(-v)) for c, v in pairs))
-        row, negated = tuple(row), tuple(negated)
-        if terms and row in first:
+            row.append(tuple((c, reference_bits(v)) for c, v in zip(
+                indices[lo:hi], data[lo:hi])))
+        row = tuple(row)
+        if row in first:
             rhs = "block[%d]" % first[row]
-        elif terms and negated in first:
-            rhs = "-block[%d]" % first[negated]
         else:
             first[row] = flat
             rhs = reference_join_terms(terms)
@@ -239,9 +234,14 @@ def block_lines(cf):
 
 def test_zero_rows_match_reference():
     # only the first component of each argument enters, so the block rows
-    # of the other component are empty
+    # of the other component are empty: the first is written 0.0, and the
+    # others copy it
     cf = compile_form(parse_one(HEADER + "a = v[0]*u[0].dx(i)*f.dx(i)*dx\n"))
-    assert any(ln.endswith("= 0.0;") for ln in block_lines(cf))
+    lines = block_lines(cf)
+    zero = [ln for ln in lines if ln.endswith("= 0.0;")]
+    assert len(zero) == 1
+    first = zero[0].split(" = ")[0].strip()
+    assert sum(ln.endswith(" = %s;" % first) for ln in lines) == 144 - 36 - 1
     assert_emitters_match(cf)
 
 
@@ -276,7 +276,8 @@ def test_non_unit_geometry_scalar_matches_reference():
 def test_form_without_terms_matches_reference():
     cf = compile_form(parse_one(HEADER + "a = v[i]*u[i]*dx - v[i]*u[i]*dx\n"))
     assert not cf.terms
-    assert set(ln.split(" = ")[1] for ln in block_lines(cf)) == {"0.0;"}
+    assert block_lines(cf) == ["    block[0] = 0.0;"] + [
+        "    block[%d] = block[0];" % r for r in range(1, 144)]
     assert_emitters_match(cf)
 
 
@@ -323,13 +324,16 @@ def test_shipped_linear_forms_match_the_per_entry_reference(shape, degree):
     assert emit_c(cf) == reference_emit_c(cf)
 
 
-def test_interval_rows_copy_and_negate():
+def test_interval_rows_copy_their_first_equal_row():
+    # rows 1 and 2 are row 0 negated: row 1 is summed, not negated, and
+    # row 2 copies it
     (form,) = [f for f in shipped_forms("poisson", "interval", 1)
                if f.arity == 2]
     cf = compile_form(form)
-    assert block_lines(cf)[1:] == ["    block[1] = -block[0];",
-                                   "    block[2] = -block[0];",
-                                   "    block[3] = block[0];"]
+    lines = block_lines(cf)
+    assert lines[1].startswith("    block[1] = -1.000000000000000e+00*G0")
+    assert lines[2:] == ["    block[2] = block[1];",
+                         "    block[3] = block[0];"]
     assert_emitters_match(cf)
 
 

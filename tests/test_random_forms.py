@@ -15,7 +15,7 @@ from conftest import parse_one
 from formc.codegen import emit_c, emit_latex, emit_raw, read_raw
 from formc.runtime import quadrature_element_tensors
 from formc.tensor_representation import compile_form
-from test_codegen import assert_c_matches_numpy
+from test_codegen import assert_c_matches_numpy, assert_one_row_rule
 from test_tensor_representation import (
     assert_groups_match_expansion_bytes,
     random_cells,
@@ -98,17 +98,6 @@ def well_formed_forms(draw):
     return "\n".join(lines) + "\n"
 
 
-def c_copies(code):
-    """{row: right-hand side} of every block entry the C copies."""
-    got = {}
-    for line in code.splitlines():
-        if line.startswith("    block["):
-            lhs, rhs = line.strip().rstrip(";").split(" = ")
-            if rhs.lstrip("-").startswith("block["):
-                got[int(lhs[6:-1])] = rhs
-    return got
-
-
 @settings(max_examples=50, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=well_formed_forms())
@@ -141,12 +130,7 @@ def test_random_forms_match_the_oracle_and_reread(text):
     assert np.array_equal(again.element_tensors(dets, gs, coeffs), got)
     for emit in (emit_c, emit_raw, emit_latex):
         assert emit(again) == emit(cf)
-    # the C copies exactly the rows whose plan source is an earlier row,
-    # with the plan's signs
-    plan = cf.plan
-    assert c_copies(emit_c(cf)) == {
-        r: ("-" if plan.negated[r] else "") + "block[%d]" % j
-        for r, j in enumerate(plan.source.tolist()) if j != r}
+    assert_one_row_rule(cf)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

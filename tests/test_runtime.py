@@ -901,14 +901,20 @@ def test_cg_max_iterations(rng):
         cg_solve(reduced, rhs, max_iter=1)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("diagonal,rhs,where", (
     ([2.0, 2.0, 2.0], [1.0, np.nan, 1.0], "right-hand side"),
     ([2.0, 2.0, 2.0], [1.0, -np.inf, 1.0], "right-hand side"),
-    ([2.0, np.nan, 2.0], [1.0, 1.0, 1.0], "iteration 1"),
-    ([2.0, np.inf, 2.0], [1.0, 1.0, 1.0], "iteration 1"),
+    # the symmetry spot check reads (1,1) of a 3 x 3 matrix, but not
+    # (2,2) of a 6 x 6 one
+    ([2.0, np.nan, 2.0], [1.0, 1.0, 1.0], r"entry \(1,1\) is nan"),
+    ([2.0, np.inf, 2.0], [1.0, 1.0, 1.0], r"entry \(1,1\) is inf"),
+    ([2.0, 2.0, np.nan, 2.0, 2.0, 2.0], [1.0] * 6, "iteration 1"),
+    ([2.0, 2.0, np.inf, 2.0, 2.0, 2.0], [1.0] * 6, "iteration 1"),
 ))
 def test_cg_rejects_non_finite_input(diagonal, rhs, where):
-    # p.Ap <= 0 is False for NaN: without the check CG runs to its limit
+    # p.Ap <= 0 is False for NaN: without the check CG runs to its limit;
+    # no warning comes first
     matrix = scipy.sparse.csr_matrix(np.diag(diagonal))
     with pytest.raises(NonFiniteValue, match=where):
         cg_solve(matrix, np.array(rhs))

@@ -156,6 +156,18 @@ def test_navierstokes_classification():
     assert derive_geometry_expr(term).coeff_reads == ((0, 0, ("b", 0)),)
 
 
+def test_classified_terms_are_values():
+    # a monomial classified twice gives equal terms, and the ids of its
+    # classified indices number them from 0 in the order made
+    form = parse_one(form_text("navierstokes", "tetrahedron", 1))
+    (monomial,) = expand_to_monomials(form)
+    term = classify_indices(monomial)
+    again = classify_indices(monomial)
+    assert again == term and hash(again) == hash(term)
+    made = term.secondary + term.aux_a0 + term.aux_g
+    assert sorted(i.id for i in made) == list(range(len(made))) == [0, 1, 2, 3]
+
+
 def test_elasticity_classification():
     form = parse_one(form_text("elasticity", "triangle", 1))
     monomials = expand_to_monomials(form)
@@ -533,37 +545,34 @@ def test_evaluate_gathers_one_factor_at_a_time(rng):
         dets, gs, coeffs)[:, ct.used_components])
 
 
-@pytest.mark.parametrize("name,shape,q,form_name,distinct,negated", (
-    ("navierstokes", "tetrahedron", 1, "a", 17, 0),
-    ("navierstokes", "tetrahedron", 2, "a", 101, 0),
-    ("navierstokes", "tetrahedron", 3, "a", 401, 0),
-    ("poisson", "tetrahedron", 3, "a", 168, 0),
+@pytest.mark.parametrize("name,shape,q,form_name,distinct", (
+    ("navierstokes", "tetrahedron", 1, "a", 17),
+    ("navierstokes", "tetrahedron", 2, "a", 101),
+    ("navierstokes", "tetrahedron", 3, "a", 401),
+    ("poisson", "tetrahedron", 3, "a", 168),
     # the direct product: too few nonzeros repeat
-    ("elasticity", "interval", 1, "a", None, None),
-    ("poisson", "interval", 1, "L", None, None),
-    ("poisson", "triangle", 2, "L", None, None),
-    ("poisson", "tetrahedron", 3, "L", None, None),
-    ("mass", "tetrahedron", 1, "a", None, None),
-    ("mass", "tetrahedron", 3, "a", None, None),
+    ("elasticity", "interval", 1, "a", None),
+    ("poisson", "interval", 1, "L", None),
+    ("poisson", "triangle", 2, "L", None),
+    ("poisson", "tetrahedron", 3, "L", None),
+    ("mass", "tetrahedron", 1, "a", None),
+    ("mass", "tetrahedron", 3, "a", None),
 ))
-def test_contraction_row_map(rng, name, shape, q, form_name, distinct,
-                             negated):
+def test_contraction_row_map(rng, name, shape, q, form_name, distinct):
     ((form, cf, reread),) = [c for c in compiled_shipped(name, shape, q)
                              if c[0].name == form_name]
     assert "plan" not in vars(compile_form(form))  # built lazily
     plan = cf.plan
     stacked = cf.stacked
     if distinct is None:
-        assert plan.rows is None and plan.gather is None
+        assert plan.gather is None
         assert plan.a0 is stacked
     else:
-        assert plan.a0.shape[0] == distinct
-        assert np.count_nonzero(plan.negated) == negated
+        assert plan.a0.shape[0] == plan.rows.size == distinct
         assert stacked.nnz - plan.a0.nnz > cf.block_size
-        # every block row is its distinct row, or that row negated, exactly
-        sign = np.where(plan.negated, -1.0, 1.0)
+        # every block row is its distinct row, exactly
         assert np.array_equal(stacked.toarray(),
-                              sign[:, None] * plan.a0.toarray()[plan.gather])
+                              plan.a0.toarray()[plan.gather])
     dets, gs, coeffs = random_cells(rng, form, 6)
     got = cf.element_tensors(dets, gs, coeffs)
     # bitwise the product with the whole stack
@@ -585,29 +594,34 @@ def test_kernel_plan():
     dense = np.zeros((len(rows), 10))
     for r, row in enumerate(rows):
         dense[r, list(row)] = list(row.values())
-    plan = KernelPlan(csr_matrix(dense))
-    # a row copies the first row equal to it up to sign; an empty row is
-    # its own source
-    assert plan.source.tolist() == [0, 0, 0, 3, 4, 5, 6, 5, 8]
-    assert np.flatnonzero(plan.negated).tolist() == [2, 7]
-    # 5 nonzeros outside the distinct rows do not outnumber 9 rows, so
+    stacked = csr_matrix(dense)
+    plan = KernelPlan(stacked)
+    # a row copies the first row equal to it, an empty row too; a negated
+    # row is a row of its own
+    assert plan.source.tolist() == [0, 0, 2, 3, 4, 5, 3, 7, 8]
+    assert plan.rows.tolist() == [0, 2, 3, 4, 5, 7, 8]
+    # the summed rows' nonzeros, as CSR arrays
+    data, indices, indptr = plan.entries
+    assert data.tolist() == [2.0, -1.0, -2.0, 1.0, 7.0, 7.0, -7.0, 2.0, -1.0,
+                             7.0]
+    assert indices.tolist() == [1, 3, 1, 3, 3, 8, 8, 1, 3, 8]
+    assert indptr.tolist() == [0, 2, 4, 4, 5, 6, 7, 10]
+    # 2 nonzeros outside the summed rows do not outnumber 9 rows, so
     # numpy multiplies the whole stack
-    assert plan.rows is None and plan.gather is None
-    # three copies: 29 skipped nonzeros outnumber 27 rows, and numpy
-    # multiplies the distinct rows, all empty rows sharing one
-    plan = KernelPlan(csr_matrix(np.vstack([dense] * 3)))
-    assert plan.rows.tolist() == [0, 3, 4, 5, 8]
-    assert plan.gather.tolist() == [0, 0, 0, 1, 2, 3, 1, 3, 4] * 3
-    assert np.flatnonzero(plan.negated).tolist() == [2, 7, 11, 16, 20, 25]
-    empty = [3, 6, 12, 15, 21, 24]
-    assert plan.source[empty].tolist() == empty
-    assert plan.gather[empty].tolist() == [1] * 6
-    assert plan.source[9:].tolist() == [0, 0, 0, 12, 4, 5, 15, 5, 8,
-                                        0, 0, 0, 21, 4, 5, 24, 5, 8]
-    assert np.array_equal(plan.a0.toarray(), dense[[0, 3, 4, 5, 8]])
+    assert plan.gather is None and plan.a0 is stacked
+    # four copies: 38 skipped nonzeros outnumber 36 rows, and numpy
+    # multiplies the summed rows
+    plan = KernelPlan(csr_matrix(np.vstack([dense] * 4)))
+    assert plan.rows.tolist() == [0, 2, 3, 4, 5, 7, 8]
+    assert plan.source.tolist() == [0, 0, 2, 3, 4, 5, 3, 7, 8] * 4
+    assert plan.gather.tolist() == [0, 0, 1, 2, 3, 4, 2, 5, 6] * 4
+    assert np.array_equal(plan.a0.toarray(), dense[plan.rows])
+    # three copies save 26 of 27: numpy multiplies the whole stack
+    assert KernelPlan(csr_matrix(np.vstack([dense] * 3))).gather is None
     # no rows, no plan
     plan = KernelPlan(csr_matrix((0, 0)))
-    assert plan.source.tolist() == [] and plan.rows is None
+    assert plan.source.tolist() == plan.rows.tolist() == []
+    assert plan.gather is None
 
 
 @pytest.mark.parametrize("kind,shape", (
@@ -635,7 +649,7 @@ def test_stacked_width_counts_only_read_components():
     cf = compile_form(form)
     # the stack is built with the form; the contraction's plan waits for
     # the first contraction
-    assert "stacked" in vars(cf) and "contraction" not in vars(cf)
+    assert "stacked" in vars(cf) and "plan" not in vars(cf)
     (ct,) = cf.terms
     assert ct.geometry.n_components == 12
     assert ct.used_components.size == cf.stacked.shape[1] == 12
@@ -1003,6 +1017,26 @@ def test_a0_beyond_the_bound_is_refused_before_integration():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("a monomial's reference tensor has more than "
                            "67108864 entries\n")
+
+
+def test_element_tensor_beyond_the_row_bound_is_refused():
+    # a trilinear P8 form on a tetrahedron has 165^3 block rows, beyond
+    # MAX_BLOCK_ROWS: it is refused before any monomial is integrated, in
+    # a child that may map 1 GiB
+    text = ('element = FiniteElement("Lagrange", "tetrahedron", 8)\n'
+            "v = BasisFunction(element)\nu = BasisFunction(element)\n"
+            "t = BasisFunction(element)\na = v*u*t*dx\n")
+    proc = run_limited("import sys\n"
+                       "from formc.errors import UnsupportedDegree\n"
+                       "from formc.form_language import parse_form_file\n"
+                       "from formc.tensor_representation import compile_form\n"
+                       "(form,) = parse_form_file(sys.stdin.read())\n"
+                       "try:\n"
+                       "    compile_form(form)\n"
+                       "except UnsupportedDegree as exc:\n"
+                       "    print(exc)\n", stdin=text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "element tensor too large\n"
 
 
 def test_renamed_monomials_integrate_once():
