@@ -35,7 +35,6 @@ from .errors import (
     NotSymmetric,
     UnsupportedDerivative,
 )
-from .codegen import _other_space
 from .form_language import BasisFunction, Form, expand_to_monomials
 from .reference_elements import CELL_SHAPES, make_quadrature
 from .tensor_representation import CompiledForm, batch_arrays
@@ -206,91 +205,95 @@ class Mesh:
 
 
 def save_mesh(mesh, path):
-    """ASCII format: 'mesh <d> <#vertices> <#cells>', vertices, cells."""
+    """ASCII format: 'mesh <d> <#vertices> <#cells>', vertices, cells.
+    numpy's str of a float64 is its repr, so each block is formatted in
+    one call and every coordinate reads back to the same bits."""
+    lines = ["mesh %d %d %d" % (mesh.dim, mesh.num_vertices, mesh.num_cells)]
+    for block in (mesh.vertices, mesh.cells):
+        lines += map(" ".join, block.astype(str).tolist())
     with open(path, "w") as fh:
-        fh.write("mesh %d %d %d\n" % (mesh.dim, mesh.num_vertices,
-                                      mesh.num_cells))
-        for v in mesh.vertices:
-            fh.write(" ".join(repr(float(x)) for x in v) + "\n")
-        for c in mesh.cells:
-            fh.write(" ".join(str(int(i)) for i in c) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
-def _lax(text):
-    """Whether text holds a character that no mesh number holds but that
-    Python's int and float read (underscores, non-ASCII digits) or that
-    str.split ends a token at."""
-    return not text.isascii() or "_" in text or _other_space(text) is not None
-
-
-def _ascii_split(text, maxsplit=-1):
-    """text.split(None, maxsplit) at ASCII whitespace only, where
-    np.fromstring splits too."""
-    return [t.decode() for t in text.encode().split(None, maxsplit)]
-
-
-def _mesh_numbers(tokens, kind, what, lax):
-    """tokens as an array of kind.  Where the file is lax, the first token
-    with a character that no number holds is named instead."""
-    if lax:
-        bad = next((t for t in tokens if _lax(t)), None)
-        if bad is not None:
-            raise DimensionMismatch("bad %s in mesh file: %r" % (what, bad))
+def _number(kind, token):
+    """Whether token converts to kind and holds no underscore, which
+    Python's int and float skip."""
     try:
-        return np.array(tokens, dtype=kind)
-    except (ValueError, OverflowError) as exc:
-        raise DimensionMismatch("bad %s in mesh file: %s" % (what, exc)) from None
+        kind(token)
+        return b"_" not in token
+    except (ValueError, OverflowError):
+        return False
 
 
-def _cell_ids(text):
-    """The cell vertex ids of text, read by np.fromstring, or None."""
+def _bad_token(tokens, what, valid):
+    """DimensionMismatch naming the first of tokens that valid rejects,
+    with a byte that is not UTF-8 shown as an escape."""
+    bad = next(t for t in tokens if not valid(t))
+    return DimensionMismatch("bad %s in mesh file: %r"
+                             % (what, bad.decode(errors="backslashreplace")))
+
+
+def _mesh_numbers(tokens, kind, what, underscore):
+    """tokens as an array of kind.  A block that does not convert, or
+    that holds an underscore where the file does, names its first bad
+    token instead."""
     try:
-        return np.fromstring(text, np.int64, sep=" ")
+        if not underscore or all(_number(kind, t) for t in tokens):
+            return np.array(tokens, dtype=kind)
+    except (ValueError, OverflowError):
+        pass
+    raise _bad_token(tokens, what, partial(_number, kind))
+
+
+def _cell_ids(block):
+    """The cell vertex ids of block, read by np.fromstring, or None.  Ids
+    are ASCII digits: a sign makes it None, since np.fromstring would read
+    '+ 1' as one id."""
+    try:
+        ids = np.fromstring(block, np.int64, sep=" ")
     except ValueError:
         return None
+    return None if b"+" in block or b"-" in block else ids
 
 
 def load_mesh(path):
     """Read a mesh file as save_mesh writes it.
 
-    The file is a sequence of tokens separated by ASCII whitespace: the
-    header 'mesh <d> <#vertices> <#cells>', then the vertex coordinates and
-    the cell vertex ids, each block in row-major order.  Line breaks carry
-    no meaning.  Only the vertex tokens are split one by one; the cell
-    block is converted in a single call, and its tokens are read one at a
-    time only to name the first malformed one.  Numbers are written in
-    ASCII digits, without underscores.
+    The file is read as bytes: a sequence of tokens separated by ASCII
+    whitespace, the header 'mesh <d> <#vertices> <#cells>', then the
+    vertex coordinates and the cell vertex ids, each block in row-major
+    order.  Line breaks carry no meaning.  Numbers are written in ASCII
+    digits, without underscores, and cell vertex ids without a sign.  Only
+    the vertex tokens are split one by one; the cell block is converted in
+    a single call.  A block that fails its one-call conversion is read
+    token by token only to name its first bad token.
     """
-    with open(path) as fh:
-        text = fh.read()
-    # str.split is the ASCII split on a file that is not lax
-    lax = _lax(text)
-    split = _ascii_split if lax else str.split
-    head = split(text, maxsplit=4)
-    del text  # head[4] is the body: one copy of the file at a time
-    if len(head) < 4 or head[0] != "mesh":
+    with open(path, "rb") as fh:
+        data = fh.read()
+    underscore = b"_" in data
+    head = data.split(maxsplit=4)
+    del data  # head[4] is the body: one copy of the file at a time
+    if len(head) < 4 or head[0] != b"mesh":
         raise DimensionMismatch("not a mesh file (missing "
                                 "'mesh <d> <#vertices> <#cells>' header)")
-    header = _mesh_numbers(head[1:4], int, "header field", lax)
+    header = _mesh_numbers(head[1:4], np.int64, "header field", underscore)
     if (header < 0).any():
         raise DimensionMismatch("negative header field in mesh file")
     d, nv, nc = (int(x) for x in header)
-    body = head[4] if len(head) > 4 else ""
-    # a file has fewer tokens than characters, which bounds the split
-    fields = split(body, maxsplit=min(nv * d, len(body)))
-    rest = fields.pop() if len(fields) > nv * d else ""
+    body = head[4] if len(head) > 4 else b""
+    # a file has fewer tokens than bytes, which bounds the split
+    fields = body.split(maxsplit=min(nv * d, len(body)))
+    rest = fields.pop() if len(fields) > nv * d else b""
     cells = _cell_ids(rest)
     need = nv * d + nc * (d + 1)
-    count = len(fields) + (len(split(rest)) if cells is None else cells.size)
+    count = len(fields) + (len(rest.split()) if cells is None else cells.size)
     if count != need:
         raise DimensionMismatch("mesh file has %d data fields, expected %d"
                                 % (count, need))
-    vertices = _mesh_numbers(fields, float, "vertex coordinate",
-                             lax).reshape(nv, d)
+    vertices = _mesh_numbers(fields, np.float64, "vertex coordinate",
+                             underscore).reshape(nv, d)
     if cells is None:
-        tokens = split(rest)
-        bad = next((t for t in tokens if _cell_ids(t) is None), tokens[-1])
-        raise DimensionMismatch("bad cell vertex id in mesh file: %r" % bad)
+        raise _bad_token(rest.split(), "cell vertex id", bytes.isdigit)
     return Mesh(vertices, cells.reshape(nc, d + 1))
 
 
@@ -658,20 +661,35 @@ def assemble(evaluator, mesh, dofmaps, coefficients=()):
 # --- solver and boundary conditions ------------------------------------------------
 
 
+def _system_size(matrix, rhs):
+    """n for a one dimensional rhs of n entries and an n x n matrix, or
+    DimensionMismatch."""
+    if rhs.ndim != 1:
+        raise DimensionMismatch("rhs must be one dimensional, got shape %s"
+                                % (rhs.shape,))
+    n = rhs.size
+    if np.shape(matrix) != (n, n):
+        raise DimensionMismatch("matrix is %s, rhs needs %d x %d" % (
+            " x ".join(map(str, np.shape(matrix))), n, n))
+    return n
+
+
 def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
     """Plain conjugate gradients with a symmetry spot check.
 
-    Raises NonFiniteValue for a non-finite right-hand side, before any
-    work, for a non-finite matrix entry that the spot check reads, before
-    it is compared, or for p.Ap, at the iteration where it appears;
+    Raises DimensionMismatch, before any work, unless rhs is one
+    dimensional and the matrix n x n for n = rhs.size; NonFiniteValue for
+    a non-finite right-hand side, before any work, for a non-finite
+    matrix entry that the spot check reads, before it is compared, or for
+    p.Ap, at the iteration where it appears;
     NotSymmetric when one of 10 random entry pairs disagrees,
     NotPositiveDefinite when a search direction p has p.Ap <= 0, and
     MaxIterations when the relative residual fails to reach ``tol``.
     """
     b = np.asarray(rhs, dtype=float)
+    n = _system_size(matrix, b)
     if not np.isfinite(b).all():
         raise NonFiniteValue("right-hand side has non-finite entries")
-    n = b.size
     if max_iter is None:
         max_iter = max(100, 10 * n)
     A = matrix
@@ -687,7 +705,7 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
             if abs(aij - aji) > 1e-10 * (1.0 + abs(aij)):
                 raise NotSymmetric(
                     "entry (%d,%d)=%r differs from (%d,%d)=%r"
-                    % (i, j, aij, j, i, aji))
+                    % (i, j, float(aij), j, i, float(aji)))
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -723,15 +741,14 @@ def apply_dirichlet(matrix, rhs, dofs, values):
 
     Returns (reduced matrix, reduced rhs, free dof ids); the eliminated
     columns move to the right-hand side so symmetry is preserved.  The
-    matrix must be n x n for n = rhs.size, and the dof ids distinct
-    integers in [0, n), one value each, or DimensionMismatch is raised; a
-    non-finite right-hand side or prescribed value raises NonFiniteValue.
+    rhs must be one dimensional, the matrix n x n for n = rhs.size, and
+    the dof ids distinct integers in [0, n), one value each, or
+    DimensionMismatch is raised; a non-finite right-hand side or
+    prescribed value raises NonFiniteValue.
     """
-    n = rhs.size
+    rhs = np.asarray(rhs, dtype=float)
     A = matrix.tocsr() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
-    if A.shape != (n, n):
-        raise DimensionMismatch("matrix is %s, rhs needs %d x %d"
-                                % (" x ".join(map(str, A.shape)), n, n))
+    n = _system_size(A, rhs)
     dofs = np.asarray(dofs)
     values = np.asarray(values, dtype=float)
     if (dofs.ndim != 1 or values.shape != dofs.shape
@@ -753,10 +770,26 @@ def apply_dirichlet(matrix, rhs, dofs, values):
 
 
 def lift_solution(n, free, x_free, dofs, values):
-    """Full-length vector from a reduced solve plus prescribed values."""
+    """Full-length vector from a reduced solve plus prescribed values.
+
+    free and dofs must be integer ids that together hold each id in
+    [0, n) once, with one entry of x_free per free id and one value per
+    prescribed id, or DimensionMismatch is raised.
+    """
+    free, dofs = np.asarray(free), np.asarray(dofs)
+    x_free = np.asarray(x_free, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if (free.ndim != 1 or x_free.shape != free.shape
+            or dofs.ndim != 1 or values.shape != dofs.shape
+            or any(a.size and a.dtype.kind not in "iu" for a in (free, dofs))
+            or not np.array_equal(np.sort(np.concatenate([free, dofs])),
+                                  np.arange(n))):
+        raise DimensionMismatch("free and prescribed dofs must be integer "
+                                "ids that hold each of [0, %d) once, one "
+                                "value each" % n)
     out = np.zeros(n)
-    out[free] = x_free
-    out[np.asarray(dofs, dtype=int)] = values
+    out[free.astype(int)] = x_free
+    out[dofs.astype(int)] = values  # an empty list reads as floats
     return out
 
 

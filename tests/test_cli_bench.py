@@ -406,6 +406,19 @@ def test_cli_assemble_rejects_mesh_integers_beyond_int64(
     assert err.startswith("formc: error:") and field in err
 
 
+def test_cli_assemble_names_a_mesh_byte_that_is_not_utf8(
+        tmp_path, formfile, capsys):
+    meshfile = tmp_path / "latin1.mesh"
+    meshfile.write_bytes(b"mesh 2 3 1\n0 0\n1 0\n0 \xff1\n0 1 2\n")
+    out = tmp_path / "out.mtx"
+    assert cli(["assemble", str(formfile), str(meshfile), "-o", str(out)]) == 1
+    # the byte is named by its escape, as bytes.decode's backslashreplace
+    # writes it
+    assert capsys.readouterr().err == (
+        "formc: error: bad vertex coordinate in mesh file: %r\n" % "\\xff1")
+    assert not out.exists()
+
+
 def test_cli_assemble_rejects_duplicate_cells(tmp_path, formfile, capsys):
     meshfile = tmp_path / "twice.mesh"
     meshfile.write_text("mesh 2 4 3\n0 0\n1 0\n0 1\n1 1\n"

@@ -1,12 +1,15 @@
 """Meshes, dof maps, quadrature evaluation, assembly, and the CG solver."""
 
+import os
 import re
+import tempfile
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import formc.runtime
@@ -16,6 +19,7 @@ from formc.errors import (
     DegenerateCell,
     DimensionMismatch,
     DuplicateCell,
+    FormcError,
     FormSyntaxError,
     MaxIterations,
     NonFiniteValue,
@@ -294,6 +298,147 @@ def test_load_mesh_rejects_nan_coordinate(tmp_path):
     path.write_text("mesh 2 3 1\n0 0\n1 0\nnan 1\n0 1 2\n")
     with pytest.raises(NonFiniteValue):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("cells,message", (
+    # np.fromstring reads a lone sign and the number after it as one id
+    (b"0 + 1 2", "mesh file has 10 data fields, expected 9"),
+    (b"0 - 1 2", "mesh file has 10 data fields, expected 9"),
+    (b"0 +1 2", "bad cell vertex id in mesh file: '+1'"),
+    (b"0 1 -2", "bad cell vertex id in mesh file: '-2'"),
+))
+def test_load_mesh_takes_cell_ids_in_ascii_digits_only(tmp_path, cells,
+                                                       message):
+    path = tmp_path / "mesh.txt"
+    path.write_bytes(b"mesh 2 3 1\n0 0\n1 0\n0 1\n" + cells + b"\n")
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        load_mesh(path)
+
+
+def test_load_mesh_names_a_byte_that_is_not_utf8(tmp_path):
+    # the file is read as bytes, and the token named with the byte escaped
+    path = tmp_path / "mesh.txt"
+    for text, what in (
+            (b"mesh 2 3 1\n0 0\n1 0\n0 \xff1\n0 1 2\n", "vertex coordinate"),
+            (b"mesh 2 3 \xff1\n0 0\n1 0\n0 1\n0 1 2\n", "header field"),
+            (b"mesh 2 3 1\n0 0\n1 0\n0 1\n0 \xff1 2\n", "cell vertex id")):
+        path.write_bytes(text)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "bad %s in mesh file: %r" % (what, "\\xff1"))):
+            load_mesh(path)
+
+
+def test_save_mesh_writes_each_value_as_its_repr(tmp_path):
+    path = tmp_path / "mesh.txt"
+    extremes = Mesh([[-0.0], [5e-324], [1e16], [1.7976931348623157e308],
+                     [0.1], [1 / 3]], [[0, 2], [2, 3], [4, 5]])
+    for mesh in (perturb_mesh(unit_cube_mesh(3), seed=5), extremes):
+        save_mesh(mesh, path)
+        lines = ["mesh %d %d %d" % (mesh.dim, mesh.num_vertices,
+                                    mesh.num_cells)]
+        lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+        lines += [" ".join(str(int(i)) for i in c) for c in mesh.cells]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        again = load_mesh(path)
+        assert again.vertices.tobytes() == mesh.vertices.tobytes()
+
+
+SAVED_MESHES = (
+    Mesh([[0.0], [0.5], [1.0]], [[0, 1], [1, 2]]),
+    perturb_mesh(unit_square_mesh(2), seed=2),
+    unit_cube_mesh(1),
+)
+
+
+@lru_cache(maxsize=None)
+def saved_mesh_file(k):
+    """The bytes save_mesh writes for SAVED_MESHES[k]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.txt")
+        save_mesh(SAVED_MESHES[k], path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# bytes that join two tokens for str.split but not for bytes.split: U+2003
+# in UTF-8 and the ASCII file separator
+JOINERS = ("\u2003".encode(), b"\x1c")
+# ASCII whitespace, which may stand between any two tokens
+SPACES = (b"\t", b"\r\n", b"\x0b \x0c")
+INSERTS = (b" + ", b" - ", b"+", b"-", b"_", b"\xff")
+FLOAT_TOKEN = re.compile(rb"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+@st.composite
+def edited_mesh_files(draw):
+    """save_mesh output of a small mesh, with up to three random edits: an
+    inserted sign, underscore or \\xff byte, two tokens joined by a
+    character that is not ASCII whitespace, a token split in two, or the
+    space between two tokens made other ASCII whitespace."""
+    data = saved_mesh_file(draw(st.integers(0, len(SAVED_MESHES) - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(("insert", "join", "split", "space")))
+        if action in ("join", "space"):
+            start, end = draw(st.sampled_from(
+                [m.span() for m in re.finditer(rb"\s+", data.rstrip())]))
+            data = data[:start] + draw(st.sampled_from(
+                JOINERS if action == "join" else SPACES)) + data[end:]
+            continue
+        if action == "insert":
+            k, piece = draw(st.integers(0, len(data))), draw(
+                st.sampled_from(INSERTS))
+        else:
+            k, piece = draw(st.sampled_from(
+                [m.start() + 1 for m in re.finditer(rb"\S(?=\S)", data)])), b" "
+        data = data[:k] + piece + data[k:]
+    return data
+
+
+def spelled_mesh(data):
+    """(vertices, cells) that the ASCII-whitespace tokens of data spell in
+    the mesh grammar, or None: 'mesh', three integers, then the
+    coordinates as ASCII decimals and the cell vertex ids as ASCII
+    digits, as many as the header asks for."""
+    tokens = data.split()
+    if (len(tokens) < 4 or tokens[0] != b"mesh" or not all(
+            re.fullmatch(rb"[+-]?\d+", t) for t in tokens[1:4])):
+        return None
+    d, nv, nc = map(int, tokens[1:4])
+    if min(d, nv, nc) < 0 or len(tokens) != 4 + nv * d + nc * (d + 1):
+        return None
+    coords, ids = tokens[4:4 + nv * d], tokens[4 + nv * d:]
+    if not (all(FLOAT_TOKEN.fullmatch(t) for t in coords)
+            and all(re.fullmatch(rb"\d+", t) for t in ids)):
+        return None
+    return (np.array([float(t) for t in coords]).reshape(nv, d),
+            np.array([int(t) for t in ids], dtype=int).reshape(nc, d + 1))
+
+
+def read_outcome(read):
+    """The vertex and cell bytes of the mesh read returns, or the type of
+    the FormcError it raises; any other exception propagates."""
+    try:
+        mesh = read()
+    except FormcError as err:
+        return type(err)
+    return mesh.vertices.tobytes(), mesh.cells.tobytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=edited_mesh_files())
+def test_load_mesh_reads_what_the_ascii_tokens_spell(tmp_path, data):
+    # the mesh the tokens spell, or a FormcError; never a mesh from a
+    # wrong token count or a token outside the grammar
+    path = tmp_path / "mesh.txt"
+    path.write_bytes(data)
+    got = read_outcome(lambda: load_mesh(path))
+    want = spelled_mesh(data)
+    if want is None:
+        assert isinstance(got, type) and issubclass(got, FormcError)
+    else:
+        assert got == read_outcome(lambda: Mesh(*want))
 
 
 def test_perturb_mesh_keeps_boundary_and_validity():
@@ -872,8 +1017,22 @@ def test_cg_identity_converges_immediately():
 
 def test_cg_rejects_nonsymmetric():
     matrix = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(NotSymmetric, match=re.escape(
+            "entry (1,0)=0.0 differs from (0,1)=1.0")):
         cg_solve(matrix, np.ones(2))
+
+
+@pytest.mark.parametrize("matrix", (scipy.sparse.eye(3, format="csr"),
+                                    np.eye(3)))
+@pytest.mark.parametrize("rhs,message", (
+    (np.ones(5), "matrix is 3 x 3, rhs needs 5 x 5"),
+    (np.ones(2), "matrix is 3 x 3, rhs needs 2 x 2"),
+    (np.ones((3, 1)), r"rhs must be one dimensional, got shape \(3, 1\)"),
+    ([[np.nan], [1.0], [1.0]], "rhs must be one dimensional"),
+))
+def test_cg_checks_the_system_size_first(matrix, rhs, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        cg_solve(matrix, rhs)
 
 
 @pytest.mark.parametrize("dense", (
@@ -981,6 +1140,39 @@ def test_apply_dirichlet_rejects_non_finite_values(rhs, values):
         np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
     with pytest.raises(NonFiniteValue):
         apply_dirichlet(matrix, np.array(rhs), [0], values)
+
+
+def test_apply_dirichlet_requires_a_one_dimensional_rhs():
+    # a (4, 1) rhs would broadcast to a (3, 3) "reduced rhs"
+    matrix = scipy.sparse.csr_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "rhs must be one dimensional, got shape (4, 1)")):
+        apply_dirichlet(matrix, np.ones((4, 1)), [1], [5.0])
+
+
+@pytest.mark.parametrize("free,x_free,dofs,values", (
+    ([0, 1], [1.0], [2, 3], [1.0, 1.0]),  # x_free would broadcast
+    ([0, 1], [1.0, 2.0], [2, 3], [1.0]),  # the value would broadcast
+    ([0, 1], [1.0, 2.0], [2, 3], 1.0),
+    ([0.0, 1.0], [1.0, 2.0], [2, 3], [1.0, 1.0]),  # float ids
+    ([0, 1], [1.0, 2.0], [2.5, 3], [1.0, 1.0]),  # would be truncated to 2
+    ([0, 1], [1.0, 2.0], [2, 2], [1.0, 1.0]),  # 3 would stay 0
+    ([0, 1], [1.0, 2.0], [1, 3], [1.0, 1.0]),  # 1 both free and prescribed
+    ([0, 1], [1.0, 2.0], [2, -1], [1.0, 1.0]),  # would wrap around to 3
+    ([0, 1], [1.0, 2.0], [2, 3, 4], [1.0, 1.0, 1.0]),  # past the end
+    ([[0, 1]], [[1.0, 2.0]], [2, 3], [1.0, 1.0]),
+))
+def test_lift_solution_rejects_mis_sized_vectors(free, x_free, dofs, values):
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "hold each of [0, 4) once")):
+        lift_solution(4, free, x_free, dofs, values)
+
+
+def test_lift_solution_takes_any_partition_of_the_ids():
+    assert lift_solution(4, [3, 0], [1.0, 2.0], [2, 1],
+                         [3.0, 4.0]).tolist() == [2.0, 4.0, 3.0, 1.0]
+    assert lift_solution(2, [0, 1], [1.0, 2.0], [], []).tolist() == [1.0, 2.0]
+    assert lift_solution(2, [], [], [1, 0], [1.0, 2.0]).tolist() == [2.0, 1.0]
 
 
 def test_apply_dirichlet_matches_two_selections(rng):
