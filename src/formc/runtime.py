@@ -7,7 +7,11 @@ quadrature, compare the two, and run small boundary value problems end to
 end.  Work around the kernel is done on whole-mesh arrays: the mesh checks
 every cell at once, the dof map numbers shared entities with one sort,
 and assembly scatters the stacked element tensors of all cells as one
-triplet set, summed by one bincount or one COO to CSR conversion.
+triplet set, summed by one bincount or one COO to CSR conversion.  Short
+rows are handled column by column, since numpy is slow on many rows of
+2 to 4 entries: each cell matrix entry is a gather of one coordinate at
+one vertex column, and the vertex rows of cells and entities are sorted
+by a compare-exchange network over whole columns.
 Both evaluators take the same batch, read through ``batch_arrays``:
 ``assemble`` makes one call for either.  The quadrature oracle batches
 itself, CHUNK cells at a time, and evaluates each monomial as one einsum
@@ -17,6 +21,7 @@ single cell is a batch of one.
 """
 
 import math
+import re
 from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import combinations
@@ -65,11 +70,17 @@ __all__ = [
 CHUNK = 256
 
 
-def _cell_matrices(coords):
-    """Columns are edge vectors from vertex 0: x = x0 + B X.  Works on one
-    cell's (d+1, d) coordinates or a stack of them."""
-    coords = np.asarray(coords, dtype=float)
-    return np.swapaxes(coords[..., 1:, :] - coords[..., :1, :], -1, -2)
+def _cell_matrices(vertices, cells):
+    """B [ncells x d x d] of the maps x = x0 + B X, contiguous: column j
+    is the edge from vertex 0 to vertex j+1.  Each B[:, i, j] is coordinate
+    i gathered at vertex column j+1 minus the same at column 0, which
+    numpy does far faster than one gather of [ncells x d+1 x d] rows."""
+    B = np.empty((len(cells),) + (vertices.shape[1],) * 2)
+    for i, x in enumerate(vertices.T):
+        x0 = x[cells[:, 0]]
+        for j in range(B.shape[1]):
+            np.subtract(x[cells[:, j + 1]], x0, out=B[:, i, j])
+    return B
 
 
 def _det_adj(Bs):
@@ -91,6 +102,30 @@ def _norms(x):
     """Row norms, bitwise equal to np.linalg.norm of each row (both use the
     same dot product)."""
     return np.sqrt(np.vecdot(x, x))
+
+
+# compare-exchange pairs that sort 1 to 4 entries
+_NETWORKS = ((), (), ((0, 1),), ((0, 1), (1, 2), (0, 1)),
+             ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
+
+
+def _sort_rows(rows, payload=None):
+    """Each row of rows [n x w], w <= 4, sorted, as np.sort(rows, axis=1)
+    gives them.  A payload [n x w] takes the same swaps, which equals
+    take_along_axis(payload, argsort(rows, axis=1)) for rows of distinct
+    entries.  A sorting network compares whole columns, which numpy does
+    far faster than it sorts many short rows."""
+    keys = list(rows.T)
+    vals = None if payload is None else list(payload.T)
+    for i, j in _NETWORKS[len(keys)]:
+        if vals is not None:
+            swap = keys[i] > keys[j]
+            vals[i], vals[j] = (np.where(swap, vals[j], vals[i]),
+                                np.where(swap, vals[i], vals[j]))
+        keys[i], keys[j] = (np.minimum(keys[i], keys[j]),
+                            np.maximum(keys[i], keys[j]))
+    keys = np.stack(keys, axis=1)
+    return keys if vals is None else (keys, np.stack(vals, axis=1))
 
 
 def _row_keys(rows, bound):
@@ -131,10 +166,9 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2:
             raise DimensionMismatch("vertex array must be two dimensional")
-        finite = np.isfinite(self.vertices).all(axis=1)
-        if not finite.all():
-            raise NonFiniteValue("vertex %d has a non-finite coordinate"
-                                 % np.argmin(finite))
+        if not np.isfinite(self.vertices).all():
+            raise NonFiniteValue("vertex %d has a non-finite coordinate" % (
+                np.argmin(np.isfinite(self.vertices).all(axis=1))))
         self.dim = self.vertices.shape[1]
         if not 1 <= self.dim <= len(CELL_SHAPES):
             raise DimensionMismatch("unsupported mesh dimension %d" % self.dim)
@@ -155,10 +189,14 @@ class Mesh:
         self.cells = ids.astype(int)
         self.cell_shape = CELL_SHAPES[self.dim - 1]
 
-        Bs = _cell_matrices(self.vertices[self.cells])
+        Bs = _cell_matrices(self.vertices, self.cells)
         dets, adj = _det_adj(Bs)
-        scale = np.maximum(np.abs(Bs).max(axis=(1, 2)), 1e-30)
-        del Bs
+        # the largest |B| entry of each cell, one entry column at a time
+        entries = Bs.reshape(len(Bs), self.dim ** 2).T
+        scale = np.full(len(Bs), 1e-30)
+        for entry in entries:
+            np.maximum(scale, np.abs(entry), out=scale)
+        del Bs, entries
         degenerate = np.abs(dets) <= 1e-14 * scale ** self.dim
         if degenerate.any():
             raise DegenerateCell("cell %d is degenerate"
@@ -167,8 +205,8 @@ class Mesh:
         if flip.any():
             self.cells[flip, -2:] = self.cells[flip][:, [-1, -2]]
             dets[flip], adj[flip] = _det_adj(
-                _cell_matrices(self.vertices[self.cells[flip]]))
-        keys = _row_keys(np.sort(self.cells, axis=1), len(self.vertices))
+                _cell_matrices(self.vertices, self.cells[flip]))
+        keys = _row_keys(_sort_rows(self.cells), len(self.vertices))
         ordered = np.sort(keys)
         twice = ordered[1:][ordered[1:] == ordered[:-1]]
         if twice.size:
@@ -189,7 +227,7 @@ class Mesh:
 
     def _facets(self):
         """Sorted vertex rows of all (d-1)-subentities, with cell counts."""
-        cells = np.sort(self.cells, axis=1)
+        cells = _sort_rows(self.cells)
         rows = [np.delete(cells, k, axis=1) for k in range(self.dim + 1)]
         keys, _, counts = _unique_rows(np.concatenate(rows), self.num_vertices)
         return keys, counts
@@ -245,15 +283,30 @@ def _mesh_numbers(tokens, kind, what, underscore):
     raise _bad_token(tokens, what, partial(_number, kind))
 
 
+def _cell_id(token):
+    """Whether token is a cell vertex id: ASCII digits that fit int64."""
+    return token.isdigit() and int(token) < 2 ** 63
+
+
 def _cell_ids(block):
-    """The cell vertex ids of block, read by np.fromstring, or None.  Ids
-    are ASCII digits: a sign makes it None, since np.fromstring would read
-    '+ 1' as one id."""
+    """The cell vertex ids of block, read by np.fromstring, or None when a
+    token is not an id.  np.fromstring reads '+ 1' as one id, so a sign
+    makes it None, and it saturates an id beyond int64, so the largest
+    int64 makes it check every token."""
     try:
         ids = np.fromstring(block, np.int64, sep=" ")
     except ValueError:
         return None
-    return None if b"+" in block or b"-" in block else ids
+    if b"+" in block or b"-" in block or (
+            ids.size and ids.max() == 2 ** 63 - 1
+            and not all(map(_cell_id, block.split()))):
+        return None
+    return ids
+
+
+# the first four tokens of a file, empty where it has fewer; re's \s in a
+# bytes pattern is the ASCII whitespace that bytes.split splits at
+_HEAD = re.compile(rb"\s*(\S*)\s*(\S*)\s*(\S*)\s*(\S*)")
 
 
 def load_mesh(path):
@@ -263,26 +316,26 @@ def load_mesh(path):
     whitespace, the header 'mesh <d> <#vertices> <#cells>', then the
     vertex coordinates and the cell vertex ids, each block in row-major
     order.  Line breaks carry no meaning.  Numbers are written in ASCII
-    digits, without underscores, and cell vertex ids without a sign.  Only
-    the vertex tokens are split one by one; the cell block is converted in
-    a single call.  A block that fails its one-call conversion is read
-    token by token only to name its first bad token.
+    digits, without underscores, and cell vertex ids without a sign.  The
+    header is matched at the start of the file, which is then split once:
+    into the header and vertex tokens, one by one, and the cell block,
+    converted in a single call.  A block that fails its one-call
+    conversion is read token by token only to name its first bad token.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     underscore = b"_" in data
-    head = data.split(maxsplit=4)
-    del data  # head[4] is the body: one copy of the file at a time
-    if len(head) < 4 or head[0] != b"mesh":
+    head = _HEAD.match(data).groups()
+    if not head[3] or head[0] != b"mesh":
         raise DimensionMismatch("not a mesh file (missing "
                                 "'mesh <d> <#vertices> <#cells>' header)")
-    header = _mesh_numbers(head[1:4], np.int64, "header field", underscore)
+    header = _mesh_numbers(head[1:], np.int64, "header field", underscore)
     if (header < 0).any():
         raise DimensionMismatch("negative header field in mesh file")
     d, nv, nc = (int(x) for x in header)
-    body = head[4] if len(head) > 4 else b""
     # a file has fewer tokens than bytes, which bounds the split
-    fields = body.split(maxsplit=min(nv * d, len(body)))
+    fields = data.split(maxsplit=min(4 + nv * d, len(data)))
+    del data, fields[:4]
     rest = fields.pop() if len(fields) > nv * d else b""
     cells = _cell_ids(rest)
     need = nv * d + nc * (d + 1)
@@ -293,7 +346,7 @@ def load_mesh(path):
     vertices = _mesh_numbers(fields, np.float64, "vertex coordinate",
                              underscore).reshape(nv, d)
     if cells is None:
-        raise _bad_token(rest.split(), "cell vertex id", bytes.isdigit)
+        raise _bad_token(rest.split(), "cell vertex id", _cell_id)
     return Mesh(vertices, cells.reshape(nc, d + 1))
 
 
@@ -372,9 +425,9 @@ class AffineMap:
 
 def affine_map(mesh, cell_id):
     """The map of one cell, with det and g read from the mesh's cache."""
-    coords = mesh.vertices[mesh.cells[cell_id]]
-    return AffineMap(_cell_matrices(coords), mesh.gs[cell_id],
-                     float(mesh.dets[cell_id]), coords[0])
+    cell = mesh.cells[[cell_id]]
+    return AffineMap(_cell_matrices(mesh.vertices, cell)[0], mesh.gs[cell_id],
+                     float(mesh.dets[cell_id]), mesh.vertices[cell[0, 0]])
 
 
 def affine_maps(mesh):
@@ -383,7 +436,7 @@ def affine_maps(mesh):
     ``dets`` and ``gs`` are the mesh's cached, read-only geometry; ``Bs``
     and the first vertices ``x0s`` are built on each call, as new arrays.
     """
-    return (mesh.dets, mesh.gs, _cell_matrices(mesh.vertices[mesh.cells]),
+    return (mesh.dets, mesh.gs, _cell_matrices(mesh.vertices, mesh.cells),
             mesh.vertices[mesh.cells[:, 0]])
 
 
@@ -453,12 +506,12 @@ def build_dofmap(mesh, element):
             else:
                 # entities numbered by their sorted global vertex rows; dof
                 # positions follow the sorted order, so incident cells agree
-                order = np.argsort(gverts, axis=2)
-                keys = np.take_along_axis(gverts, order, axis=2)
-                uniq, ids, _ = _unique_rows(keys.reshape(-1, dim + 1),
-                                            mesh.num_vertices)
+                keys, canon = _sort_rows(
+                    gverts.reshape(-1, dim + 1),
+                    np.broadcast_to(barys, gverts.shape).reshape(-1, dim + 1))
+                uniq, ids, _ = _unique_rows(keys, mesh.num_vertices)
                 ids, count = ids.reshape(ncells, ks.size), len(uniq)
-                canon = np.take_along_axis(barys[None], order, axis=2)
+                canon = canon.reshape(gverts.shape)
             pos = np.searchsorted(lattice, canon @ radix)
             scalar_dofs[:, ks] = offset + ids * len(lattice) + pos
             offset += count * len(lattice)
@@ -715,6 +768,7 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
+    step = np.empty(n)  # alpha p, then alpha Ap: the updates, in place
     rr = float(r @ r)
     for k in range(1, max_iter + 1):
         Ap = A @ p
@@ -724,12 +778,13 @@ def cg_solve(matrix, rhs, tol=1e-10, max_iter=None, return_iterations=False):
         if pAp <= 0.0:
             raise NotPositiveDefinite("p.Ap = %r at iteration %d" % (pAp, k))
         alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
         rr_next = float(r @ r)
         if math.sqrt(rr_next) <= tol * bnorm:
             return (x, k) if return_iterations else x
-        p = r + (rr_next / rr) * p
+        p *= rr_next / rr
+        p += r
         rr = rr_next
     raise MaxIterations("no convergence within %d iterations "
                         "(relative residual %.3e)"
@@ -740,11 +795,13 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     """Symmetric elimination of prescribed dofs.
 
     Returns (reduced matrix, reduced rhs, free dof ids); the eliminated
-    columns move to the right-hand side so symmetry is preserved.  The
-    rhs must be one dimensional, the matrix n x n for n = rhs.size, and
-    the dof ids distinct integers in [0, n), one value each, or
-    DimensionMismatch is raised; a non-finite right-hand side or
-    prescribed value raises NonFiniteValue.
+    columns move to the right-hand side so symmetry is preserved: the
+    reduced rhs is rhs[free] - A[free] @ x for x holding the values at
+    the dofs and 0 elsewhere, one product with the free rows.  The rhs
+    must be one dimensional, the matrix n x n for n = rhs.size, and the
+    dof ids distinct integers in [0, n), one value each, or
+    DimensionMismatch is raised; a non-finite right-hand side, prescribed
+    value or reduced rhs raises NonFiniteValue.
     """
     rhs = np.asarray(rhs, dtype=float)
     A = matrix.tocsr() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
@@ -761,11 +818,16 @@ def apply_dirichlet(matrix, rhs, dofs, values):
         raise NonFiniteValue("right-hand side or prescribed values have "
                              "non-finite entries")
     dofs = dofs.astype(int)  # an empty list reads as floats
+    x = np.zeros(n)
+    x[dofs] = values
     mask = np.ones(n, dtype=bool)
     mask[dofs] = False
     free = np.nonzero(mask)[0]
     Af = A[free]  # the free rows, selected once
-    reduced_rhs = rhs[free] - Af[:, dofs] @ values
+    reduced_rhs = rhs[free] - Af @ x
+    if not np.isfinite(reduced_rhs).all():
+        raise NonFiniteValue("reduced right-hand side has non-finite "
+                             "entries")
     return Af[:, free], reduced_rhs, free
 
 

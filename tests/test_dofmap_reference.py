@@ -12,6 +12,8 @@ error sums in another order, so it is held to 1e-13 relative.
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_one
 from formc.reference_elements import (
@@ -21,6 +23,7 @@ from formc.reference_elements import (
 )
 from formc.runtime import (
     Mesh,
+    _sort_rows,
     _unique_rows,
     affine_map,
     affine_maps,
@@ -306,6 +309,78 @@ def test_unique_rows_matches_numpy(bound):
     assert np.array_equal(uniq, want[0])
     assert np.array_equal(inverse.ravel(), want[1].ravel())
     assert np.array_equal(counts, want[2])
+
+
+@st.composite
+def short_rows(draw):
+    """Rows of 1 to 4 keys drawn from a few values, so that rows hold ties,
+    and rows of distinct keys with a payload."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+    row = lambda keys, **kw: st.lists(keys, min_size=width, max_size=width,
+                                      **kw)
+    rows = lambda keys, **kw: np.array(
+        draw(st.lists(row(keys, **kw), min_size=n, max_size=n)),
+        dtype=np.int64).reshape(n, width)
+    return (rows(st.integers(-2, 2)), rows(st.integers(-50, 50), unique=True),
+            rows(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_rows())
+def test_sort_rows_matches_numpy(rows):
+    ties, distinct, payload = rows
+    got = _sort_rows(ties)
+    assert got.dtype == ties.dtype
+    assert np.array_equal(got, np.sort(ties, axis=1))
+    keys, moved = _sort_rows(distinct, payload)
+    assert np.array_equal(keys, np.sort(distinct, axis=1))
+    assert np.array_equal(moved, np.take_along_axis(
+        payload, np.argsort(distinct, axis=1), axis=1))
+
+
+def reference_geometry(vertices, cells):
+    """Reoriented cells, dets and gs, with each B taken from one gather of
+    the cells' [ncells x d+1 x d] coordinate rows, and the determinant and
+    adjugate in closed form."""
+
+    def det_adj(Bs):
+        if Bs.shape[-1] == 2:
+            (a, b), (c, e) = Bs[:, 0].T, Bs[:, 1].T
+            adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
+            return a * e - b * c, adj
+        cols = np.swapaxes(Bs, 1, 2)
+        adj = np.cross(cols[:, [1, 2, 0]], cols[:, [2, 0, 1]])
+        return np.vecdot(cols[:, 0], adj[:, 0]), adj
+
+    def edges(cells):
+        coords = vertices[cells]
+        return np.swapaxes(coords[:, 1:] - coords[:, :1], 1, 2)
+
+    dets, adj = det_adj(edges(cells))
+    flip = dets < 0
+    cells = cells.copy()
+    cells[flip, -2:] = cells[flip][:, [-1, -2]]
+    dets[flip], adj[flip] = det_adj(edges(cells[flip]))
+    return cells, dets, adj / dets[:, None, None], edges(cells)
+
+
+@pytest.mark.parametrize("base", (unit_square_mesh(8), unit_cube_mesh(3)),
+                         ids=("square", "cube"))
+def test_mesh_geometry_is_bitwise_the_row_gather(base):
+    vertices = perturb_mesh(base, amount=0.3, seed=6).vertices
+    cells = base.cells.copy()
+    cells[::2] = cells[::2, ::-1]  # flips a triangle, not a tetrahedron
+    cells[1::4, :2] = cells[1::4, 1::-1]  # flips either
+    mesh = Mesh(vertices, cells)
+    want_cells, dets, gs, Bs = reference_geometry(vertices, cells)
+    assert (want_cells != cells).any()  # some cells were flipped
+    assert mesh.cells.tobytes() == want_cells.tobytes()
+    assert mesh.dets.tobytes() == dets.tobytes()
+    assert mesh.gs.tobytes() == gs.tobytes()
+    assert affine_maps(mesh)[2].tobytes() == Bs.tobytes()
+    amap = affine_map(mesh, 5)
+    assert amap.B.tobytes() == Bs[5].tobytes()
+    assert amap.x0.tobytes() == vertices[want_cells[5, 0]].tobytes()
 
 
 def reference_l2_error(mesh, dofmap, vec, exact):

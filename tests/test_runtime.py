@@ -315,6 +315,19 @@ def test_load_mesh_takes_cell_ids_in_ascii_digits_only(tmp_path, cells,
         load_mesh(path)
 
 
+@pytest.mark.parametrize("token,message", (
+    # np.fromstring saturates an id beyond int64 at the largest int64
+    (10 ** 20, "bad cell vertex id in mesh file: '100000000000000000000'"),
+    (2 ** 63, "bad cell vertex id in mesh file: '9223372036854775808'"),
+    (2 ** 63 - 1, "cell vertex id out of range"),
+))
+def test_load_mesh_names_a_cell_id_beyond_int64(tmp_path, token, message):
+    path = tmp_path / "mesh.txt"
+    path.write_text("mesh 2 3 1\n0 0\n1 0\n0 1\n0 %d 2\n" % token)
+    with pytest.raises(DimensionMismatch, match="^%s$" % re.escape(message)):
+        load_mesh(path)
+
+
 def test_load_mesh_names_a_byte_that_is_not_utf8(tmp_path):
     # the file is read as bytes, and the token named with the byte escaped
     path = tmp_path / "mesh.txt"
@@ -1015,6 +1028,35 @@ def test_cg_identity_converges_immediately():
     assert np.array_equal(x, np.zeros(5)) and iterations == 0
 
 
+def textbook_cg(A, b, tol):
+    """Conjugate gradients as textbooks write them: new vectors each step."""
+    x, r = np.zeros(b.size), b.copy()
+    p, rr = r.copy(), r @ r
+    while True:
+        Ap = A @ p
+        alpha = rr / (p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rr_next = r @ r
+        if np.sqrt(rr_next) <= tol * np.linalg.norm(b):
+            return x
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+
+
+@pytest.mark.parametrize("degree", (1, 3))
+def test_cg_in_place_updates_match_the_textbook_loop(degree, rng):
+    mesh = perturb_mesh(unit_square_mesh(6), seed=4)
+    dmap = build_dofmap(mesh, make_lagrange("triangle", degree))
+    A = assemble(compile_form(form_of("poisson", degree=degree)), mesh,
+                 [dmap, dmap])
+    boundary = sorted(mesh.boundary_vertices())
+    Ar, b, _ = apply_dirichlet(A, rng.uniform(-1, 1, dmap.global_dim),
+                               boundary, np.ones(len(boundary)))
+    x = cg_solve(Ar, b, tol=1e-12)
+    assert x.tobytes() == textbook_cg(Ar, b, 1e-12).tobytes()
+
+
 def test_cg_rejects_nonsymmetric():
     matrix = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(NotSymmetric, match=re.escape(
@@ -1140,6 +1182,17 @@ def test_apply_dirichlet_rejects_non_finite_values(rhs, values):
         np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
     with pytest.raises(NonFiniteValue):
         apply_dirichlet(matrix, np.array(rhs), [0], values)
+
+
+@pytest.mark.parametrize("sparse", (False, True))
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+def test_apply_dirichlet_rejects_a_non_finite_reduced_rhs(sparse, bad):
+    # the prescribed column's entry in a free row reaches the reduced rhs
+    matrix = np.array([[2.0, bad, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    if sparse:
+        matrix = scipy.sparse.csr_matrix(matrix)
+    with pytest.raises(NonFiniteValue, match="reduced right-hand side"):
+        apply_dirichlet(matrix, np.zeros(3), [1], [1.0])
 
 
 def test_apply_dirichlet_requires_a_one_dimensional_rhs():
