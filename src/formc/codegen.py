@@ -11,12 +11,14 @@ summed, each scaled by its monomial's constant; the geometry, ``(* det
 ...)``, holds no constant.  A listing with one block per monomial reads
 just as well.
 
-The C declares the G components that some A0 nonzero reads, and carries
-out the form's kernel plan (``CompiledForm.plan``), which the numpy
-contraction carries out too: a block entry whose plan source is an earlier
-row copies that entry ("block[r] = block[j];"); every other entry is the
-sum of its row's nonzeros with the row's own constants, "0.0" for the
-first empty row.
+The C of a form is one translation unit that defines its map record and
+``void eval(double block[], const affine_map_<d>d *map)``, with a trailing
+``const double w[]`` when the form has coefficients.  It declares the G
+components that some A0 nonzero reads, and carries out the form's kernel
+plan (``CompiledForm.plan``), which the numpy contraction carries out
+too: a block entry whose plan source is an earlier row copies that entry
+("block[r] = block[j];"); every other entry is the sum of its row's
+nonzeros with the row's own constants, "0.0" for the first empty row.
 
 The emitters work on A0 nonzeros as whole CSR arrays, all read from the
 form's one store (``CompiledForm.stacked``): the C on the whole stack,
@@ -158,10 +160,10 @@ def _block_rhs(cf, names):
             for r, j in enumerate(cf.plan.source.tolist())]
 
 
-def emit_c(cf, function_name="eval"):
+def emit_c(cf):
     """C99 translation unit evaluating the element tensor of one form.
 
-    The signature is ``void <name>(double block[], const affine_map_<d>d
+    The signature is ``void eval(double block[], const affine_map_<d>d
     *map)`` with a trailing ``const double w[]`` argument when the form has
     coefficients; w holds the coefficient dofs slot after slot.  The map
     record carries det and the entries g{a}{b} = dX_a/dx_b of the inverse
@@ -180,8 +182,7 @@ def emit_c(cf, function_name="eval"):
             lines.append("    double g%d%d;" % (a, b))
     lines.append("} affine_map_%dd;" % d)
     lines.append("")
-    sig = "void %s(double block[], const affine_map_%dd *map" % (
-        function_name, d)
+    sig = "void eval(double block[], const affine_map_%dd *map" % d
     if cf.coefficient_dims:
         sig += ", const double w[]"
     sig += ")"

@@ -23,7 +23,7 @@ compiler (tensor_representation).
 
 import itertools
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .errors import (
     ArityError,
@@ -46,8 +46,6 @@ __all__ = [
     "dx",
     "expand_to_monomials",
     "parse_form_file",
-    "form_file_text",
-    "structurally_equal",
 ]
 
 
@@ -196,14 +194,14 @@ class Terminal(_Operand):
     def _scaled(self, a):
         return self._wrap(Product(a, (self,)))
 
-    def _tokens(self, key=Index.key):
-        comp = None if self.component is None else key(self.component)
+    def _tokens(self):
+        comp = None if self.component is None else self.component.key()
         return (
             type(self).__name__,
             self.element._key(),
             self._slot_key(),
             comp,
-            tuple(key(i) for i in self.derivatives),
+            tuple(i.key() for i in self.derivatives),
         )
 
 
@@ -456,32 +454,6 @@ def expand_to_monomials(form):
     return list(form.monomials)
 
 
-def structurally_equal(a, b):
-    """Compare two forms up to index renaming and monomial order."""
-    if a.arity != b.arity:
-        return False
-    if [e._key() for e in a.arguments] != [e._key() for e in b.arguments]:
-        return False
-    if [e._key() for e in a.coefficients] != [e._key() for e in b.coefficients]:
-        return False
-    return Counter(_canonical_keys(a)) == Counter(_canonical_keys(b))
-
-
-def _canonical_keys(form):
-    keys = []
-    for m in expand_to_monomials(form):
-        renaming = {}
-
-        def key(i):
-            if i.kind == "fixed":
-                return ("fix", i.value)
-            return ("idx", renaming.setdefault(i.id, len(renaming)))
-
-        keys.append((round(m.scalar, 12),
-                     tuple(f._tokens(key) for f in m.factors)))
-    return keys
-
-
 # --- tokenizer ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -534,8 +506,9 @@ class _Parser:
 
     At top level a term ends in ``*dx`` and the sum is a Form; inside
     parentheses dx may not appear.  The leading unary minus is a small
-    superset of the published grammar, so that canonically printed forms
-    with negative leading scalars read back.
+    superset of the published grammar, so that a sum may start with a
+    negated term.  Each name is bound once: a second binding is a
+    FormSyntaxError at its name, so no two forms share a name.
     """
 
     def __init__(self, text):
@@ -590,6 +563,8 @@ class _Parser:
         forms = []
         while self.peek().type != "eof":
             name_tok = self.expect("ident")
+            if name_tok.text in self.env:
+                self.fail("name %r is already bound" % name_tok.text, name_tok)
             self.expect("op", "=")
             value = self.parse_rhs(name_tok)
             if isinstance(value, Form):
@@ -787,88 +762,3 @@ def parse_form_file(text):
     except RecursionError:
         tok = parser.peek()
     raise FormSyntaxError("parentheses nested too deeply", tok.line, tok.col)
-
-
-# --- canonical printer -------------------------------------------------------
-
-
-def _element_decl(element):
-    head = "VectorElement" if element.value_rank else "FiniteElement"
-    family = (
-        "Lagrange" if element.continuity == "continuous" else "Discontinuous Lagrange"
-    )
-    return '%s("%s", "%s", %d)' % (head, family, element.cell.shape, element.degree)
-
-
-def form_file_text(forms):
-    """Render forms as canonical form file text that parses back equal."""
-    if isinstance(forms, Form):
-        forms = [forms]
-    lines = []
-    element_names = {}
-    argument_names = {}
-    coefficient_names = {}
-    index_names = {}
-
-    def element_name(element):
-        key = element._key()
-        if key not in element_names:
-            name = "e%d" % len(element_names)
-            element_names[key] = name
-            lines.append("%s = %s" % (name, _element_decl(element)))
-        return element_names[key]
-
-    def index_name(index):
-        if index.kind == "fixed":
-            return str(index.value)
-        if index.id not in index_names:
-            name = "i%d" % len(index_names)
-            index_names[index.id] = name
-            lines.append("%s = Index()" % name)
-        return index_names[index.id]
-
-    def declare(names, prefix, head, elements):
-        """Names of slots 0..n-1.  A form shares a name with an earlier
-        one only if the elements of every slot up to it agree too, so the
-        names of each form are declared in slot order."""
-        out = []
-        for k, element in enumerate(elements):
-            key = tuple(e._key() for e in elements[:k + 1])
-            if key not in names:
-                names[key] = "%s%d" % (prefix, len(names))
-                lines.append("%s = %s(%s)"
-                             % (names[key], head, element_name(element)))
-            out.append(names[key])
-        return out
-
-    body = []
-    for form in forms:
-        args = declare(argument_names, "v", "BasisFunction", form.arguments)
-        coeffs = declare(coefficient_names, "w", "Function", form.coefficients)
-
-        pieces = []
-        for m in expand_to_monomials(form):
-            bits = []
-            if abs(m.scalar) != 1.0:
-                bits.append(repr(abs(m.scalar)))
-            for f in m.factors:
-                if isinstance(f, BasisFunction):
-                    text = args[f.slot]
-                else:
-                    text = coeffs[f.number]
-                if f.component is not None:
-                    text += "[%s]" % index_name(f.component)
-                for i in f.derivatives:
-                    text += ".dx(%s)" % index_name(i)
-                bits.append(text)
-            bits.append("dx")
-            sign = "-" if m.scalar < 0 else "+"
-            pieces.append((sign, "*".join(bits)))
-        if not pieces:
-            raise ValueError("cannot print a form with no monomials")
-        text = pieces[0][1] if pieces[0][0] == "+" else "-" + pieces[0][1]
-        for sign, chunk in pieces[1:]:
-            text += " %s %s" % (sign, chunk)
-        body.append("%s = %s" % (form.name or "a", text))
-
-    return "\n".join(lines + body) + "\n"

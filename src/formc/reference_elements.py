@@ -81,10 +81,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def num_points(self):
-        return self.points.shape[0]
-
 
 def quadrature_shape(shape, degree):
     """Points per direction of the collapsed cube in make_quadrature's

@@ -225,21 +225,17 @@ class Mesh:
     def num_cells(self):
         return len(self.cells)
 
-    def _facets(self):
-        """Sorted vertex rows of all (d-1)-subentities, with cell counts."""
-        cells = _sort_rows(self.cells)
-        rows = [np.delete(cells, k, axis=1) for k in range(self.dim + 1)]
-        keys, _, counts = _unique_rows(np.concatenate(rows), self.num_vertices)
-        return keys, counts
-
-    def facets(self):
-        """All (d-1)-subentities as sorted vertex tuples, with cell counts."""
-        keys, counts = self._facets()
-        return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
-
     def boundary_vertices(self):
-        keys, counts = self._facets()
-        return set(np.unique(keys[counts == 1]).tolist())
+        """The vertices of the facets that lie in one cell only.  Each
+        facet is a sorted cell row without one of its columns, picked
+        column by column."""
+        cells = _sort_rows(self.cells)
+        cols = range(self.dim + 1)
+        rows = np.concatenate([cells[:, [j for j in cols if j != k]]
+                               for k in cols])
+        _, first, counts = np.unique(_row_keys(rows, self.num_vertices),
+                                     return_index=True, return_counts=True)
+        return set(np.unique(rows[first[counts == 1]]).tolist())
 
 
 def save_mesh(mesh, path):

@@ -543,28 +543,23 @@ class GeometryTensorExpr(namedtuple(
         table = products.transpose(1, 0, 2).reshape(n, -1).tolist()
         return _first_equal(map(tuple, table))
 
-    def evaluate(self, dets, gs, coeffs=(), components=None, out=None):
+    def evaluate(self, dets, gs, coeffs, components, out):
         """Geometry tensor components for a batch of affine maps.
 
-        ``dets`` has shape [ncells], ``gs`` is dX/dx with shape
-        [ncells x d x d] and ``coeffs`` one [ncells x n_e] array per
-        coefficient.  ``components`` selects flat component indices, all
-        by default.  Each transform and each coefficient read is one
+        ``dets`` [ncells], ``gs`` (dX/dx, [ncells x d x d]) and ``coeffs``
+        (one [ncells x n_e] array per coefficient) are float arrays, as
+        batch_arrays gives them.  ``components`` selects flat component
+        indices.  Each transform and each coefficient read is one
         gather over all cells, auxiliary assignments and components; the
         running product starts from the first and the others are
         multiplied in one at a time, so that at most two
         [ncells x S x n_selected] arrays are live.  The S auxiliary
         assignments are then added in order, and ``|det|`` multiplies
-        last, written into ``out`` ([ncells x n_selected], any strides; a
-        new array by default), which is returned.  The absolute value lets
-        negatively oriented cells integrate correctly.
+        last, written into ``out`` ([ncells x n_selected], any strides),
+        which is returned.  The absolute value lets negatively oriented
+        cells integrate correctly.
         """
-        dets = np.atleast_1d(np.asarray(dets, dtype=float))
-        gs = np.asarray(gs, dtype=float)
-        rows, cols, dofs = (self.expansion if components is None else
-                            (a[:, components] for a in self.expansion))
-        if out is None:
-            out = np.empty((len(dets), rows.shape[1]))
+        rows, cols, dofs = (a[:, components] for a in self.expansion)
         scale = np.abs(dets)[:, None]
         # (array, index) of each factor's gather
         reads = ([(gs, (slice(None), rows[..., t], cols[..., t]))

@@ -269,6 +269,19 @@ def test_cli_compile_second_derivatives_fails_and_writes_nothing(
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d2.form"]
 
 
+def test_cli_compile_a_form_name_bound_twice_fails_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # the second kernel would overwrite the first, so nothing is written
+    src = tmp_path / "dup.form"
+    src.write_text(MASS + "a = v.dx(0)*u.dx(0)*dx\n")
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["-o", str(tmp_path / "out.c")]):
+        assert cli(["compile", str(src)] + extra) == 1
+        assert capsys.readouterr().err == (
+            "formc: error: name 'a' is already bound (line 5, column 1)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.form"]
+
+
 def test_cli_compile_deep_nesting_fails_and_writes_nothing(
         tmp_path, capsys, monkeypatch):
     src = tmp_path / "deep.form"
@@ -561,7 +574,7 @@ def test_estimate_counts_the_points_of_the_rule(d):
     shape = ("interval", "triangle", "tetrahedron")[d - 1]
     for q in range(5):
         T_T, T_Q, _ = flop_estimates(ComplexityParams(q=q, d=d))
-        assert T_Q == T_T * make_quadrature(shape, 2 * q).num_points
+        assert T_Q == T_T * len(make_quadrature(shape, 2 * q).weights)
 
 
 

@@ -144,11 +144,6 @@ def test_coefficient_argument_and_offsets():
     assert "w[9]" not in code
 
 
-def test_function_name_override():
-    cf = compile_form(parse_one(MASS_P1))
-    assert "void mass_matrix(double block[]" in emit_c(cf, function_name="mass_matrix")
-
-
 def test_emit_c_deterministic():
     # fresh parses allocate fresh index ids; output must not depend on them
     a = emit_c(compile_form(parse_one(ELASTICITY)))
@@ -563,7 +558,7 @@ def assert_c_matches_numpy(form, tmp_path, rng, stem="form"):
     d = form.cell.dim
     src = tmp_path / (stem + ".c")
     lib = tmp_path / (stem + ".so")
-    src.write_text(emit_c(cf, function_name="run"))
+    src.write_text(emit_c(cf))
     subprocess.run(
         ["cc", "-std=c99", "-O2", "-shared", "-fPIC", "-o", str(lib), str(src)],
         check=True,
@@ -587,9 +582,9 @@ def assert_c_matches_numpy(form, tmp_path, rng, stem="form"):
         coeffs = [rng.uniform(-1, 1, el.space_dim) for el in form.coefficients]
         if n_w:
             w = (ctypes.c_double * n_w)(*np.concatenate(coeffs))
-            handle.run(block, ctypes.byref(m), w)
+            handle.eval(block, ctypes.byref(m), w)
         else:
-            handle.run(block, ctypes.byref(m))
+            handle.eval(block, ctypes.byref(m))
         want = cf.element_tensor(amap.det, amap.g, [c[None] for c in coeffs])
         got = np.asarray(block).reshape(cf.primary_dims)
         scale = max(np.abs(want).max(), 1e-12)

@@ -61,7 +61,7 @@ def reference_join_terms(terms):
     return "".join(parts)
 
 
-def reference_c_header(cf, function_name):
+def reference_c_header(cf):
     d = cf.dim
     lines = []
     lines.append("/* Element tensor evaluation for form '%s': rank %d, %s. */"
@@ -74,8 +74,7 @@ def reference_c_header(cf, function_name):
             lines.append("    double g%d%d;" % (a, b))
     lines.append("} affine_map_%dd;" % d)
     lines.append("")
-    sig = "void %s(double block[], const affine_map_%dd *map" % (
-        function_name, d)
+    sig = "void eval(double block[], const affine_map_%dd *map" % d
     if cf.coefficient_dims:
         sig += ", const double w[]"
     sig += ")"
@@ -84,10 +83,10 @@ def reference_c_header(cf, function_name):
     return lines
 
 
-def reference_emit_c_per_entry(cf, function_name="eval"):
+def reference_emit_c_per_entry(cf):
     """Every G component declared, every block row summed."""
     offsets = _coeff_offsets(cf.coefficient_dims)
-    lines = reference_c_header(cf, function_name)
+    lines = reference_c_header(cf)
     csr = []
     for k, ct in enumerate(cf.terms):
         names = []
@@ -115,10 +114,10 @@ def reference_bits(v):
     return struct.unpack("<q", struct.pack("<d", v))[0]
 
 
-def reference_emit_c(cf, function_name="eval"):
+def reference_emit_c(cf):
     """Used G components only, and a copy for every repeated row."""
     offsets = _coeff_offsets(cf.coefficient_dims)
-    lines = reference_c_header(cf, function_name)
+    lines = reference_c_header(cf)
     csr = []
     for k, ct in enumerate(cf.terms):
         m = ct.matrix
@@ -197,7 +196,6 @@ def reference_emit_latex(cf):
 
 def assert_emitters_match(cf):
     assert emit_c(cf) == reference_emit_c(cf)
-    assert emit_c(cf, "kernel") == reference_emit_c(cf, "kernel")
     assert emit_raw(cf) == reference_emit_raw(cf)
     assert emit_latex(cf) == reference_emit_latex(cf)
 

@@ -203,6 +203,15 @@ def reference_perturb(mesh, amount, seed):
     return Mesh(vertices, mesh.cells)
 
 
+def reference_boundary_vertices(mesh):
+    counts = {}
+    for cell in mesh.cells.tolist():
+        for k in range(len(cell)):
+            facet = tuple(sorted(cell[:k] + cell[k + 1:]))
+            counts[facet] = counts.get(facet, 0) + 1
+    return {v for facet, count in counts.items() if count == 1 for v in facet}
+
+
 MESHES = {
     "square": lambda: unit_square_mesh(3),
     "square-perturbed": lambda: perturb_mesh(unit_square_mesh(4), seed=11),
@@ -297,6 +306,19 @@ def test_perturb_mesh_matches_per_vertex_reference(base, seed):
     ref = reference_perturb(mesh, 0.3, seed)
     assert np.array_equal(moved.vertices, ref.vertices)
     assert np.array_equal(moved.cells, ref.cells)
+
+
+@pytest.mark.parametrize("base", (unit_square_mesh(6), unit_cube_mesh(3)))
+@pytest.mark.parametrize("drop", (None, 3))
+def test_boundary_vertices_match_per_facet_reference(base, drop):
+    mesh = perturb_mesh(base, seed=5)
+    if drop:
+        # holes put inner vertices on the boundary too
+        mesh = Mesh(mesh.vertices, mesh.cells[np.arange(mesh.num_cells) % drop
+                                              != 0])
+        assert len(reference_boundary_vertices(mesh)) > len(
+            base.boundary_vertices())
+    assert mesh.boundary_vertices() == reference_boundary_vertices(mesh)
 
 
 @pytest.mark.parametrize("bound", (50, 2 ** 40))

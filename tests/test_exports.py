@@ -1,10 +1,13 @@
-"""Every name a formc module lists in ``__all__`` exists, and each module
-imports only from the layers below its own."""
+"""Every name a formc module lists in ``__all__`` exists and has a caller
+outside the tests, and each module imports only from the layers below its
+own."""
 
 import ast
+import glob
 import importlib
 import os
 import pkgutil
+from functools import lru_cache
 
 import pytest
 
@@ -19,6 +22,47 @@ def test_every_exported_name_exists(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# exported for users of the runtime, though no caller below reads them
+USER_ONLY = {
+    "save_mesh": "writes the mesh file that load_mesh and formc assemble "
+                 "read, so a user can make one",
+    "unit_cube_mesh": "the tetrahedral counterpart of unit_square_mesh",
+    "perturb_mesh": "moves the inner vertices of a lattice mesh, so that "
+                    "its cells differ in shape",
+}
+
+
+@lru_cache(maxsize=None)
+def called_names():
+    """Every name, attribute and imported name that formc, perfbench or
+    the acceptance test uses, read with ast."""
+    paths = (glob.glob(os.path.join(formc.__path__[0], "*.py"))
+             + glob.glob(os.path.join(REPO, "perfbench", "*.py"))
+             + [os.path.join(REPO, "tests", "test_acceptance.py")])
+    out = set()
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.rpartition(".")[2])
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_has_a_caller(name):
+    # API that only tests read belongs in the tests
+    module = importlib.import_module("formc." + name)
+    unread = set(getattr(module, "__all__", ())) - called_names()
+    assert unread == (set(USER_ONLY) if name == "runtime" else set())
 
 
 def test_the_modules_are_found():

@@ -1,4 +1,5 @@
-"""Form algebra, the form file parser, and the canonical printer."""
+"""Form algebra, the form file parser, and the parser against the
+canonical printer of the tests (``form_text``)."""
 
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_one
+from form_text import form_file_text, structurally_equal
 from formc.errors import (
     ArityError,
     FormcError,
@@ -26,9 +28,7 @@ from formc.form_language import (
     Sum,
     dx,
     expand_to_monomials,
-    form_file_text,
     parse_form_file,
-    structurally_equal,
 )
 from formc.reference_elements import make_lagrange, make_vector_lagrange
 from formc.tensor_representation import compile_form
@@ -362,6 +362,26 @@ def test_parser_error_positions():
     with pytest.raises(FormSyntaxError) as err:
         parse_form_file(bad)
     assert err.value.line == 4 and err.value.col == 7
+
+
+@pytest.mark.parametrize("second", (
+    "a = v.dx(0)*u.dx(0)*dx\n",  # two forms named a
+    "v = BasisFunction(element)\n",
+    'element = FiniteElement("Lagrange", "triangle", 2)\n',
+))
+def test_a_name_bound_twice_is_a_located_error(second):
+    text = (
+        'element = FiniteElement("Lagrange", "triangle", 1)\n'
+        "v = BasisFunction(element)\n"
+        "u = BasisFunction(element)\n"
+        "a = v*u*dx\n"
+        "  " + second
+    )
+    name = second.split()[0]
+    with pytest.raises(FormSyntaxError,
+                       match="name %r is already bound" % name) as err:
+        parse_form_file(text)
+    assert (err.value.line, err.value.col) == (5, 3)
 
 
 def test_parser_semantic_errors():

@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -640,15 +641,11 @@ def test_shared_edge_basis_is_single_valued():
     rng = np.random.default_rng(0)
     vec = rng.uniform(-1, 1, dmap.global_dim)
 
-    counts = mesh.facets()
-    shared = [f for f, c in counts.items() if c == 2]
-    facet = shared[0]
-    owners = [
-        c for c in range(mesh.num_cells)
-        if set(facet) <= set(mesh.cells[c])
-    ]
-    a, b = owners[:2]
-    p0, p1 = mesh.vertices[list(facet)]
+    # the first two cells that share two vertices share an edge
+    cells = [set(c) for c in mesh.cells.tolist()]
+    a, b = next((a, b) for a, b in combinations(range(len(cells)), 2)
+                if len(cells[a] & cells[b]) == 2)
+    p0, p1 = mesh.vertices[sorted(cells[a] & cells[b])]
     # five points strictly inside the shared edge
     phys = p0 + np.linspace(0.1, 0.9, 5)[:, None] * (p1 - p0)
 

@@ -114,6 +114,15 @@ def assert_slots(term):
         (c, e.value) for c, e, _ in term.coeff_reads]
 
 
+def evaluated(geo, dets, gs, coeffs=(), components=None):
+    """geo.evaluate into a new array: the components named, or all."""
+    if components is None:
+        components = np.arange(geo.n_components)
+    dets, gs = np.asarray(dets, dtype=float), np.asarray(gs, dtype=float)
+    return geo.evaluate(dets, gs, coeffs, components,
+                        np.empty((len(dets), len(components))))
+
+
 # --- index classification ------------------------------------------------------
 
 
@@ -361,7 +370,7 @@ def test_geometry_expr_atoms_match_evaluate(rng):
                 rng.uniform(-1, 1, (1, f.element.space_dim))
                 for f in term.factors if f.kind == "coefficient"
             ]
-            got = geo.evaluate([amap.det], [amap.g], coeffs)[0]
+            got = evaluated(geo, [amap.det], [amap.g], coeffs)[0]
             for k, alpha in enumerate(geo.component_multiindices()):
                 manual = 0.0
                 for beta in product(*[range(n) for n in geo.aux_dims]):
@@ -388,7 +397,7 @@ def test_mass_geometry_is_det_only(rng):
     geo = derive_geometry_expr(term)
     assert geo.rank == 0 and geo.n_components == 1
     amap = random_affine_map(rng, 2)
-    assert geo.evaluate([amap.det], [amap.g])[0, 0] == pytest.approx(
+    assert evaluated(geo, [amap.det], [amap.g])[0, 0] == pytest.approx(
         abs(amap.det), rel=1e-15
     )
 
@@ -535,14 +544,14 @@ def test_evaluate_gathers_one_factor_at_a_time(rng):
     dets, gs = np.array(dets), np.array(gs)
     tracemalloc.start()
     try:
-        got = ct.geometry.evaluate(dets, gs, coeffs, ct.used_components)
+        got = evaluated(ct.geometry, dets, gs, coeffs, ct.used_components)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     layer = n * 9 * ct.used_components.size * got.itemsize
     assert peak < 3 * layer
-    assert np.array_equal(got, ct.geometry.evaluate(
-        dets, gs, coeffs)[:, ct.used_components])
+    assert np.array_equal(got, evaluated(
+        ct.geometry, dets, gs, coeffs)[:, ct.used_components])
 
 
 @pytest.mark.parametrize("name,shape,q,form_name,distinct", (
@@ -576,8 +585,8 @@ def test_contraction_row_map(rng, name, shape, q, form_name, distinct):
     dets, gs, coeffs = random_cells(rng, form, 6)
     got = cf.element_tensors(dets, gs, coeffs)
     # bitwise the product with the whole stack
-    g = np.hstack([np.empty((6, 0))] + [ct.geometry.evaluate(
-        dets, gs, coeffs, ct.used_components) for ct in cf.terms])
+    g = np.hstack([np.empty((6, 0))] + [evaluated(
+        ct.geometry, dets, gs, coeffs, ct.used_components) for ct in cf.terms])
     assert np.array_equal(got.reshape(6, -1),
                           (stacked @ np.ascontiguousarray(g.T)).T)
     for k in range(6):
@@ -637,10 +646,10 @@ def test_evaluate_writes_into_a_strided_view(rng, kind, shape):
         dets, gs = np.array(dets), np.array(gs)
         buffer = np.full((used.size + 3, 5), np.nan).T  # column-major
         view = buffer[:, 2:2 + used.size]
-        got = ct.geometry.evaluate(dets, gs, coeffs, used, out=view)
+        got = ct.geometry.evaluate(dets, gs, coeffs, used, view)
         assert got is view
-        assert np.array_equal(view, ct.geometry.evaluate(dets, gs, coeffs,
-                                                         used))
+        assert np.array_equal(view, evaluated(ct.geometry, dets, gs, coeffs,
+                                              used))
         assert np.isnan(buffer[:, :2]).all() and np.isnan(buffer[:, -1]).all()
 
 
@@ -669,7 +678,7 @@ def test_drop_tolerance_does_not_change_values(rng):
     (term,) = [classify_indices(m) for m in expand_to_monomials(form)]
     amap = random_affine_map(rng, 2)
     a = compile_form(form).element_tensor(amap.det, amap.g)
-    g = derive_geometry_expr(term).evaluate([amap.det], [amap.g])[0]
+    g = evaluated(derive_geometry_expr(term), [amap.det], [amap.g])[0]
     b = np.einsum("ijk,k->ij", a0_values(term).reshape(10, 10, 4), g)
     assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())
 
@@ -1266,3 +1275,61 @@ def test_folded_navierstokes_is_within_the_exact_bound(rng, q):
                                          magnitude.tolist()):
                 assert abs(Fraction(value) - want) <= (
                     4 * n_terms * eps * size)
+
+
+# --- every folded contraction against exact arithmetic ----------------------------
+#
+# The exact A0 of each term is fraction_terms', with the constants and equal
+# components folded in.  The exact G is each term's expansion summed in
+# fractions of the double inputs; its magnitude sums the products' absolute
+# values, which bounds the rounding of the auxiliary sums too.
+
+
+def fraction_geometry(geometry, det, g, w):
+    """(G, |G|) of one cell as [N] object arrays of fractions: det times
+    each component's sum of products, and the same sum of their absolute
+    values.  g is dX/dx and w one list of dofs per coefficient."""
+    rows, cols, dofs = (a.tolist() for a in geometry.expansion)
+    numbers = [c for c, *_ in geometry.coeff_reads]
+    exact, size = [], []
+    for n in range(geometry.n_components):
+        total = magnitude = Fraction(0)
+        for s in range(len(rows)):
+            p = det
+            for r, c in zip(rows[s][n], cols[s][n]):
+                p *= g[r][c]
+            for number, dof in zip(numbers, dofs[s][n]):
+                p *= w[number][dof]
+            total += p
+            magnitude += abs(p)
+        exact.append(total)
+        size.append(magnitude)
+    return np.array(exact, dtype=object), np.array(size, dtype=object)
+
+
+@pytest.mark.parametrize("q", (1, 2))
+@pytest.mark.parametrize("shape", ("triangle", "tetrahedron"))
+@pytest.mark.parametrize("name", ("mass", "poisson", "elasticity"))
+def test_folded_forms_are_within_the_exact_bound(rng, name, shape, q):
+    eps = Fraction(2) ** -52
+    for form in shipped_forms(name, shape, q):
+        cf = compile_form(form)
+        want = fraction_terms(cf.form)
+        n_terms = sum(ct.geometry.n_components for ct in cf.terms)
+        dets, gs, coeffs = random_cells(rng, form, 4)
+        paths = [path.element_tensors(dets, gs, coeffs).reshape(4, -1)
+                 for path in (cf, read_raw(emit_raw(cf)))]
+        for k in range(4):
+            det = abs(Fraction(dets[k]))
+            g = [[Fraction(x) for x in row] for row in gs[k].tolist()]
+            w = [[Fraction(x) for x in c[k].tolist()] for c in coeffs]
+            exact = magnitude = 0
+            for ct, (a0, denominator) in zip(cf.terms, want):
+                geometry, size = fraction_geometry(ct.geometry, det, g, w)
+                exact = exact + a0.dot(geometry) / denominator
+                magnitude = magnitude + np.abs(a0).dot(size) / denominator
+            for got in paths:
+                for value, entry, bound in zip(got[k].tolist(), exact.tolist(),
+                                               magnitude.tolist()):
+                    assert abs(Fraction(value) - entry) <= (
+                        4 * n_terms * eps * bound)
